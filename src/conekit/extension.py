@@ -1,9 +1,12 @@
 """The extended norm on span(F) and its brute-force oracle.
 
-n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  The solver is a
-projected subgradient method on the generator coefficients, followed by a
-deterministic pattern-search polish that brings the value within the
-solver tolerance; the grid oracle certifies accuracy independently.
+n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  On the future cone
+with the Wick norm it has a closed form: n_W(x) on causal x and
+sqrt(2) n(w_x) on spacelike x.  On polyhedral cones (and the 2-D future
+cone, spanned by its two null rays) the solver is a projected subgradient
+method on the generator coefficients, followed by a deterministic
+pattern-search polish that brings the value within the solver tolerance;
+the grid oracle certifies accuracy independently.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from .errors import (
     BallNotContained,
     DimTooLarge,
     Infeasible,
+    NotLorentzian,
     UnsupportedFamily,
 )
-from .lorentz import LorentzFrame, decompose, wick_inner, wick_orthogonal_basis
-from .numerics import Vector, exact_det, lp_nonneg_solve
+from .lorentz import LorentzFrame, wick_inner
+from .numerics import Vector, exact_det, exact_rank, lp_nonneg_solve
 from .span import future_decompose
 
 
@@ -125,6 +129,7 @@ class ExtensionResult:
     u: Vector
     v: Vector
     iterations: int
+    # False when the subgradient phase ran to max_iters instead of stalling
     converged: bool
 
 
@@ -150,6 +155,7 @@ def _square_solve(gmat, x, norm: BaseNorm, max_iters, stall_window):
     c = 0.5 * max(1.0, norm.value(x))
     since_improved = 0
     iters = 0
+    stalled = False
     for k in range(1, max_iters + 1):
         iters = k
         theta = np.maximum(theta - (c / math.sqrt(k)) * sg(theta), lo)
@@ -160,6 +166,7 @@ def _square_solve(gmat, x, norm: BaseNorm, max_iters, stall_window):
         else:
             since_improved += 1
             if since_improved > stall_window:
+                stalled = True
                 break
     # deterministic pattern-search polish (convex objective, box feasible set)
     theta = best
@@ -178,7 +185,7 @@ def _square_solve(gmat, x, norm: BaseNorm, max_iters, stall_window):
         if not improved:
             step *= 0.5
     u = gmat @ theta
-    return best_val, u, u - x, iters
+    return best_val, u, u - x, iters, stalled
 
 
 def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall_window):
@@ -186,15 +193,21 @@ def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall
 
     Feasibility is restored by exact projection onto the affine constraint
     followed by clipping to the nonnegative orthant and re-projection; the
-    reported value uses the exact difference v = u - x.
+    reported value uses the exact difference v = u - x.  Generators that
+    span less than the ambient space make rows of G dependent; the
+    projection keeps a maximal independent set of them, which cuts out the
+    same affine set because the constraint is consistent.
     """
     gmat = _generator_matrix(c)
     n, m = gmat.shape
-    amat = np.hstack([gmat, -gmat])
-    aat_inv = np.linalg.inv(amat @ amat.T)  # G has full row rank (generating)
+    amat, xr = np.hstack([gmat, -gmat]), x
+    rows = _independent_rows([[g.coords[i] for g in c.generators] for i in range(n)])
+    if len(rows) < n:
+        amat, xr = amat[rows], x[rows]
+    aat_inv = np.linalg.inv(amat @ amat.T)
 
     def proj_affine(z):
-        return z - amat.T @ (aat_inv @ (amat @ z - x))
+        return z - amat.T @ (aat_inv @ (amat @ z - xr))
 
     def restore(z):
         for _ in range(30):
@@ -227,6 +240,7 @@ def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall
     step_c = 0.5 * max(1.0, norm.value(x))
     since = 0
     iters = 0
+    stalled = False
     for k in range(1, max_iters + 1):
         iters = k
         z = restore(z - (step_c / math.sqrt(k)) * sg(z))
@@ -237,9 +251,21 @@ def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall
         else:
             since += 1
             if since > stall_window:
+                stalled = True
                 break
     u = gmat @ best[:m]
-    return best_val, u, u - x, iters
+    return best_val, u, u - x, iters, stalled
+
+
+def _independent_rows(rows) -> list[int]:
+    """Indices of a maximal linearly independent subset of rational rows."""
+    if exact_rank(rows) == len(rows):
+        return list(range(len(rows)))
+    keep: list[int] = []
+    for i in range(len(rows)):
+        if exact_rank([rows[k] for k in keep] + [rows[i]]) > len(keep):
+            keep.append(i)
+    return keep
 
 
 def _feasible_decomposition(c: Cone, x: Vector):
@@ -271,74 +297,82 @@ def _feasible_decomposition(c: Cone, x: Vector):
     raise UnsupportedFamily(f"no decomposition strategy for {type(c).__name__}")
 
 
-def _plane_reduction(c: FutureCone, norm: WickBaseNorm, x: Vector):
-    """Wick-orthonormal coordinates of the plane spanned by t and x.
+def _future_wick_closed_form(norm: WickBaseNorm, target: Vector) -> ExtensionResult:
+    """n~ on the future cone of the Wick norm's frame, in closed form.
 
-    Valid for the Wick base norm: the problem is invariant under Wick
-    rotations fixing t and the spatial direction of x, so a minimizer can
-    be found inside that plane.
+    With x = alpha t + w, the null coordinates of the plane through t and w
+    turn the cone into an orthant and the Wick norm into the Euclidean norm,
+    so n~(x) = n_W(x) when x is causal and sqrt(2) n(w) when it is spacelike.
+    Both squares are rational in alpha and <x, x>: the causal/spacelike
+    decision is exact on the target's (exact or binary) rational value.
     """
     frame = norm.frame
-    s_std = np.array([[float(v) for v in row] for row in frame.form.std.rows])
-    tf = np.array(frame.t.as_floats())
-    xf = np.array(x.as_floats())
-    alpha = float(tf @ s_std @ xf)
-    w = xf - alpha * tf
-    # wick(w, w) = -<w, w> on the spatial complement
-    s = float(-w @ s_std @ w)
-    if s <= 1e-30:
-        return frame.t.as_floats(), None, alpha, 0.0
-    nw = math.sqrt(s)
-    what = w / nw
-    return frame.t.as_floats(), what, alpha, nw
+    x = np.array(target.as_floats())
+    # scale by 2^-e so that |x| < 1: the squares neither underflow nor overflow
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    xq = Vector([Fraction(c) * Fraction(2) ** -e for c in target.coords])
+    alpha = frame.inner(xq, frame.t)
+    xx = frame.inner(xq, xq)
+    if xx >= 0:
+        # causal: the target itself (or its negative) is the cheapest split
+        q = 2 * alpha * alpha - xx
+        u = x if alpha >= 0 else np.zeros_like(x)
+    else:
+        # spacelike: u on the null ray t + w_hat, v = u - x on t - w_hat
+        q = 2 * (alpha * alpha - xx)
+        nw = math.sqrt(float(alpha * alpha - xx))
+        a = float(alpha)
+        tf = np.array(frame.t.as_floats())
+        y = np.array(xq.as_floats())
+        u = np.ldexp((0.5 * (a + nw)) * (tf + (y - a * tf) / nw), e)
+    value = math.ldexp(math.sqrt(float(q)), e)
+    return ExtensionResult(value, Vector(u.tolist()), Vector((u - x).tolist()), 0, True)
+
+
+def _null_generators_2d(c: FutureCone) -> np.ndarray:
+    """Columns t + w_hat, t - w_hat: the null rays bounding a 2-D future cone.
+
+    w = (-(St)_1, (St)_0) is S-orthogonal to t, with n(w)^2 = -<w, w>.  It is
+    oriented like e_i - <e_i, t> t for the first e_i not parallel to t, the
+    direction a frame's spatial basis starts from.
+    """
+    s = c.form.std
+    (s00, s01), (_, s11) = s.rows
+    if s00 * s11 - s01 * s01 >= 0:
+        raise NotLorentzian("2-D future cone needs a form with det < 0")
+    if c.form.inner(c.t, c.t) != 1:
+        raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
+    st = s.apply(c.t).coords
+    w = Vector([-st[1], st[0]])
+    if next(z for z in s.apply(w).coords if z != 0) > 0:
+        w = -w
+    what = np.array(w.as_floats()) / math.sqrt(float(-s.quad(w, w)))
+    tf = np.array(c.t.as_floats())
+    return np.column_stack([tf + what, tf - what])
 
 
 def extended_norm(p: ExtensionProblem) -> ExtensionResult:
     """Minimize n(u) + n(u - x) over u in F intersect (x + F)."""
-    x = np.array(p.target.as_floats())
     c = p.cone
+    if isinstance(c, FutureCone) and isinstance(p.base_norm, WickBaseNorm):
+        return _future_wick_closed_form(p.base_norm, p.target)
+    args = (np.array(p.target.as_floats()), p.base_norm, p.max_iters, p._stall_window)
     if isinstance(c, Polyhedral):
-        gmat = _generator_matrix(c)
         m = len(c.generators)
         if m == c.ambient_dim and exact_det([list(g.coords) for g in c.generators]) != 0:
-            val, u, v, iters = _square_solve(gmat, x, p.base_norm, p.max_iters, p._stall_window)
+            solved = _square_solve(_generator_matrix(c), *args)
         else:
-            val, u, v, iters = _general_polyhedral_solve(
-                c, x, p.base_norm, p.max_iters, p._stall_window
+            solved = _general_polyhedral_solve(c, *args)
+    elif isinstance(c, FutureCone):
+        if c.ambient_dim != 2:
+            raise UnsupportedFamily(
+                "future-cone solver needs the Wick base norm above ambient dimension 2"
             )
-        return ExtensionResult(val, Vector(u.tolist()), Vector(v.tolist()), iters, True)
-    if isinstance(c, FutureCone):
-        if isinstance(p.base_norm, WickBaseNorm):
-            tf, what, alpha, nw = _plane_reduction(c, p.base_norm, p.target)
-            tf = np.array(tf)
-            if what is None:
-                # x is a multiple of t: n~(alpha t) = |alpha|
-                u = tf * max(alpha, 0.0)
-                v = tf * max(-alpha, 0.0)
-                return ExtensionResult(abs(alpha), Vector(u.tolist()), Vector(v.tolist()), 0, True)
-            # plane coordinates (a, b): cone = {a >= |b|}, norm = euclidean
-            g2 = np.array([[1.0, 1.0], [1.0, -1.0]])
-            x2 = np.array([alpha, nw])
-            val, u2, v2, iters = _square_solve(
-                g2, x2, CoordBaseNorm("l2"), p.max_iters, p._stall_window
-            )
-            u = tf * u2[0] + what * u2[1]
-            v = tf * v2[0] + what * v2[1]
-            return ExtensionResult(val, Vector(u.tolist()), Vector(v.tolist()), iters, True)
-        if c.ambient_dim == 2:
-            # reduce to the two null generators t +- w_hat
-            frame = LorentzFrame(c.form, c.t)
-            (w,) = wick_orthogonal_basis(frame)
-            nw = math.sqrt(float(wick_inner(frame, w, w)))
-            what = np.array(w.as_floats()) / nw
-            tf = np.array(c.t.as_floats())
-            gmat = np.column_stack([tf + what, tf - what])
-            val, u, v, iters = _square_solve(gmat, x, p.base_norm, p.max_iters, p._stall_window)
-            return ExtensionResult(val, Vector(u.tolist()), Vector(v.tolist()), iters, True)
-        raise UnsupportedFamily(
-            "future-cone solver needs the Wick base norm above ambient dimension 2"
-        )
-    raise UnsupportedFamily("extended_norm expects Polyhedral or FutureCone")
+        solved = _square_solve(_null_generators_2d(c), *args)
+    else:
+        raise UnsupportedFamily("extended_norm expects Polyhedral or FutureCone")
+    val, u, v, iters, converged = solved
+    return ExtensionResult(val, Vector(u.tolist()), Vector(v.tolist()), iters, converged)
 
 
 def _exact_null_space(rows, n):

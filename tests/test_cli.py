@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import conekit
 from conekit.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -120,9 +121,13 @@ class TestReportCsv:
 
 class TestConsoleScript:
     def test_module_invocation(self):
+        # the child imports the same conekit, installed or not
+        src = os.path.dirname(os.path.dirname(os.path.abspath(conekit.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "conekit.cli", "proptest", "--suite", "span", "--trials", "5"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0

@@ -2,10 +2,14 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conekit import lorentz
 from conekit.cone import FutureCone, Polyhedral, sample_future_causal
-from conekit.errors import BallNotContained, DimTooLarge
+from conekit.errors import BallNotContained, DimTooLarge, NotLorentzian
 from conekit.extension import (
     CoordBaseNorm,
     ExtensionProblem,
@@ -14,8 +18,8 @@ from conekit.extension import (
     extended_norm,
     grid_oracle,
 )
-from conekit.lorentz import minkowski_frame, wick_norm
-from conekit.numerics import Vector
+from conekit.lorentz import GramForm, decompose, minkowski_frame, wick_norm
+from conekit.numerics import SymMatrix, Vector
 
 
 def vec(*xs):
@@ -66,6 +70,128 @@ class TestExtendedNorm:
         diff = res.u - res.v
         assert diff.coords[0] == pytest.approx(0.0, abs=1e-6)
         assert diff.coords[1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_future2d_builds_no_frame(self):
+        before = len(lorentz._WICK_BASIS_CACHE)
+        rng = random.Random(4)
+        for i in range(50):
+            x = Vector([rng.uniform(-3, 3), rng.uniform(-3, 3)])
+            extended_norm(ExtensionProblem(CONE, CoordBaseNorm(("l1", "l2", "linf")[i % 3]), x))
+        assert len(lorentz._WICK_BASIS_CACHE) == before
+
+    def test_future2d_needs_lorentz_frame(self):
+        euclid = GramForm([vec(1, 0), vec(0, 1)], SymMatrix([[F(1), F(0)], [F(0), F(1)]]))
+        for cone in (FutureCone(euclid, vec(1, 0)), FutureCone(FRAME.form, vec(2, 0))):
+            with pytest.raises(NotLorentzian):
+                extended_norm(ExtensionProblem(cone, CoordBaseNorm("l2"), Vector([0.0, 1.0])))
+
+    @pytest.mark.parametrize("kind, want", [("l1", 1.5), ("l2", math.sqrt(1.25)), ("linf", 1.0)])
+    def test_polyhedral_collinear_generators(self, kind, want):
+        # the generators span a line and the target lies on it: n~(x) = n(x)
+        c = Polyhedral([vec(1, F(1, 2)), vec(2, 1), vec(3, F(3, 2))])
+        res = extended_norm(ExtensionProblem(c, CoordBaseNorm(kind), Vector([1.0, 0.5])))
+        assert res.value == pytest.approx(want, abs=1e-6)
+        assert (res.u - res.v).coords == pytest.approx((1.0, 0.5), abs=1e-9)
+
+    def test_converged_reports_iteration_cap(self):
+        c = Polyhedral([vec(1, 1), vec(1, -1)])
+        x = Vector([2.0, 1.0])
+        capped = extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), x, max_iters=1))
+        assert capped.iterations == 1 and capped.converged is False
+        assert extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), x)).converged
+
+    def test_closed_form_result_fields(self):
+        res = extended_norm(fut_problem(Vector([0.0, 1.0])))
+        assert res.iterations == 0 and res.converged is True
+
+
+FRAMES = {d: minkowski_frame(d - 1) for d in range(2, 7)}
+CONES = {d: FutureCone(f.form, f.t) for d, f in FRAMES.items()}
+WICKS = {d: WickBaseNorm(f) for d, f in FRAMES.items()}
+
+
+def _solve(x: Vector):
+    return extended_norm(ExtensionProblem(CONES[x.dim], WICKS[x.dim], x))
+
+
+def _exact(x: Vector) -> Vector:
+    return x if x.exact else Vector([F(c) for c in x.coords])
+
+
+def _in_future(frame, u: Vector, tol: float) -> bool:
+    uq = _exact(u)
+    scale = 1.0 + max(abs(c) for c in u.as_floats())
+    return frame.inner(uq, uq) >= -tol * scale**2 and frame.inner(uq, frame.t) >= -tol * scale
+
+
+exact_targets = st.integers(2, 6).flatmap(
+    lambda d: st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=50), min_size=d, max_size=d
+    )
+).map(Vector)
+float_targets = st.integers(2, 6).flatmap(
+    lambda d: st.lists(
+        st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=d, max_size=d
+    )
+).map(Vector)
+
+
+class TestClosedFormProperties:
+    """The future cone with the Wick norm: n~ = n_W on causal x, sqrt(2) n(w) else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(exact_targets, float_targets))
+    def test_value_witnesses_and_axioms(self, x):
+        frame = FRAMES[x.dim]
+        xq = _exact(x)
+        res = _solve(x)
+        if frame.inner(xq, xq) >= 0:
+            want = wick_norm(frame, xq)
+        else:
+            want = math.sqrt(2) * wick_norm(frame, decompose(frame, xq).w)
+        assert res.value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert (res.u - res.v).coords == pytest.approx(x.as_floats(), abs=1e-9)
+        assert _in_future(frame, res.u, 1e-12) and _in_future(frame, res.v, 1e-12)
+        norm = WICKS[x.dim]
+        nu_nv = norm.value(np.array(res.u.as_floats())) + norm.value(np.array(res.v.as_floats()))
+        assert res.value == pytest.approx(nu_nv, rel=1e-12, abs=1e-12)
+        assert _solve(-x).value == pytest.approx(res.value, rel=1e-12, abs=1e-12)
+        assert _solve(x.scale(2)).value == pytest.approx(2 * res.value, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 20),
+        st.integers(0, 20),
+        st.sampled_from((1, -1)),
+        st.sampled_from((1, -1)),
+    )
+    def test_null_targets(self, d, m, n, time_sign, space_sign):
+        # (m^2 + n^2, m^2 - n^2, 2mn) is null; in 2-D only (a, +-a) is
+        if d == 2:
+            x = vec(time_sign * m, space_sign * m)
+        else:
+            spatial = [m * m - n * n, 2 * m * n] + [0] * (d - 3)
+            x = vec(time_sign * (m * m + n * n), *[space_sign * c for c in spatial])
+        frame = FRAMES[d]
+        assert frame.inner(x, x) == 0
+        alpha = float(frame.inner(x, frame.t))
+        res = _solve(x)
+        assert res.value == pytest.approx(math.sqrt(2) * abs(alpha), rel=1e-12)
+        assert wick_norm(frame, x) == pytest.approx(res.value, rel=1e-12)
+        assert math.sqrt(2) * wick_norm(frame, decompose(frame, x).w) == pytest.approx(
+            res.value, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_pinned_spacelike(self, d):
+        # x = (1/2, 1, ..., 1): n(w) = sqrt(d - 1) > 1/2, so n~(x) = sqrt(2 (d - 1))
+        x = vec(F(1, 2), *[1] * (d - 1))
+        res = _solve(x)
+        assert res.value == pytest.approx(math.sqrt(2 * (d - 1)), rel=1e-14)
+        if d == 2:
+            p = ExtensionProblem(CONES[2], WICKS[2], Vector([0.5, 1.0]))
+            assert grid_oracle(p) == pytest.approx(res.value, abs=3e-3)
 
 
 class TestGridOracle:
