@@ -261,11 +261,11 @@ def run_scenario(path: str, flags) -> tuple[dict, int]:
 def report_to_csv(report: dict) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["task", "status", "metric", "tolerance", "wall_time_ms"])
+    w.writerow(["task", "status", "metric", "wall_time_ms"])
     for t in report["tasks"]:
         metrics = t.get("metrics") or {}
         key = next(iter(metrics), "")
-        w.writerow([t["name"], t["status"], metrics.get(key, ""), "", t["wall_time_ms"]])
+        w.writerow([t["name"], t["status"], metrics.get(key, ""), t["wall_time_ms"]])
     return buf.getvalue()
 
 
@@ -282,36 +282,36 @@ def write_report(report: dict, flags):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--backend", choices=["exact", "float"], default="exact")
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--out", default=None)
-    common.add_argument("--seed", type=int, default=None)
-
     p = argparse.ArgumentParser(prog="conekit", description="linear cone toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="run a scenario file", parents=[common])
+    runp = sub.add_parser("run", help="run a scenario file")
     runp.add_argument("scenario")
+    runp.add_argument("--tol", type=float, default=1e-9)
 
-    prop = sub.add_parser("proptest", help="run property suites", parents=[common])
+    prop = sub.add_parser("proptest", help="run property suites")
     prop.add_argument("--suite", choices=sorted(SUITES), default=None)
     prop.add_argument("--trials", type=int, default=None)
 
-    gram = sub.add_parser("gram", help="Gram matrix and signature of a cone basis", parents=[common])
+    gram = sub.add_parser("gram", help="Gram matrix and signature of a cone basis")
+    gram.add_argument("--backend", choices=["exact", "float"], default="exact")
     gram.add_argument("--p", default="2")
     gram.add_argument("--spatial-dim", type=int, required=True)
     gram.add_argument("--basis", required=True, help="JSON list of vectors")
 
-    ext = sub.add_parser("extend", help="extended norm of a target vector", parents=[common])
+    ext = sub.add_parser("extend", help="extended norm of a target vector")
     ext.add_argument("--cone", required=True, help="JSON cone spec")
     ext.add_argument("--x", required=True, help="JSON coordinate list")
     ext.add_argument("--base-norm", default="wick")
     ext.add_argument("--oracle", action="store_true", help="also run the grid oracle")
 
-    rep = sub.add_parser("report", help="convert a report JSON to CSV", parents=[common])
+    rep = sub.add_parser("report", help="convert a report JSON to CSV")
     rep.add_argument("report_path")
-    rep.add_argument("--csv", action="store_true")
+
+    for sp in (runp, prop):
+        sp.add_argument("--seed", type=int, default=None)
+    for sp in (runp, prop, rep):
+        sp.add_argument("--out", default=None)
     return p
 
 

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .lorentz import LorentzFrame, wick_inner
-from .numerics import Vector, exact_det, exact_rank, lp_nonneg_solve
+from .numerics import Vector, exact_det, exact_null_space, independent_rows, lp_nonneg_solve
 from .span import future_decompose
 
 
@@ -201,7 +201,7 @@ def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall
     gmat = _generator_matrix(c)
     n, m = gmat.shape
     amat, xr = np.hstack([gmat, -gmat]), x
-    rows = _independent_rows([[g.coords[i] for g in c.generators] for i in range(n)])
+    rows = independent_rows([[g.coords[i] for g in c.generators] for i in range(n)])
     if len(rows) < n:
         amat, xr = amat[rows], x[rows]
     aat_inv = np.linalg.inv(amat @ amat.T)
@@ -255,17 +255,6 @@ def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall
                 break
     u = gmat @ best[:m]
     return best_val, u, u - x, iters, stalled
-
-
-def _independent_rows(rows) -> list[int]:
-    """Indices of a maximal linearly independent subset of rational rows."""
-    if exact_rank(rows) == len(rows):
-        return list(range(len(rows)))
-    keep: list[int] = []
-    for i in range(len(rows)):
-        if exact_rank([rows[k] for k in keep] + [rows[i]]) > len(keep):
-            keep.append(i)
-    return keep
 
 
 def _feasible_decomposition(c: Cone, x: Vector):
@@ -375,38 +364,6 @@ def extended_norm(p: ExtensionProblem) -> ExtensionResult:
     return ExtensionResult(val, Vector(u.tolist()), Vector(v.tolist()), iters, converged)
 
 
-def _exact_null_space(rows, n):
-    """Basis of the null space of a rational row matrix (columns = n)."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    m = len(a)
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        d = a[r][col]
-        a[r] = [x / d for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [a[i][j] - f * a[r][j] for j in range(n)]
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [j for j in range(n) if j not in piv_cols]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for i, col in enumerate(piv_cols):
-            v[col] = -a[i][j]
-        basis.append(v)
-    return basis
-
-
 def _facet_normals(c: Polyhedral) -> np.ndarray:
     """Outer description of the conic hull: h with h . g >= 0 for all g.
 
@@ -421,7 +378,7 @@ def _facet_normals(c: Polyhedral) -> np.ndarray:
     normals = []
     subsets = itertools.combinations(gens, n - 1) if n > 1 else [()]
     for sub in subsets:
-        for h in _exact_null_space(list(sub), n):
+        for h in exact_null_space(list(sub), n):
             for sgn in (1, -1):
                 cand = [sgn * x for x in h]
                 if all(sum(ci * gi for ci, gi in zip(cand, g)) >= 0 for g in gens):
@@ -433,7 +390,7 @@ def _facet_normals(c: Polyhedral) -> np.ndarray:
 def _span_equalities(c: Polyhedral):
     """Normals of span(generators): pts in the cone must be orthogonal."""
     gens = [list(g.coords) for g in c.generators]
-    return [[float(x) for x in v] for v in _exact_null_space(gens, c.ambient_dim)]
+    return [[float(x) for x in v] for v in exact_null_space(gens, c.ambient_dim)]
 
 
 def _membership_mask(c: Cone, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -27,6 +27,7 @@ from .numerics import (
     exact_inverse,
     exact_rank,
     fraction_sqrt_bounds,
+    independent_rows,
 )
 
 
@@ -58,9 +59,9 @@ class GramForm:
         if gram.dim != n:
             raise DimensionMismatch("gram matrix size must match basis size")
         bmat = [[basis[i].coords[j] for i in range(n)] for j in range(n)]  # columns = basis
-        if exact_rank(bmat) != n:
-            raise DependentBasis("basis vectors are linearly dependent")
         inv = exact_inverse(bmat)
+        if inv is None:
+            raise DependentBasis("basis vectors are linearly dependent")
         # form in standard coordinates: S = B^-T G B^-1
         g = gram.rows
         tmp = [[sum(g[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -181,7 +182,7 @@ def classify(g: GramForm | SymMatrix) -> Signature:
 class LorentzFrame:
     """A Lorentzian form together with a unit timelike vector t."""
 
-    __slots__ = ("form", "t")
+    __slots__ = ("form", "t", "_wick_basis")
 
     def __init__(self, form: GramForm, t: Vector):
         sig = classify(form)
@@ -191,6 +192,7 @@ class LorentzFrame:
             raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_wick_basis", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LorentzFrame is immutable")
@@ -267,46 +269,35 @@ def future_defect_exact(frame: LorentzFrame, x: Vector) -> Scalar:
 
 
 def spatial_basis(frame: LorentzFrame) -> list[Vector]:
-    """An exact basis of the orthogonal complement of t."""
+    """An exact basis of the orthogonal complement of t.
+
+    The projections e_i - <e_i, t> t of the standard basis span the
+    complement; the first maximal independent n - 1 of them are kept.
+    """
     n = frame.dim
     t = frame.t
-    out: list[Vector] = []
-    rows: list[list] = []
-    for i in range(n):
-        cand = Vector.unit(n, i)
-        w = cand - t.scale(frame.inner(cand, t))
-        trial = rows + [list(w.coords)]
-        if exact_rank(trial) == len(trial):
-            out.append(w)
-            rows = trial
-        if len(out) == n - 1:
-            break
-    return out
-
-
-_WICK_BASIS_CACHE: dict = {}
+    cands = [e - t.scale(frame.inner(e, t)) for e in (Vector.unit(n, i) for i in range(n))]
+    keep = independent_rows([w.coords for w in cands])[: n - 1]
+    return [cands[i] for i in keep]
 
 
 def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
     """Exact Gram-Schmidt of the spatial complement under the Wick pairing.
 
     Returned vectors are mutually Wick-orthogonal but not normalized
-    (normalization generally needs square roots).  Cached per frame:
-    frames are immutable and samplers call this in a tight loop.
+    (normalization generally needs square roots).  Computed once per frame
+    and kept on it: frames are immutable and samplers call this in a tight
+    loop.
     """
-    cached = _WICK_BASIS_CACHE.get(id(frame))
-    if cached is not None and cached[0] is frame:
-        return list(cached[1])
-    basis = spatial_basis(frame)
-    out: list[Vector] = []
-    for b in basis:
-        w = b
-        for u in out:
-            w = w - u.scale(wick_inner(frame, b, u) / wick_inner(frame, u, u))
-        out.append(w)
-    # keep the frame alive so the id() key cannot be recycled
-    _WICK_BASIS_CACHE[id(frame)] = (frame, tuple(out))
-    return out
+    if frame._wick_basis is None:
+        out: list[Vector] = []
+        for b in spatial_basis(frame):
+            w = b
+            for u in out:
+                w = w - u.scale(wick_inner(frame, b, u) / wick_inner(frame, u, u))
+            out.append(w)
+        object.__setattr__(frame, "_wick_basis", tuple(out))
+    return list(frame._wick_basis)
 
 
 def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:

@@ -5,10 +5,12 @@ IEEE doubles.  Ints and numeric strings are promoted to ``Fraction`` on
 entry, so the exact backend is the default for hand-written data.  Backends
 never mix inside one vector or matrix.
 
-All exact linear algebra below (rank, determinant, solve, inverse,
-nonnegative feasibility) is plain dense Gaussian elimination / phase-1
-simplex over ``Fraction`` -- boundary decisions in this domain (null
-vectors, cone facets) must not depend on float rounding.
+All exact linear algebra below runs on one dense Gauss-Jordan pivot step
+over ``Fraction``, ``_pivot``: ``_eliminate`` builds rank, determinant,
+solve, inverse, null space and independent rows on it, and the phase-1
+simplex of ``lp_nonneg_solve`` pivots its tableau with it.  Boundary
+decisions in this domain (null vectors, cone facets) must not depend on
+float rounding.
 """
 
 from __future__ import annotations
@@ -224,145 +226,153 @@ def _to_frac_rows(rows) -> list:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def exact_rank(rows: Sequence[Sequence]) -> int:
+def _pivot(a: list, r: int, col: int) -> None:
+    """Scale row r so that a[r][col] = 1 and clear column col from every other row."""
+    p = a[r][col]
+    if p != 1:
+        a[r] = [x / p if x else x for x in a[r]]
+    pr = a[r]
+    for i, row in enumerate(a):
+        if i != r and row[col] != 0:
+            f = row[col]
+            a[i] = [x - f * y if y else x for x, y in zip(row, pr)]
+
+
+def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list, list, Fraction]:
+    """Gauss-Jordan reduction: (reduced rows, pivot columns, det).
+
+    Pivots are searched only in the first ``ncols`` columns (default: all),
+    so an augmented block [A | B] is carried along.  Pivot rows come first,
+    in order, each scaled to a leading 1.  det is that of A when A is square
+    and of full rank, else 0.
+    """
     a = _to_frac_rows(rows)
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    col = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
+    m = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    vals: list[Fraction] = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col] / p
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        vals.append(a[r][col])
+        _pivot(a, r, col)
+        pivots.append(col)
+    det = Fraction(0)
+    if m == ncols == len(pivots):
+        det = Fraction(sign)
+        for v in vals:
+            det *= v
+    return a, pivots, det
+
+
+def exact_rank(rows: Sequence[Sequence]) -> int:
+    return len(_eliminate(rows)[1])
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
-    a = _to_frac_rows(rows)
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        p = a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / p
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
+    if any(len(r) != len(rows) for r in rows):
+        raise DimensionMismatch("exact_det expects a square matrix")
+    return _eliminate(rows)[2]
 
 
 def exact_solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
     """Solve the square system A x = b exactly; None if singular."""
-    a = _to_frac_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    n = len(a)
-    if any(len(r) != n for r in a) or len(b) != n:
+    n = len(rows)
+    if any(len(r) != n for r in rows) or len(rhs) != n:
         raise DimensionMismatch("exact_solve expects a square system")
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        p = a[col][col]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col] / p
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                b[i] -= f * b[col]
-    return [b[i] / a[i][i] for i in range(n)]
+    a, pivots, _ = _eliminate([list(r) + [bi] for r, bi in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return [row[n] for row in a]
 
 
 def exact_inverse(rows: Sequence[Sequence]) -> list | None:
-    a = _to_frac_rows(rows)
-    n = len(a)
-    aug = [a[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    a, pivots, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in a]
+
+
+def exact_null_space(rows: Sequence[Sequence], n: int) -> list:
+    """Basis of the null space of a rational row matrix with n columns.
+
+    One vector per free column j of the reduced form: 1 at j, minus the
+    reduced column j at the pivot columns.
+    """
+    a, pivots, _ = _eliminate(rows, n)
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[j] = Fraction(1)
+        for row, col in zip(a, pivots):
+            v[col] = -row[j]
+        basis.append(v)
+    return basis
+
+
+def independent_rows(rows: Sequence[Sequence]) -> list[int]:
+    """Indices of the first maximal linearly independent subset of the rows.
+
+    Row i is kept when it is independent of rows 0..i-1: the pivot columns
+    of the transpose.
+    """
+    return _eliminate([list(c) for c in zip(*rows)])[1]
 
 
 def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence) -> list | None:
     """Find theta >= 0 with A theta = b, exactly, or None if infeasible.
 
     Phase-1 simplex with Bland's rule (guaranteed termination) over
-    Fraction.  Sized for desk-scale systems (tens of rows/columns).
+    Fraction.  Sized for desk-scale systems (tens of rows/columns).  The
+    tableau holds the rows [A_i | b_i], signed so that b_i >= 0, with the
+    objective row for min(sum of artificials) last.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = []
-    rhs = []
+    tab = []
     for i in range(m):
-        r = [Fraction(x) for x in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            r = [-x for x in r]
-            bi = -bi
-        rows.append(r)
-        rhs.append(bi)
+        r = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        tab.append([-x for x in r] if r[n] < 0 else r)
+    # price-out: the objective row is the sum of the constraint rows
+    tab.append([sum((r[j] for r in tab), Fraction(0)) for j in range(n + 1)])
     basis = list(range(n, n + m))  # artificial variables
-    # price-out: objective row for min(sum of artificials)
-    wrow = [sum(rows[i][j] for i in range(m)) for j in range(n)]
-    wval = sum(rhs)
     while True:
-        enter = next((j for j in range(n) if wrow[j] > 0), None)
+        enter = next((j for j in range(n) if tab[m][j] > 0), None)
         if enter is None:
             break
         # ratio test, Bland tie-break on basis index
         leave = None
         best = None
         for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rhs[i] / rows[i][enter]
+            if tab[i][enter] > 0:
+                ratio = tab[i][n] / tab[i][enter]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:
             # unbounded phase-1 objective cannot happen (bounded below by 0)
             return None
-        p = rows[leave][enter]
-        rows[leave] = [x / p for x in rows[leave]]
-        rhs[leave] /= p
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-                rhs[i] -= f * rhs[leave]
-        f = wrow[enter]
-        wrow = [x - f * y for x, y in zip(wrow, rows[leave])]
-        wval -= f * rhs[leave]
+        _pivot(tab, leave, enter)
         basis[leave] = enter
-    if wval != 0:
+    if tab[m][n] != 0:
         return None
     theta = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            theta[basis[i]] = rhs[i]
+            theta[basis[i]] = tab[i][n]
     return theta
 
 

@@ -115,8 +115,26 @@ class TestReportCsv:
         capsys.readouterr()
         assert run_cli(["report", str(rep)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("task,status")
+        assert lines[0] == "task,status,metric,wall_time_ms"
         assert lines[1].startswith("polarizability-p1,fail")
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", "[0, 1]"]
+            + ["--backend", "float"],
+            ["report", "r.json", "--csv"],
+            ["gram", "--spatial-dim", "1", "--basis", "[]", "--seed", "1"],
+            ["proptest", "--tol", "0.1"],
+        ],
+    )
+    def test_unread_options_exit_2(self, args, capsys):
+        # each subcommand accepts only the options it reads
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
 
 
 class TestConsoleScript:

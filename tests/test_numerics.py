@@ -1,10 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conekit.errors import ExactBackend, MixedBackend
+from conekit.errors import DimensionMismatch, ExactBackend, MixedBackend
 from conekit.numerics import (
     Ordering,
     SymMatrix,
@@ -13,10 +13,12 @@ from conekit.numerics import (
     approx_eq,
     exact_det,
     exact_inverse,
+    exact_null_space,
     exact_rank,
     exact_solve,
     fraction_sqrt,
     fraction_sqrt_bounds,
+    independent_rows,
     lp_nonneg_solve,
     scalar_cmp,
 )
@@ -108,6 +110,8 @@ class TestExactLinearAlgebra:
 
     def test_det(self):
         assert exact_det([[F(1), F(1), F(1)], [F(1), F(0), F(1)], [F(1), F(1), F(0)]]) == 1
+        with pytest.raises(DimensionMismatch):
+            exact_det([[F(1), F(2)]])
 
     def test_solve_and_inverse(self):
         a = [[F(2), F(1)], [F(1), F(3)]]
@@ -136,6 +140,105 @@ class TestLP:
     def test_boundary(self):
         sol = lp_nonneg_solve([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(1)])
         assert sol == [F(1), F(0)]
+
+
+small_rationals = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-8, max_value=8, max_denominator=6)
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Matrices of dims 1-6; some rows are combinations of earlier rows."""
+    m = draw(st.integers(1, 6))
+    n = m if square else draw(st.integers(1, 6))
+    rows = []
+    for i in range(m):
+        if i and draw(st.booleans()):
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            c, d = draw(small_rationals), draw(small_rationals)
+            rows.append([c * x + d * y for x, y in zip(rows[j], rows[k])])
+        else:
+            rows.append(draw(st.lists(small_rationals, min_size=n, max_size=n)))
+    return rows
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)] for r in a]
+
+
+def transpose(a):
+    return [list(c) for c in zip(*a)]
+
+
+def identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+class TestEliminationProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices(square=True), st.data())
+    def test_solve(self, a, data):
+        b = data.draw(st.lists(small_rationals, min_size=len(a), max_size=len(a)))
+        x = exact_solve(a, b)
+        assert (x is None) == (exact_det(a) == 0)
+        if x is not None:
+            assert matmul(a, transpose([x])) == transpose([b])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices(square=True))
+    def test_inverse_det_rank_agree(self, a):
+        n = len(a)
+        inv = exact_inverse(a)
+        det = exact_det(a)
+        assert (det == 0) == (inv is None) == (exact_rank(a) < n)
+        if inv is not None:
+            assert matmul(a, inv) == identity(n)
+            assert det * exact_det(inv) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices())
+    def test_rank_of_transpose(self, a):
+        assert exact_rank(a) == exact_rank(transpose(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices())
+    def test_null_space(self, a):
+        n = len(a[0])
+        null = exact_null_space(a, n)
+        assert exact_rank(a) + len(null) == n
+        for v in null:
+            assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in a)
+        if null:
+            assert exact_rank(null) == len(null)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices())
+    def test_independent_rows(self, a):
+        keep = independent_rows(a)
+        rank = exact_rank(a)
+        assert len(keep) == rank
+        assert keep == sorted(set(keep))
+        assert exact_rank([a[i] for i in keep]) == rank
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_lp(self, a, data):
+        m, n = len(a), len(a[0])
+        if data.draw(st.booleans()):
+            # b in the cone of the columns: the LP must find some theta
+            theta0 = data.draw(st.lists(st.integers(0, 3).map(F), min_size=n, max_size=n))
+            b = [sum(x * y for x, y in zip(r, theta0)) for r in a]
+            feasible = True
+        else:
+            b = data.draw(st.lists(small_rationals, min_size=m, max_size=m))
+            feasible = None
+        theta = lp_nonneg_solve(a, b)
+        if feasible:
+            assert theta is not None
+        if theta is not None:
+            assert all(t >= 0 for t in theta)
+            assert [sum(x * y for x, y in zip(r, theta)) for r in a] == b
 
 
 class TestFractionSqrt:
