@@ -31,7 +31,7 @@ from .lorentz import (
     wick_inner,
     wick_orthogonal_basis,
 )
-from .numerics import Vector, lp_nonneg_solve
+from .numerics import Vector, exact_rank, lp_nonneg_solve
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,6 @@ class Orthant:
 
 
 Cone = Union[Polyhedral, PCone, FutureCone, Orthant]
-
-
-def ambient_dim(c: Cone) -> int:
-    return c.ambient_dim
 
 
 def _check_dim(c: Cone, x: Vector):
@@ -166,16 +162,16 @@ def leq(x: Vector, y: Vector, c: Cone) -> bool:
     return contains(c, y - x)
 
 
-_CORE_EPS_CUTOFF = Fraction(1, 2**20)
-
-
 def in_core(c: Cone, x: Vector) -> bool:
     """Algebraic-interior membership (core in the ordered-cone sense).
 
     Core is taken as the algebraic interior; for FutureCone/PCone this
-    coincides with strict inequalities, for full-dimensional Polyhedral
-    cones it is decided by a halving epsilon search down to 2**-20 along
-    the coordinate directions (recorded as False past the cutoff).
+    coincides with strict inequalities.  A Polyhedral cone has a core only
+    when its generators span the space, and then its core is the set of
+    strictly positive combinations of the generators (Rockafellar, Convex
+    Analysis, Thm 6.9); homogenised as G(theta + 1) = (1 + lam) x with
+    theta, lam >= 0, this is decided exactly by one phase-1 LP, with no
+    cutoff.
     """
     if not contains(c, x):
         raise NotMember(f"{x!r} is not in the cone")
@@ -195,18 +191,14 @@ def in_core(c: Cone, x: Vector) -> bool:
         return float(x0) > sum(abs(float(s)) ** float(c.p) for s in spatial) ** (1.0 / float(c.p))
     if isinstance(c, FutureCone):
         return c.form.inner(x, x) > 0 and c.form.inner(x, c.t) > 0
-    eps = Fraction(1)
-    while eps >= _CORE_EPS_CUTOFF:
-        ok = True
-        for i in range(c.ambient_dim):
-            e = Vector.unit(c.ambient_dim, i).scale(eps)
-            if not (contains(c, x + e) and contains(c, x - e)):
-                ok = False
-                break
-        if ok:
-            return True
-        eps /= 2
-    return False
+    gens = [[Fraction(t) for t in g.coords] for g in c.generators]
+    if exact_rank(gens) < c.ambient_dim:
+        return False
+    # x = G mu with mu > 0, homogenised: G theta - lam x = x - sum(g), theta, lam >= 0
+    xs = [Fraction(t) for t in x.coords]
+    a = [[g[i] for g in gens] + [-xs[i]] for i in range(c.ambient_dim)]
+    b = [xs[i] - sum(g[i] for g in gens) for i in range(c.ambient_dim)]
+    return lp_nonneg_solve(a, b) is not None
 
 
 def dual_contains(c: Cone, g: GramForm, v: Vector) -> bool:

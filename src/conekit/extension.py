@@ -119,7 +119,6 @@ class ExtensionProblem:
     target: Vector
     max_iters: int = 100_000
     resolution: int = 201
-    solver_tol: float = 1e-3
     _stall_window: int = field(default=300, repr=False)
 
 
@@ -137,6 +136,29 @@ def _generator_matrix(c: Polyhedral) -> np.ndarray:
     return np.array([[float(x) for x in g.coords] for g in c.generators]).T  # columns
 
 
+def _subgradient_descent(z, f, sg, project, step_c, max_iters, stall_window):
+    """Projected subgradient steps step_c/sqrt(k), keeping the best point.
+
+    Stops after max_iters steps, or once stall_window + 1 steps in a row
+    fail to improve on the best value.  Returns (best, best value,
+    iterations, stalled).
+    """
+    best, best_val = z.copy(), f(z)
+    since = 0
+    k = 0
+    for k in range(1, max_iters + 1):
+        z = project(z - (step_c / math.sqrt(k)) * sg(z))
+        val = f(z)
+        if val < best_val - 1e-12:
+            best_val, best = val, z.copy()
+            since = 0
+        else:
+            since += 1
+            if since > stall_window:
+                return best, best_val, k, True
+    return best, best_val, k, False
+
+
 def _square_solve(gmat, x, norm: BaseNorm, max_iters, stall_window):
     """min n(G theta) + n(G(theta - d)) over theta >= max(d, 0), G square."""
     d = np.linalg.solve(gmat, x)
@@ -150,26 +172,11 @@ def _square_solve(gmat, x, norm: BaseNorm, max_iters, stall_window):
         u = gmat @ theta
         return gmat.T @ (norm.subgrad(u) + norm.subgrad(u - x))
 
-    theta = lo + 0.5 * (1.0 + np.abs(d))
-    best, best_val = theta.copy(), f(theta)
-    c = 0.5 * max(1.0, norm.value(x))
-    since_improved = 0
-    iters = 0
-    stalled = False
-    for k in range(1, max_iters + 1):
-        iters = k
-        theta = np.maximum(theta - (c / math.sqrt(k)) * sg(theta), lo)
-        val = f(theta)
-        if val < best_val - 1e-12:
-            best_val, best = val, theta.copy()
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved > stall_window:
-                stalled = True
-                break
+    step_c = 0.5 * max(1.0, norm.value(x))
+    theta, best_val, iters, stalled = _subgradient_descent(
+        lo + 0.5 * (1.0 + np.abs(d)), f, sg, lambda t: np.maximum(t, lo), step_c, max_iters, stall_window
+    )
     # deterministic pattern-search polish (convex objective, box feasible set)
-    theta = best
     step = 0.25 * max(1.0, float(np.max(np.abs(theta))))
     n = theta.shape[0]
     while step > 1e-9:
@@ -235,24 +242,8 @@ def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall
     if coeffs is None:
         raise Infeasible("target is outside F - F (rank-deficient generators)")
     z = restore(np.array([float(t) for t in coeffs]))
-    best = z.copy()
-    best_val = f(best)
     step_c = 0.5 * max(1.0, norm.value(x))
-    since = 0
-    iters = 0
-    stalled = False
-    for k in range(1, max_iters + 1):
-        iters = k
-        z = restore(z - (step_c / math.sqrt(k)) * sg(z))
-        val = f(z)
-        if val < best_val - 1e-12:
-            best_val, best = val, z.copy()
-            since = 0
-        else:
-            since += 1
-            if since > stall_window:
-                stalled = True
-                break
+    best, best_val, iters, stalled = _subgradient_descent(z, f, sg, restore, step_c, max_iters, stall_window)
     u = gmat @ best[:m]
     return best_val, u, u - x, iters, stalled
 

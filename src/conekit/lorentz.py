@@ -25,7 +25,6 @@ from .numerics import (
     SymMatrix,
     Vector,
     exact_inverse,
-    exact_rank,
     fraction_sqrt_bounds,
     independent_rows,
 )
@@ -301,14 +300,14 @@ def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
 
 
 def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:
-    """Gram matrix of a cone basis under the polarization inner product."""
+    """Gram matrix of a cone basis under the polarization inner product.
+
+    A linearly dependent basis raises ``DependentBasis`` from ``GramForm``.
+    """
     from .hypnorm import polar_inner  # deferred: hypnorm depends on cone on us
 
     basis = list(basis)
     n = len(basis)
-    rows = [list(b.coords) for b in basis]
-    if exact_rank(rows) != n:
-        raise DependentBasis("cone basis is linearly dependent")
     entries = [[polar_inner(h, basis[i], basis[j]) for j in range(n)] for i in range(n)]
     return GramForm(basis, SymMatrix(entries))
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit.cone import (
     FutureCone,
@@ -18,7 +20,7 @@ from conekit.cone import (
 )
 from conekit.errors import DimensionMismatch, NotCausal, NotMember
 from conekit.lorentz import minkowski_form, minkowski_frame
-from conekit.numerics import Vector
+from conekit.numerics import Vector, exact_solve
 
 
 def vec(*xs):
@@ -117,6 +119,35 @@ class TestInCore:
         c = Polyhedral([vec(1, 1), vec(1, -1)])
         assert in_core(c, vec(2, 0))
         assert not in_core(c, vec(1, 1))
+        # no cutoff: interior points arbitrarily close to a facet
+        quadrant = Polyhedral([vec(1, 0), vec(0, 1)])
+        assert in_core(quadrant, Vector([F(1), F(1, 2**22)]))
+        assert in_core(quadrant, Vector([F(1), F(1, 2**60)]))
+        # non-pointed half-plane: the core is y > 0
+        half_plane = Polyhedral([vec(1, 0), vec(-1, 0), vec(0, 1)])
+        assert in_core(half_plane, vec(0, 1))
+        assert not in_core(half_plane, vec(1, 0))
+        # a lower-dimensional cone has no core
+        assert not in_core(Polyhedral([vec(1, 0, 0), vec(0, 1, 0)]), vec(1, 1, 0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_polyhedral_square_matches_solve(self, data):
+        """On a square cone, x = G theta is in the core iff theta > 0."""
+        n = data.draw(st.integers(1, 5))
+        entry = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+        coeff = st.one_of(
+            st.just(F(0)),
+            st.integers(1, 64).map(lambda k: F(1, 2**k)),
+            st.fractions(min_value=0, max_value=4, max_denominator=7),
+        )
+        gens = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+        theta = data.draw(st.lists(coeff, min_size=n, max_size=n))
+        rows = [[g[i] for g in gens] for i in range(n)]  # columns = generators
+        x = Vector([sum(r[j] * theta[j] for j in range(n)) for r in rows])
+        sol = exact_solve(rows, list(x.coords))
+        expected = sol is not None and all(t > 0 for t in sol)
+        assert in_core(Polyhedral([Vector(g) for g in gens]), x) == expected
 
 
 class TestDualContains:
