@@ -2,11 +2,14 @@
 
 n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  On the future cone
 with the Wick norm it has a closed form: n_W(x) on causal x and
-sqrt(2) n(w_x) on spacelike x.  On polyhedral cones (and the 2-D future
-cone, spanned by its two null rays) the solver is a projected subgradient
-method on the generator coefficients, followed by a deterministic
-pattern-search polish that brings the value within the solver tolerance;
-the grid oracle certifies accuracy independently.
+sqrt(2) n(w_x) on spacelike x.  Polyhedral cones, and the 2-D future cone
+as the square cone on its two null rays, are solved on the exact (binary)
+values of their generators and of the target: l1 and linf by one exact
+two-phase simplex LP, l2 and Wick norms on a full-rank square cone by
+enumerating the faces of the feasible set.  Only l2 and Wick norms on
+other cones (overcomplete or lower-dimensional) still use a projected
+subgradient method, capped by ``max_iters``.  The grid oracle certifies
+accuracy independently.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .lorentz import LorentzFrame, wick_inner
-from .numerics import Vector, exact_det, exact_null_space, independent_rows, lp_nonneg_solve
+from .numerics import Vector, exact_null_space, exact_solve, independent_rows, lp_nonneg_solve
 from .span import future_decompose
 
 
@@ -117,6 +120,8 @@ class ExtensionProblem:
     cone: Cone
     base_norm: BaseNorm
     target: Vector
+    # read only by the iterative solver: l2 and Wick norms on cones that are
+    # not square of full rank
     max_iters: int = 100_000
     resolution: int = 201
     _stall_window: int = field(default=300, repr=False)
@@ -128,7 +133,9 @@ class ExtensionResult:
     u: Vector
     v: Vector
     iterations: int
-    # False when the subgradient phase ran to max_iters instead of stalling
+    # False when the iterative solver (l2 and Wick norms on cones that are not
+    # square of full rank) ran to max_iters instead of stalling; the finite
+    # solvers report iterations = 0 and converged = True
     converged: bool
 
 
@@ -159,40 +166,95 @@ def _subgradient_descent(z, f, sg, project, step_c, max_iters, stall_window):
     return best, best_val, k, False
 
 
-def _square_solve(gmat, x, norm: BaseNorm, max_iters, stall_window):
-    """min n(G theta) + n(G(theta - d)) over theta >= max(d, 0), G square."""
-    d = np.linalg.solve(gmat, x)
-    lo = np.maximum(d, 0.0)
+def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
+    """n~(x) for the l1 or linf base norm: one exact LP over theta, phi >= 0.
 
-    def f(theta):
-        u = gmat @ theta
-        return norm.value(u) + norm.value(u - x)
-
-    def sg(theta):
-        u = gmat @ theta
-        return gmat.T @ (norm.subgrad(u) + norm.subgrad(u - x))
-
-    step_c = 0.5 * max(1.0, norm.value(x))
-    theta, best_val, iters, stalled = _subgradient_descent(
-        lo + 0.5 * (1.0 + np.abs(d)), f, sg, lambda t: np.maximum(t, lo), step_c, max_iters, stall_window
-    )
-    # deterministic pattern-search polish (convex objective, box feasible set)
-    step = 0.25 * max(1.0, float(np.max(np.abs(theta))))
-    n = theta.shape[0]
-    while step > 1e-9:
-        improved = False
+    gens are the generator columns of G and xq the target, both exact.  With
+    u = G theta and v = G phi:
+      l1:   G theta - u+ + u- = 0, G phi - v+ + v- = 0, u+ - u- - v+ + v- = x,
+            minimise sum(u+ + u- + v+ + v-);
+      linf: G(theta - phi) = x, +-(G theta)_i <= tau_u, +-(G phi)_i <= tau_v
+            (as equalities with slacks), minimise tau_u + tau_v.
+    The optimum is exact, and u - v = x holds exactly before the witnesses
+    are rounded to floats.
+    """
+    n, m = len(xq), len(gens)
+    zero_m, zero_n = [0] * m, [0] * n
+    rows, rhs = [], []
+    if kind == "l1":
+        # columns: theta, phi, u+, u-, v+, v-
+        cost = [0] * (2 * m) + [1] * (4 * n)
         for i in range(n):
-            for s in (step, -step):
-                trial = theta.copy()
-                trial[i] = max(trial[i] + s, lo[i])
-                val = f(trial)
-                if val < best_val - 1e-15:
-                    best_val, theta = val, trial
-                    improved = True
-        if not improved:
-            step *= 0.5
-    u = gmat @ theta
-    return best_val, u, u - x, iters, stalled
+            g = [col[i] for col in gens]
+            e = [int(k == i) for k in range(n)]
+            ne = [-t for t in e]
+            rows += [
+                g + zero_m + ne + e + zero_n + zero_n,
+                zero_m + g + zero_n + zero_n + ne + e,
+                zero_m + zero_m + e + ne + ne + e,
+            ]
+            rhs += [0, 0, xq[i]]
+    else:
+        # columns: theta, phi, tau_u, tau_v, one slack per bound row
+        cost = [0] * (2 * m) + [1, 1] + [0] * (4 * n)
+        bounds = []
+        for i in range(n):
+            g = [col[i] for col in gens]
+            ng = [-t for t in g]
+            rows.append(g + ng + [0, 0] + [0] * (4 * n))
+            rhs.append(xq[i])
+            bounds += [g + zero_m + [-1, 0], ng + zero_m + [-1, 0], zero_m + g + [0, -1], zero_m + ng + [0, -1]]
+        for k, row in enumerate(bounds):
+            rows.append(row + [int(j == k) for j in range(4 * n)])
+            rhs.append(0)
+    z = lp_nonneg_solve(rows, rhs, cost)
+    if z is None:
+        raise Infeasible("target is outside F - F (rank-deficient generators)")
+    u = [sum(z[j] * col[i] for j, col in enumerate(gens)) for i in range(n)]
+    v = [sum(z[m + j] * col[i] for j, col in enumerate(gens)) for i in range(n)]
+    if kind == "l1":
+        value = sum(abs(t) for t in u) + sum(abs(t) for t in v)
+    else:
+        value = max(abs(t) for t in u) + max(abs(t) for t in v)
+    return ExtensionResult(float(value), Vector([float(t) for t in u]), Vector([float(t) for t in v]), 0, True)
+
+
+def _face_solve(gmat: np.ndarray, x: np.ndarray, lo: np.ndarray, norm: BaseNorm) -> ExtensionResult:
+    """n~(x) for a Euclidean base norm on a square cone, by its 2^n faces.
+
+    u ranges over P = G(lo + R^n_+) with lo = max(G^-1 x, 0).  After the
+    change of coordinates y = R u, where n(u) = |R u| (R = I for l2, the
+    transposed Cholesky factor for a Wick norm), take each face of P with
+    free set S.  On its affine hull H, with A', B' the projections of 0 and
+    x and a, b their distances, |u| + |u - x| is least at
+    A' + a/(a+b) (B' - A').  The minimiser over P lies in the relative
+    interior of some face, where it is also the (unique) minimiser over H,
+    so the best candidate is the minimum.  Each candidate's coefficients are
+    clamped to >= 0 before it is evaluated, so every value is attained by a
+    point of P and rounding cannot drop the minimiser's own candidate.
+    """
+    n = gmat.shape[0]
+    r = np.linalg.cholesky(norm.matrix).T if isinstance(norm, WickBaseNorm) else np.eye(n)
+    h, y = r @ gmat, r @ x
+    corner = h @ lo
+    best = None
+    for mask in range(1 << n):
+        free = [i for i in range(n) if mask >> i & 1]
+        d = h[:, free]
+        # coefficients on the face of the projections of 0 and y onto H, by
+        # the normal equations (the face's columns are independent)
+        s = np.linalg.solve(d.T @ d, d.T @ np.column_stack([-corner, y - corner]))
+        a = float(np.linalg.norm(corner + d @ s[:, 0]))
+        b = float(np.linalg.norm(corner + d @ s[:, 1] - y))
+        t = a / (a + b) if a + b > 0 else 0.0
+        theta = lo.copy()
+        theta[free] += np.maximum(s[:, 0] + t * (s[:, 1] - s[:, 0]), 0.0)
+        u = gmat @ theta
+        val = norm.value(u) + norm.value(u - x)
+        if best is None or val < best[0]:
+            best = (val, u)
+    val, u = best
+    return ExtensionResult(val, Vector(u.tolist()), Vector((u - x).tolist()), 0, True)
 
 
 def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall_window):
@@ -314,7 +376,8 @@ def _null_generators_2d(c: FutureCone) -> np.ndarray:
 
     w = (-(St)_1, (St)_0) is S-orthogonal to t, with n(w)^2 = -<w, w>.  It is
     oriented like e_i - <e_i, t> t for the first e_i not parallel to t, the
-    direction a frame's spatial basis starts from.
+    direction a frame's spatial basis starts from.  The rays are rounded to
+    floats; for a Minkowski frame they are exact.
     """
     s = c.form.std
     (s00, s01), (_, s11) = s.rows
@@ -332,26 +395,38 @@ def _null_generators_2d(c: FutureCone) -> np.ndarray:
 
 
 def extended_norm(p: ExtensionProblem) -> ExtensionResult:
-    """Minimize n(u) + n(u - x) over u in F intersect (x + F)."""
+    """Minimize n(u) + n(u - x) over u in F intersect (x + F).
+
+    A polyhedral cone, or the 2-D future cone as the square cone on its null
+    rays, is solved on the exact (binary) values of its generators and of
+    the target: by one LP for l1 / linf, by face enumeration for l2 and Wick
+    norms on a square cone of full rank, and by projected subgradient
+    descent for l2 and Wick norms otherwise.
+    """
     c = p.cone
-    if isinstance(c, FutureCone) and isinstance(p.base_norm, WickBaseNorm):
-        return _future_wick_closed_form(p.base_norm, p.target)
-    args = (np.array(p.target.as_floats()), p.base_norm, p.max_iters, p._stall_window)
+    norm = p.base_norm
+    if isinstance(c, FutureCone) and isinstance(norm, WickBaseNorm):
+        return _future_wick_closed_form(norm, p.target)
     if isinstance(c, Polyhedral):
-        m = len(c.generators)
-        if m == c.ambient_dim and exact_det([list(g.coords) for g in c.generators]) != 0:
-            solved = _square_solve(_generator_matrix(c), *args)
-        else:
-            solved = _general_polyhedral_solve(c, *args)
+        gmat = _generator_matrix(c)
+        gens = [g.coords for g in c.generators]
     elif isinstance(c, FutureCone):
         if c.ambient_dim != 2:
             raise UnsupportedFamily(
                 "future-cone solver needs the Wick base norm above ambient dimension 2"
             )
-        solved = _square_solve(_null_generators_2d(c), *args)
+        gmat = _null_generators_2d(c)
+        gens = [[Fraction(t) for t in col] for col in gmat.T.tolist()]
     else:
         raise UnsupportedFamily("extended_norm expects Polyhedral or FutureCone")
-    val, u, v, iters, converged = solved
+    xq = [Fraction(t) for t in p.target.coords]
+    if isinstance(norm, CoordBaseNorm) and norm.kind != "l2":
+        return _lp_solve(gens, xq, norm.kind)
+    x = np.array(p.target.as_floats())
+    d = exact_solve([list(row) for row in zip(*gens)], xq) if len(gens) == len(xq) else None
+    if d is not None:
+        return _face_solve(gmat, x, np.array([float(max(t, 0)) for t in d]), norm)
+    val, u, v, iters, converged = _general_polyhedral_solve(c, x, norm, p.max_iters, p._stall_window)
     return ExtensionResult(val, Vector(u.tolist()), Vector(v.tolist()), iters, converged)
 
 

@@ -7,10 +7,11 @@ never mix inside one vector or matrix.
 
 All exact linear algebra below runs on one dense Gauss-Jordan pivot step
 over ``Fraction``, ``_pivot``: ``_eliminate`` builds rank, determinant,
-solve, inverse, null space and independent rows on it, and the phase-1
-simplex of ``lp_nonneg_solve`` pivots its tableau with it.  Boundary
-decisions in this domain (null vectors, cone facets) must not depend on
-float rounding.
+solve, inverse, null space and independent rows on it, and the two-phase
+simplex of ``lp_nonneg_solve`` pivots its tableau with it.  Phase 1 finds a
+feasible basis; given an objective, phase 2 minimises it with the same
+Bland's-rule loop on the same tableau.  Boundary decisions in this domain
+(null vectors, cone facets) must not depend on float rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DimensionMismatch, ExactBackend, MixedBackend
+from .errors import DimensionMismatch, ExactBackend, MixedBackend, PreconditionFailed
 
 Scalar = Union[Fraction, float]
 
@@ -332,13 +333,46 @@ def independent_rows(rows: Sequence[Sequence]) -> list[int]:
     return _eliminate([list(c) for c in zip(*rows)])[1]
 
 
-def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence) -> list | None:
+def _bland(tab: list, basis: list, n: int) -> bool:
+    """Simplex loop on a tableau whose last row is the objective row.
+
+    The objective row holds the reduced costs of the n real columns and the
+    current objective value; a positive reduced cost improves.  Bland's rule
+    (smallest entering column, ties in the ratio test broken on the smallest
+    basis index) guarantees termination.  False when the objective is
+    unbounded below.
+    """
+    m = len(tab) - 1
+    while True:
+        enter = next((j for j in range(n) if tab[m][j] > 0), None)
+        if enter is None:
+            return True
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][n] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return False
+        _pivot(tab, leave, enter)
+        basis[leave] = enter
+
+
+def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence, c: Sequence | None = None) -> list | None:
     """Find theta >= 0 with A theta = b, exactly, or None if infeasible.
 
-    Phase-1 simplex with Bland's rule (guaranteed termination) over
-    Fraction.  Sized for desk-scale systems (tens of rows/columns).  The
-    tableau holds the rows [A_i | b_i], signed so that b_i >= 0, with the
-    objective row for min(sum of artificials) last.
+    Two-phase simplex with Bland's rule over Fraction, sized for desk-scale
+    systems (tens of rows/columns).  The tableau holds the rows [A_i | b_i],
+    signed so that b_i >= 0, with the phase-1 objective row for min(sum of
+    artificials) last.  Without c, any feasible theta is returned.  With c,
+    phase 2 minimises c . theta from the phase-1 basis on the same tableau:
+    artificials left basic at level zero are pivoted out on a nonzero real
+    column of their row, or their row is dropped as a redundant equality,
+    and the objective row is replaced by c's reduced costs.  c . theta must
+    be bounded below on the feasible set (c >= 0 suffices).
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -349,30 +383,31 @@ def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence) -> list | None:
     # price-out: the objective row is the sum of the constraint rows
     tab.append([sum((r[j] for r in tab), Fraction(0)) for j in range(n + 1)])
     basis = list(range(n, n + m))  # artificial variables
-    while True:
-        enter = next((j for j in range(n) if tab[m][j] > 0), None)
-        if enter is None:
-            break
-        # ratio test, Bland tie-break on basis index
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][n] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            # unbounded phase-1 objective cannot happen (bounded below by 0)
-            return None
-        _pivot(tab, leave, enter)
-        basis[leave] = enter
-    if tab[m][n] != 0:
+    # an unbounded phase-1 objective cannot happen (bounded below by 0)
+    if not _bland(tab, basis, n) or tab[m][n] != 0:
         return None
+    if c is not None:
+        tab.pop()
+        for i in reversed(range(m)):
+            if basis[i] < n:
+                continue
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                del tab[i], basis[i]
+            else:
+                _pivot(tab, i, col)
+                basis[i] = col
+        cost = [Fraction(x) for x in c]
+        tab.append(
+            [sum((cost[k] * r[j] for k, r in zip(basis, tab)), Fraction(0)) - cost[j] for j in range(n)]
+            + [sum((cost[k] * r[n] for k, r in zip(basis, tab)), Fraction(0))]
+        )
+        if not _bland(tab, basis, n):
+            raise PreconditionFailed("c . theta is unbounded below on the feasible set")
     theta = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            theta[basis[i]] = tab[i][n]
+    for i, k in enumerate(basis):
+        if k < n:
+            theta[k] = tab[i][n]
     return theta
 
 

@@ -19,7 +19,7 @@ from conekit.extension import (
     grid_oracle,
 )
 from conekit.lorentz import GramForm, decompose, minkowski_frame, wick_norm
-from conekit.numerics import SymMatrix, Vector
+from conekit.numerics import SymMatrix, Vector, exact_det, exact_solve
 
 
 def vec(*xs):
@@ -101,14 +101,30 @@ class TestExtendedNorm:
         assert (res.u - res.v).coords == pytest.approx((1.0, 0.5), abs=1e-9)
 
     def test_converged_reports_iteration_cap(self):
-        c = Polyhedral([vec(1, 1), vec(1, -1)])
-        x = Vector([2.0, 1.0])
+        # l2 on an overcomplete cone: the one path that still iterates
+        c = Polyhedral([vec(1, 1), vec(1, 0), vec(1, -1)])
+        x = Vector([0.0, 1.0])
         capped = extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), x, max_iters=1))
         assert capped.iterations == 1 and capped.converged is False
         assert extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), x)).converged
 
     def test_closed_form_result_fields(self):
         res = extended_norm(fut_problem(Vector([0.0, 1.0])))
+        assert res.iterations == 0 and res.converged is True
+
+    @pytest.mark.parametrize(
+        "cone, norm",
+        [
+            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("l2")),
+            (Polyhedral([vec(1, 1), vec(1, -1)]), WICK),
+            (CONE, CoordBaseNorm("l2")),
+            (CONE, CoordBaseNorm("l1")),
+            (Polyhedral([vec(1, 1), vec(1, 0), vec(1, -1)]), CoordBaseNorm("l1")),
+            (Polyhedral([vec(1, 1), vec(1, 0), vec(1, -1)]), CoordBaseNorm("linf")),
+        ],
+    )
+    def test_finite_solvers_do_not_iterate(self, cone, norm):
+        res = extended_norm(ExtensionProblem(cone, norm, Vector([0.5, 2.0]), max_iters=1))
         assert res.iterations == 0 and res.converged is True
 
 
@@ -199,6 +215,91 @@ class TestClosedFormProperties:
         if d == 2:
             p = ExtensionProblem(CONES[2], WICKS[2], Vector([0.5, 1.0]))
             assert grid_oracle(p) == pytest.approx(res.value, abs=3e-3)
+
+
+# Obtuse 2-D cones (1, a), (b, 1), whose generators meet at 151-179 degrees.
+# Golden values: l1 / linf are the exact minimum over the vertices of the
+# arrangement of the objective's kink lines and the box theta >= max(G^-1 x, 0);
+# l2 comes from nested golden sections.  Each agreed within 1e-15 with an
+# independent LP or Nelder-Mead solve.
+OBTUSE_GOLDEN = [
+    ("-1/2", "-7/4", (0.25, 0.625), "l1", 0.875),
+    ("-3/4", "-3/2", (2.0, 0.25), "l1", 2.25),
+    ("-1/8", "-13/8", (-1.75, -2.125), "l1", 3.875),
+    ("-15/8", "-1/2", (-1.75, 1.625), "linf", 1.75),
+    ("-7/4", "-3/8", (2.875, -1.625), "linf", 2.875),
+    ("-15/8", "-3/2", (1.5, -2.25), "linf", 279 / 116),
+    ("-1/2", "-7/8", (-2.5, 2.0), "linf", 8 / 3),
+    ("-5/8", "-2", (0.75, 1.375), "l2", 1.5662455107677085),
+    ("-1", "-7/8", (1.875, -2.0), "l2", 2.742981788964926),
+    ("-15/8", "-1/2", (1.5, -2.875), "l2", 3.2430339887498945),
+    ("-1/2", "-1", (-2.5, 1.5), "l2", 2.943174758686337),
+    ("0", "-15/8", (2.875, -1.0), "l2", 3.125),
+]
+
+
+def _norm(kind, v):
+    return {"l1": sum(abs(t) for t in v), "l2": math.hypot(*v), "linf": max(abs(t) for t in v)}[kind]
+
+
+def _corner_bound(gens, x, kind):
+    """n(u) + n(u - x) at u = G max(G^-1 x, 0), a feasible point of a square cone."""
+    n = len(gens)
+    d = exact_solve([[g[i] for g in gens] for i in range(n)], [F(t) for t in x])
+    u = [float(sum(max(t, 0) * g[i] for t, g in zip(d, gens))) for i in range(n)]
+    return _norm(kind, u) + _norm(kind, [a - b for a, b in zip(u, x)])
+
+
+def _in_square_cone(gens, y, tol):
+    g = np.array([[float(c) for c in gen] for gen in gens]).T
+    return bool(np.all(np.linalg.solve(g, y) >= -tol * (1.0 + np.max(np.abs(y)))))
+
+
+eighths = st.integers(-16, 16).map(lambda k: F(k, 8))
+
+
+@st.composite
+def square_problems(draw):
+    d = draw(st.integers(2, 3))
+    gens = draw(
+        st.lists(st.lists(eighths, min_size=d, max_size=d), min_size=d, max_size=d).filter(
+            lambda g: exact_det(g) != 0
+        )
+    )
+    x = draw(st.lists(st.floats(-3, 3), min_size=d, max_size=d))
+    return gens, gens, x, draw(st.sampled_from(("l1", "l2", "linf")))
+
+
+@st.composite
+def overcomplete_problems(draw):
+    slopes = draw(st.lists(eighths, min_size=3, max_size=4, unique=True))
+    gens = [(F(1), s) for s in slopes]
+    rays = [(F(1), min(slopes)), (F(1), max(slopes))]
+    x = draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2))
+    # l2 here is the iterative solver, which is not exact
+    return gens, rays, x, draw(st.sampled_from(("l1", "linf")))
+
+
+class TestPolyhedralSolvers:
+    @pytest.mark.parametrize("a, b, x, kind, want", OBTUSE_GOLDEN)
+    def test_obtuse_golden(self, a, b, x, kind, want):
+        c = Polyhedral([vec(1, F(a)), vec(F(b), 1)])
+        res = extended_norm(ExtensionProblem(c, CoordBaseNorm(kind), Vector(list(x))))
+        assert res.value == pytest.approx(want, abs=1e-9)
+        assert (res.u - res.v).coords == pytest.approx(x, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(square_problems(), overcomplete_problems()))
+    def test_witnesses_and_bounds(self, problem):
+        gens, rays, x, kind = problem
+        res = extended_norm(ExtensionProblem(Polyhedral([Vector(g) for g in gens]), CoordBaseNorm(kind), Vector(x)))
+        u, v = res.u.as_floats(), res.v.as_floats()
+        scale = 1.0 + max(abs(t) for t in x)
+        assert [a - b for a, b in zip(u, v)] == pytest.approx(x, abs=1e-12 * scale)
+        assert _in_square_cone(rays, np.array(u), 1e-9) and _in_square_cone(rays, np.array(v), 1e-9)
+        assert res.value == pytest.approx(_norm(kind, u) + _norm(kind, v), rel=1e-12, abs=1e-12)
+        assert _norm(kind, x) <= res.value + 1e-12 * scale
+        assert res.value <= _corner_bound(rays, x, kind) + 1e-9 * scale
 
 
 class TestGridOracle:

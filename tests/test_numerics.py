@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conekit.errors import DimensionMismatch, ExactBackend, MixedBackend
+from conekit.errors import DimensionMismatch, ExactBackend, MixedBackend, PreconditionFailed
 from conekit.numerics import (
     Ordering,
     SymMatrix,
@@ -239,6 +240,46 @@ class TestEliminationProperties:
         if theta is not None:
             assert all(t >= 0 for t in theta)
             assert [sum(x * y for x, y in zip(r, theta)) for r in a] == b
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_lp_phase2(self, a, data):
+        n = len(a[0])
+        theta0 = data.draw(st.lists(st.integers(0, 3).map(F), min_size=n, max_size=n))
+        b = [sum(x * y for x, y in zip(r, theta0)) for r in a]
+        c = data.draw(st.lists(st.integers(0, 4).map(F), min_size=n, max_size=n))
+        theta = lp_nonneg_solve(a, b, c)
+        assert all(t >= 0 for t in theta)
+        assert [sum(x * y for x, y in zip(r, theta)) for r in a] == b
+        # the minimum over all basic feasible solutions, by brute force
+        keep = independent_rows(a)
+        costs = []
+        for cols in itertools.combinations(range(n), len(keep)):
+            s = exact_solve([[a[i][j] for j in cols] for i in keep], [b[i] for i in keep])
+            if s is not None and all(t >= 0 for t in s):
+                costs.append(sum(c[j] * t for j, t in zip(cols, s)))
+        assert sum(ci * t for ci, t in zip(c, theta)) == min(costs)
+
+    @pytest.mark.parametrize(
+        "a, b, c, want",
+        [
+            # row 2 = 2 row 1: phase 1 ends with row 2's artificial basic at
+            # zero and no nonzero real column in its row, so the row is dropped
+            ([[1, 1], [2, 2]], [1, 2], [2, 1], [0, 1]),
+            # row 2's artificial stays basic at zero with a -1 in column 2,
+            # where it is pivoted out
+            ([[1, 1, 1], [0, -1, 0]], [1, 0], [2, 0, 1], [0, 0, 1]),
+        ],
+    )
+    def test_lp_phase2_degenerate(self, a, b, c, want):
+        a, b = [[F(x) for x in r] for r in a], [F(x) for x in b]
+        assert lp_nonneg_solve(a, b, [F(x) for x in c]) == [F(x) for x in want]
+
+    def test_lp_phase2_unbounded(self):
+        # theta_1 = theta_2 can grow without bound, and so can -theta_1
+        with pytest.raises(PreconditionFailed):
+            lp_nonneg_solve([[F(1), F(-1)]], [F(0)], [F(-1), F(0)])
 
 
 class TestFractionSqrt:
