@@ -6,14 +6,16 @@ sqrt(2) n(w_x) on spacelike x.  Polyhedral cones, and the 2-D future cone
 as the square cone on its two null rays, are solved on the exact (binary)
 values of their generators and of the target: l1 and linf by one exact
 two-phase simplex LP, l2 and Wick norms on a full-rank square cone by
-enumerating the faces of the feasible set.  Only l2 and Wick norms on
-other cones (overcomplete or lower-dimensional) still use a projected
-subgradient method, capped by ``max_iters``.  The grid oracle certifies
-accuracy independently.
+enumerating the faces of the feasible set.  A pointed, full-dimensional
+2-D cone is the square cone on its two extreme rays.  Only l2 and Wick
+norms on other cones (overcomplete in dimension 3 and up, or
+lower-dimensional) still use a projected subgradient method, capped by
+``max_iters``.  The grid oracle certifies accuracy independently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -121,7 +123,7 @@ class ExtensionProblem:
     base_norm: BaseNorm
     target: Vector
     # read only by the iterative solver: l2 and Wick norms on cones that are
-    # not square of full rank
+    # neither square of full rank nor pointed and full-dimensional in 2-D
     max_iters: int = 100_000
     resolution: int = 201
     _stall_window: int = field(default=300, repr=False)
@@ -133,9 +135,9 @@ class ExtensionResult:
     u: Vector
     v: Vector
     iterations: int
-    # False when the iterative solver (l2 and Wick norms on cones that are not
-    # square of full rank) ran to max_iters instead of stalling; the finite
-    # solvers report iterations = 0 and converged = True
+    # False when the iterative solver (see max_iters) ran to max_iters
+    # instead of stalling; the finite solvers report iterations = 0 and
+    # converged = True
     converged: bool
 
 
@@ -257,7 +259,25 @@ def _face_solve(gmat: np.ndarray, x: np.ndarray, lo: np.ndarray, norm: BaseNorm)
     return ExtensionResult(val, Vector(u.tolist()), Vector((u - x).tolist()), 0, True)
 
 
-def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall_window):
+def _square_rays(gens, n: int) -> list | None:
+    """Indices of generators whose square cone is cone(gens), or None.
+
+    A cone on n generators is square on all of them.  A pointed,
+    full-dimensional 2-D cone is the square cone on its two extreme rays:
+    the pair that writes every generator with coefficients >= 0, found
+    exactly.
+    """
+    if len(gens) == n:
+        return list(range(n))
+    if n == 2:
+        for pair in itertools.combinations(range(len(gens)), 2):
+            cols = [[gens[k][i] for k in pair] for i in range(2)]
+            if all((s := exact_solve(cols, g)) is not None and min(s) >= 0 for g in gens):
+                return list(pair)
+    return None
+
+
+def _general_polyhedral_solve(c: Polyhedral, x, xq, norm: BaseNorm, max_iters, stall_window):
     """(theta, phi) formulation: min n(G theta) + n(G phi), G(theta-phi) = x.
 
     Feasibility is restored by exact projection onto the affine constraint
@@ -292,14 +312,14 @@ def _general_polyhedral_solve(c: Polyhedral, x, norm: BaseNorm, max_iters, stall
         gv = gmat.T @ norm.subgrad(gmat @ z[m:])
         return np.concatenate([gu, gv])
 
-    # seed from an exact feasible decomposition of (a rational rounding of) x
+    # seed from an exact feasible decomposition of x's exact (binary) value
     coeffs = lp_nonneg_solve(
         [
             [c.generators[j].coords[i] for j in range(m)]
             + [-c.generators[j].coords[i] for j in range(m)]
             for i in range(n)
         ],
-        [Fraction(xi).limit_denominator(10**9) for xi in x],
+        xq,
     )
     if coeffs is None:
         raise Infeasible("target is outside F - F (rank-deficient generators)")
@@ -400,8 +420,9 @@ def extended_norm(p: ExtensionProblem) -> ExtensionResult:
     A polyhedral cone, or the 2-D future cone as the square cone on its null
     rays, is solved on the exact (binary) values of its generators and of
     the target: by one LP for l1 / linf, by face enumeration for l2 and Wick
-    norms on a square cone of full rank, and by projected subgradient
-    descent for l2 and Wick norms otherwise.
+    norms on a square cone of full rank (a pointed, full-dimensional 2-D
+    cone on its extreme rays), and by projected subgradient descent for l2
+    and Wick norms otherwise.
     """
     c = p.cone
     norm = p.base_norm
@@ -423,10 +444,11 @@ def extended_norm(p: ExtensionProblem) -> ExtensionResult:
     if isinstance(norm, CoordBaseNorm) and norm.kind != "l2":
         return _lp_solve(gens, xq, norm.kind)
     x = np.array(p.target.as_floats())
-    d = exact_solve([list(row) for row in zip(*gens)], xq) if len(gens) == len(xq) else None
+    rays = _square_rays(gens, len(xq))
+    d = exact_solve([[gens[k][i] for k in rays] for i in range(len(xq))], xq) if rays else None
     if d is not None:
-        return _face_solve(gmat, x, np.array([float(max(t, 0)) for t in d]), norm)
-    val, u, v, iters, converged = _general_polyhedral_solve(c, x, norm, p.max_iters, p._stall_window)
+        return _face_solve(gmat[:, rays], x, np.array([float(max(t, 0)) for t in d]), norm)
+    val, u, v, iters, converged = _general_polyhedral_solve(c, x, xq, norm, p.max_iters, p._stall_window)
     return ExtensionResult(val, Vector(u.tolist()), Vector(v.tolist()), iters, converged)
 
 

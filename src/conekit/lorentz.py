@@ -24,6 +24,7 @@ from .numerics import (
     Scalar,
     SymMatrix,
     Vector,
+    _integers,
     exact_inverse,
     fraction_sqrt_bounds,
     independent_rows,
@@ -97,50 +98,53 @@ def minkowski_form(spatial_dim: int) -> GramForm:
 
 
 def _exact_signature(rows) -> tuple[int, int, int]:
-    """Signature of a symmetric rational matrix by congruence elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    pos = neg = zero = 0
+    """Signature of a symmetric rational matrix by fraction-free congruence.
+
+    The matrix is scaled to integers by the lcm of its denominators, which
+    keeps its inertia.  After k symmetric pivots the trailing block holds
+    d > 0 times the Schur complement as integers (symmetric Bareiss: each
+    update (p a_ij - a_ik a_kj) / d divides without remainder, and a
+    negative pivot p flips the block's sign so that d = |p|), so the sign
+    of each diagonal pivot is the sign of the congruence diagonal entry.
+    With no nonzero diagonal left, the congruence row_i += row_j,
+    col_i += col_j on the block makes a[i][i] = 2 a[i][j] != 0.
+    """
+    n = len(rows)
+    flat, _ = _integers([x for row in rows for x in row])
+    a = [flat[i * n : (i + 1) * n] for i in range(n)]
+    pos = neg = 0
+    d = 1
     k = 0
     while k < n:
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        piv = next((i for i in range(k, n) if a[i][i]), None)
         if piv is None:
-            pair = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
             if pair is None:
-                zero += n - k
                 break
             i, j = pair
-            # congruence row_i += row_j, col_i += col_j makes a[i][i] = 2 a[i][j] != 0
-            for c in range(n):
+            for c in range(k, n):
                 a[i][c] += a[j][c]
-            for r in range(n):
+            for r in range(k, n):
                 a[r][i] += a[r][j]
             continue
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             for r in range(n):
                 a[r][k], a[r][piv] = a[r][piv], a[r][k]
-        d = a[k][k]
-        if d > 0:
+        p = a[k][k]
+        if p > 0:
             pos += 1
         else:
             neg += 1
+        rk = a[k]
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-                for j in range(n):
-                    a[j][i] -= f * a[j][k]
+            ri, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                q = (p * ri[j] - f * rk[j]) // d
+                ri[j] = q if p > 0 else -q
+        d = abs(p)
         k += 1
-    return pos, neg, zero
+    return pos, neg, n - pos - neg
 
 
 def _float_signature(rows, rel_zero: float = 1e-9) -> tuple[int, int, int]:
@@ -156,9 +160,9 @@ def _float_signature(rows, rel_zero: float = 1e-9) -> tuple[int, int, int]:
 def classify(g: GramForm | SymMatrix) -> Signature:
     """Classify a symmetric form by its signature.
 
-    Exact rational mode uses congruence elimination (Sylvester inertia is a
-    congruence invariant); float mode uses a symmetric eigensolver with a
-    relative zero threshold.
+    Exact rational mode uses fraction-free congruence elimination
+    (Sylvester inertia is a congruence invariant); float mode uses a
+    symmetric eigensolver with a relative zero threshold.
     """
     m = g.gram if isinstance(g, GramForm) else g
     rows = m.rows

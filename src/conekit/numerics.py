@@ -5,13 +5,20 @@ IEEE doubles.  Ints and numeric strings are promoted to ``Fraction`` on
 entry, so the exact backend is the default for hand-written data.  Backends
 never mix inside one vector or matrix.
 
-All exact linear algebra below runs on one dense Gauss-Jordan pivot step
-over ``Fraction``, ``_pivot``: ``_eliminate`` builds rank, determinant,
-solve, inverse, null space and independent rows on it, and the two-phase
-simplex of ``lp_nonneg_solve`` pivots its tableau with it.  Phase 1 finds a
-feasible basis; given an objective, phase 2 minimises it with the same
-Bland's-rule loop on the same tableau.  Boundary decisions in this domain
-(null vectors, cone facets) must not depend on float rounding.
+All exact linear algebra below runs on Python ints, on one fraction-free
+Gauss-Jordan pivot step, ``_pivot``: the tableau holds d times the rational
+Gauss-Jordan tableau, d being the previous pivot, and each update divides
+by d without remainder (Edmonds 1967; Bareiss 1968).  ``_eliminate`` scales
+each row to integers and builds rank, determinant, solve, inverse, null
+space and independent rows on it; the two-phase simplex of
+``lp_nonneg_solve`` scales A and b by one lcm each and pivots its tableau
+with it.  Pivot choices are those of the rational tableau, so every answer
+equals the rational one.  Phase 1 finds a feasible basis; given an
+objective, phase 2 minimises it with the same Bland's-rule loop on the
+same tableau.  An exact ``SymMatrix`` keeps its entries as integer
+numerators over one denominator, so ``quad`` sums integers too.
+``Fraction``s are built only for inputs and results.  Boundary decisions in
+this domain (null vectors, cone facets) must not depend on float rounding.
 """
 
 from __future__ import annotations
@@ -84,9 +91,13 @@ def approx_eq(a: Scalar, b: Scalar, ctx: ToleranceContext = DEFAULT_TOL) -> bool
 
 
 class Vector:
-    """Immutable coordinate vector with a homogeneous scalar backend."""
+    """Immutable coordinate vector with a homogeneous scalar backend.
 
-    __slots__ = ("coords", "exact")
+    ``_ints`` is filled on first use by ``SymMatrix.quad``: an exact
+    vector's coordinates as integers over their lcm denominator.
+    """
+
+    __slots__ = ("coords", "exact", "_ints")
 
     def __init__(self, coords: Sequence):
         cs = tuple(as_scalar(c) for c in coords)
@@ -161,7 +172,7 @@ class Vector:
 class SymMatrix:
     """Immutable symmetric matrix; symmetry checked on construction."""
 
-    __slots__ = ("rows", "exact", "_nz")
+    __slots__ = ("rows", "exact", "_nz", "_den")
 
     def __init__(self, rows: Sequence[Sequence], ctx: ToleranceContext = DEFAULT_TOL):
         rs = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -182,11 +193,15 @@ class SymMatrix:
                     raise DimensionMismatch("matrix is not symmetric within tolerance")
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "exact", exact)
-        # nonzero entries; forms are often diagonal, so quad skips the zeros
-        nz = tuple(
-            (i, j, rs[i][j]) for i in range(n) for j in range(n) if rs[i][j] != 0
-        )
-        object.__setattr__(self, "_nz", nz)
+        # nonzero entries; forms are often diagonal, so quad skips the zeros.
+        # Exact entries are kept as integer numerators over one denominator.
+        nz = [(i, j, rs[i][j]) for i in range(n) for j in range(n) if rs[i][j] != 0]
+        den = 1
+        if exact:
+            ints, den = _integers([m for _, _, m in nz])
+            nz = [(i, j, m) for (i, j, _), m in zip(nz, ints)]
+        object.__setattr__(self, "_nz", tuple(nz))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
@@ -206,8 +221,13 @@ class SymMatrix:
             raise DimensionMismatch(f"{u.dim}, {v.dim} != {self.dim}")
         if u.exact != v.exact or u.exact != self.exact:
             raise MixedBackend("mixed scalar backends between vectors")
-        uc, vc = u.coords, v.coords
-        return sum((m * uc[i] * vc[j] for i, j, m in self._nz), 0 if u.exact else 0.0)
+        if not u.exact:
+            uc, vc = u.coords, v.coords
+            return sum((m * uc[i] * vc[j] for i, j, m in self._nz), 0.0)
+        # integers over the lcm of each vector's denominators: one Fraction
+        uc, ku = _numerators(u)
+        vc, kv = (uc, ku) if v is u else _numerators(v)
+        return Fraction(sum(m * uc[i] * vc[j] for i, j, m in self._nz), self._den * ku * kv)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.rows == other.rows
@@ -220,59 +240,88 @@ class SymMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Exact dense linear algebra over Fraction.
+# Exact dense linear algebra, fraction-free on integers.
 
 
-def _to_frac_rows(rows) -> list:
-    return [[Fraction(x) for x in row] for row in rows]
+def _integers(xs) -> tuple[list, int]:
+    """(k * x for x in xs, k) with k the lcm of the denominators of xs.
+
+    Entries may be ints, Fractions or floats (taken at their binary value).
+    """
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
+    k = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (k // x.denominator) for x in xs], k
 
 
-def _pivot(a: list, r: int, col: int) -> None:
-    """Scale row r so that a[r][col] = 1 and clear column col from every other row."""
+def _numerators(v: Vector) -> tuple[list, int]:
+    """``_integers`` of an exact vector's coords, kept in its ``_ints`` slot."""
+    try:
+        return v._ints
+    except AttributeError:
+        ints = _integers(v.coords)
+        object.__setattr__(v, "_ints", ints)
+        return ints
+
+
+def _pivot(a: list, r: int, col: int, d: int) -> int:
+    """One integer-preserving Gauss-Jordan pivot on a[r][col]; returns the new d.
+
+    a holds d times a Gauss-Jordan tableau T as integers, d being the
+    previous pivot (1 at the start).  Pivoting T on (r, col) keeps that
+    form with d' = p = a[r][col]: row r is unchanged, and every other row
+    becomes (p row_i - a[i][col] row_r) / d, a division without remainder
+    (Edmonds 1967; Bareiss 1968).
+    """
     p = a[r][col]
-    if p != 1:
-        a[r] = [x / p if x else x for x in a[r]]
     pr = a[r]
     for i, row in enumerate(a):
-        if i != r and row[col] != 0:
-            f = row[col]
-            a[i] = [x - f * y if y else x for x, y in zip(row, pr)]
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            a[i] = [(p * x - f * y) // d for x, y in zip(row, pr)]
+        elif p != d:
+            a[i] = [p * x // d for x in row]
+    return p
 
 
-def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list, list, Fraction]:
-    """Gauss-Jordan reduction: (reduced rows, pivot columns, det).
+def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list, list, int, Fraction]:
+    """Gauss-Jordan reduction: (integer tableau, pivot columns, d, det).
 
+    Each row is first scaled to integers by the lcm of its denominators,
+    which changes neither the pivot columns nor the reduced pivot rows.
     Pivots are searched only in the first ``ncols`` columns (default: all),
-    so an augmented block [A | B] is carried along.  Pivot rows come first,
-    in order, each scaled to a leading 1.  det is that of A when A is square
-    and of full rank, else 0.
+    so an augmented block [A | B] is carried along; each column's pivot is
+    its first nonzero entry at or below the current row.  Pivot rows come
+    first, in order: row r of the reduced form is a[r] / d.  det is that of
+    A when A is square and of full rank, else 0.
     """
-    a = _to_frac_rows(rows)
+    a, scales = [], 1
+    for row in rows:
+        ints, k = _integers(row)
+        a.append(ints)
+        scales *= k
     m = len(a)
     if ncols is None:
         ncols = len(a[0]) if a else 0
     pivots: list[int] = []
-    vals: list[Fraction] = []
+    d = 1
     sign = 1
     for col in range(ncols):
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        vals.append(a[r][col])
-        _pivot(a, r, col)
+        d = _pivot(a, r, col, d)
         pivots.append(col)
-    det = Fraction(0)
-    if m == ncols == len(pivots):
-        det = Fraction(sign)
-        for v in vals:
-            det *= v
-    return a, pivots, det
+    # d is the determinant of the scaled matrix, up to the swaps' sign
+    det = Fraction(sign * d, scales) if m == ncols == len(pivots) else Fraction(0)
+    return a, pivots, d, det
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
@@ -282,7 +331,7 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
     if any(len(r) != len(rows) for r in rows):
         raise DimensionMismatch("exact_det expects a square matrix")
-    return _eliminate(rows)[2]
+    return _eliminate(rows)[3]
 
 
 def exact_solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
@@ -290,19 +339,19 @@ def exact_solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise DimensionMismatch("exact_solve expects a square system")
-    a, pivots, _ = _eliminate([list(r) + [bi] for r, bi in zip(rows, rhs)], n)
+    a, pivots, d, _ = _eliminate([list(r) + [bi] for r, bi in zip(rows, rhs)], n)
     if len(pivots) < n:
         return None
-    return [row[n] for row in a]
+    return [Fraction(row[n], d) for row in a]
 
 
 def exact_inverse(rows: Sequence[Sequence]) -> list | None:
     n = len(rows)
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    a, pivots, _ = _eliminate(aug, n)
+    a, pivots, d, _ = _eliminate(aug, n)
     if len(pivots) < n:
         return None
-    return [row[n:] for row in a]
+    return [[Fraction(x, d) for x in row[n:]] for row in a]
 
 
 def exact_null_space(rows: Sequence[Sequence], n: int) -> list:
@@ -311,7 +360,7 @@ def exact_null_space(rows: Sequence[Sequence], n: int) -> list:
     One vector per free column j of the reduced form: 1 at j, minus the
     reduced column j at the pivot columns.
     """
-    a, pivots, _ = _eliminate(rows, n)
+    a, pivots, d, _ = _eliminate(rows, n)
     basis = []
     for j in range(n):
         if j in pivots:
@@ -319,7 +368,7 @@ def exact_null_space(rows: Sequence[Sequence], n: int) -> list:
         v = [Fraction(0)] * n
         v[j] = Fraction(1)
         for row, col in zip(a, pivots):
-            v[col] = -row[j]
+            v[col] = Fraction(-row[j], d)
         basis.append(v)
     return basis
 
@@ -333,81 +382,103 @@ def independent_rows(rows: Sequence[Sequence]) -> list[int]:
     return _eliminate([list(c) for c in zip(*rows)])[1]
 
 
-def _bland(tab: list, basis: list, n: int) -> bool:
-    """Simplex loop on a tableau whose last row is the objective row.
+def _bland(tab: list, basis: list, n: int, d: int) -> int | None:
+    """Simplex loop on an integer tableau whose last row is the objective row.
 
-    The objective row holds the reduced costs of the n real columns and the
-    current objective value; a positive reduced cost improves.  Bland's rule
-    (smallest entering column, ties in the ratio test broken on the smallest
-    basis index) guarantees termination.  False when the objective is
+    tab holds d > 0 times the tableau (see ``_pivot``), so every sign and
+    every ratio is that of the tableau itself.  The objective row holds the
+    reduced costs of the n real columns and the current objective value; a
+    positive reduced cost improves.  Bland's rule (smallest entering column,
+    ties in the ratio test broken on the smallest basis index) guarantees
+    termination.  Returns the final d, or None when the objective is
     unbounded below.
     """
     m = len(tab) - 1
     while True:
         enter = next((j for j in range(n) if tab[m][j] > 0), None)
         if enter is None:
-            return True
+            return d
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][n] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            t = tab[i][enter]
+            if t > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # b_i / t < b_leave / t_leave, cross-multiplied (both t > 0)
+                lhs, rhs = tab[i][n] * tab[leave][enter], tab[leave][n] * t
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return False
-        _pivot(tab, leave, enter)
+            return None
+        d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
 
 
 def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence, c: Sequence | None = None) -> list | None:
     """Find theta >= 0 with A theta = b, exactly, or None if infeasible.
 
-    Two-phase simplex with Bland's rule over Fraction, sized for desk-scale
-    systems (tens of rows/columns).  The tableau holds the rows [A_i | b_i],
-    signed so that b_i >= 0, with the phase-1 objective row for min(sum of
-    artificials) last.  Without c, any feasible theta is returned.  With c,
-    phase 2 minimises c . theta from the phase-1 basis on the same tableau:
-    artificials left basic at level zero are pivoted out on a nonzero real
-    column of their row, or their row is dropped as a redundant equality,
-    and the objective row is replaced by c's reduced costs.  c . theta must
-    be bounded below on the feasible set (c >= 0 suffices).
+    Two-phase simplex with Bland's rule, sized for desk-scale systems (tens
+    of rows/columns).  It runs fraction-free on integers (``_pivot``): A is
+    scaled by the lcm L_A of its denominators and b separately by the lcm
+    L_b of its own, so the tableau solves for theta' = (L_b / L_A) theta.
+    One positive scale per column block keeps every ratio test and reduced
+    cost sign, hence every pivot, that of the rational tableau, while a
+    float right-hand side's 2^52-sized denominators stay in one column.
+    Fractions are built only for the returned theta.
+
+    The tableau holds the rows [A_i | b_i], signed so that b_i >= 0, with
+    the phase-1 objective row for min(sum of artificials) last.  Without c,
+    any feasible theta is returned.  With c, phase 2 minimises c . theta
+    from the phase-1 basis on the same tableau: artificials left basic at
+    level zero are pivoted out on a nonzero real column of their row, or
+    their row is dropped as a redundant equality, and the objective row is
+    replaced by c's reduced costs.  c . theta must be bounded below on the
+    feasible set (c >= 0 suffices).
     """
     m = len(A)
     n = len(A[0]) if m else 0
+    flat, la = _integers([x for row in A for x in row])
+    rhs, lb = _integers(b)
     tab = []
     for i in range(m):
-        r = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        r = flat[i * n : (i + 1) * n] + [rhs[i]]
         tab.append([-x for x in r] if r[n] < 0 else r)
     # price-out: the objective row is the sum of the constraint rows
-    tab.append([sum((r[j] for r in tab), Fraction(0)) for j in range(n + 1)])
+    tab.append([sum(r[j] for r in tab) for j in range(n + 1)])
     basis = list(range(n, n + m))  # artificial variables
     # an unbounded phase-1 objective cannot happen (bounded below by 0)
-    if not _bland(tab, basis, n) or tab[m][n] != 0:
+    d = _bland(tab, basis, n, 1)
+    if d is None or tab[m][n] != 0:
         return None
     if c is not None:
         tab.pop()
         for i in reversed(range(m)):
             if basis[i] < n:
                 continue
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            col = next((j for j in range(n) if tab[i][j]), None)
             if col is None:
                 del tab[i], basis[i]
-            else:
-                _pivot(tab, i, col)
-                basis[i] = col
-        cost = [Fraction(x) for x in c]
+                continue
+            d = _pivot(tab, i, col, d)
+            basis[i] = col
+            if d < 0:
+                # the pivot was negative: flip the sign of d and of every row
+                d = -d
+                tab[:] = [[-x for x in row] for row in tab]
+        cost, _ = _integers(c)
+        # d times (reduced costs, objective value), times c's positive scale
         tab.append(
-            [sum((cost[k] * r[j] for k, r in zip(basis, tab)), Fraction(0)) - cost[j] for j in range(n)]
-            + [sum((cost[k] * r[n] for k, r in zip(basis, tab)), Fraction(0))]
+            [sum(cost[k] * r[j] for k, r in zip(basis, tab)) - d * cost[j] for j in range(n)]
+            + [sum(cost[k] * r[n] for k, r in zip(basis, tab))]
         )
-        if not _bland(tab, basis, n):
+        d = _bland(tab, basis, n, d)
+        if d is None:
             raise PreconditionFailed("c . theta is unbounded below on the feasible set")
     theta = [Fraction(0)] * n
     for i, k in enumerate(basis):
         if k < n:
-            theta[k] = tab[i][n]
+            theta[k] = Fraction(tab[i][n] * la, d * lb)
     return theta
 
 

@@ -101,12 +101,30 @@ class TestExtendedNorm:
         assert (res.u - res.v).coords == pytest.approx((1.0, 0.5), abs=1e-9)
 
     def test_converged_reports_iteration_cap(self):
-        # l2 on an overcomplete cone: the one path that still iterates
-        c = Polyhedral([vec(1, 1), vec(1, 0), vec(1, -1)])
-        x = Vector([0.0, 1.0])
+        # l2 on an overcomplete 3-D cone: the one path that still iterates
+        c = Polyhedral([vec(1, 1, 1), vec(1, -1, 1), vec(-1, 1, 1), vec(-1, -1, 1)])
+        x = Vector([0.0, 1.0, 0.5])
         capped = extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), x, max_iters=1))
         assert capped.iterations == 1 and capped.converged is False
         assert extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), x)).converged
+
+    def test_overcomplete_2d_l2_pinned(self):
+        # the square cone on the extreme rays (1, 0), (1, -3/8): u = (8/3, 0)
+        c = Polyhedral([vec(1, 0), vec(1, F(-1, 8)), vec(1, F(-3, 8))])
+        res = extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), Vector([0.0, 1.0])))
+        assert res.value == pytest.approx((8 + math.sqrt(73)) / 3, abs=1e-9)
+        assert res.iterations == 0 and res.converged is True
+
+    @pytest.mark.parametrize(
+        "x", [(4.643179252925446, 1.5477264176418153), (-1.42971154504479, -0.47657051501493)]
+    )
+    def test_collinear_seed_is_exact(self, x):
+        # x lies on the line of the generators in binary; a seed rounded to
+        # denominators <= 10^9 falls off it and the LP reported Infeasible
+        assert F(x[0]) == 3 * F(x[1])
+        c = Polyhedral([vec(3, 1), vec(6, 2)])
+        res = extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), Vector(list(x))))
+        assert res.value == pytest.approx(math.hypot(*x), rel=1e-9)
 
     def test_closed_form_result_fields(self):
         res = extended_norm(fut_problem(Vector([0.0, 1.0])))
@@ -276,8 +294,7 @@ def overcomplete_problems(draw):
     gens = [(F(1), s) for s in slopes]
     rays = [(F(1), min(slopes)), (F(1), max(slopes))]
     x = draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2))
-    # l2 here is the iterative solver, which is not exact
-    return gens, rays, x, draw(st.sampled_from(("l1", "linf")))
+    return gens, rays, x, draw(st.sampled_from(("l1", "l2", "linf")))
 
 
 class TestPolyhedralSolvers:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit.cone import FutureCone, in_core, sample_future_causal
 from conekit.errors import DependentBasis, NotFutureCausal, NotLorentzian
@@ -83,6 +85,52 @@ class TestClassify:
     def test_float_mode(self):
         sig = classify(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
         assert sig.kind is FormKind.LORENTZIAN
+
+
+scalars = st.one_of(st.just(F(0)), st.fractions(min_value=-8, max_value=8, max_denominator=6))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices of dims 1-6, often with zero diagonals."""
+    n = draw(st.integers(1, 6))
+    zero_diagonal = draw(st.booleans())
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                m[i][j] = m[j][i] = draw(scalars)
+    return m
+
+
+class TestClassifyProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(scalars, min_size=1, max_size=6))
+    def test_diagonal_counts_signs(self, d):
+        n = len(d)
+        sig = classify(SymMatrix([[d[i] if i == j else F(0) for j in range(n)] for i in range(n)]))
+        assert (sig.plus, sig.minus, sig.zero) == (
+            sum(x > 0 for x in d),
+            sum(x < 0 for x in d),
+            sum(x == 0 for x in d),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_matrices(), st.data())
+    def test_sylvester_inertia(self, m, data):
+        # P^T M P has the signature of M for every invertible P
+        n = len(m)
+        ints = st.integers(-3, 3).map(F)
+        p = data.draw(
+            st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n).filter(
+                lambda p: exact_det(p) != 0
+            )
+        )
+        ptmp = [
+            [sum(p[a][i] * m[a][b] * p[b][j] for a in range(n) for b in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert classify(SymMatrix(ptmp)) == classify(SymMatrix(m))
 
 
 class TestFrame:

@@ -103,6 +103,24 @@ class TestSymMatrix:
         v = Vector([F(2), F(1)])
         assert m.quad(v, v) == 3
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_quad_property(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = data.draw(entries)
+        u = data.draw(st.lists(entries, min_size=n, max_size=n))
+        v = data.draw(st.one_of(st.just(u), st.lists(entries, min_size=n, max_size=n)))
+        q = SymMatrix(m).quad(Vector(u), Vector(v))
+        assert isinstance(q, F)
+        assert q == sum(m[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
+        # the float backend sums the nonzero entries' terms in row-major order
+        mf, uf, vf = [[float(x) for x in r] for r in m], [float(x) for x in u], [float(x) for x in v]
+        want = sum((mf[i][j] * uf[i] * vf[j] for i in range(n) for j in range(n) if mf[i][j] != 0), 0.0)
+        assert SymMatrix(mf).quad(Vector(uf), Vector(vf)) == want
+
 
 class TestExactLinearAlgebra:
     def test_rank(self):
@@ -146,11 +164,20 @@ class TestLP:
 small_rationals = st.one_of(
     st.just(F(0)), st.fractions(min_value=-8, max_value=8, max_denominator=6)
 )
+# exact values of doubles: 53-bit numerators over denominators up to 2^60
+binary_floats = st.builds(lambda k, e: F(k, 2**e), st.integers(-(2**53), 2**53), st.integers(0, 60))
+entries = st.one_of(small_rationals, binary_floats)
+# rows of very different scale
+row_scales = st.sampled_from([1, 1, 1, F(1, 2**40), 2**40, F(1, 10**9), 10**12])
 
 
 @st.composite
 def rational_matrices(draw, square=False):
-    """Matrices of dims 1-6; some rows are combinations of earlier rows."""
+    """Matrices of dims 1-6; some rows are combinations of earlier rows.
+
+    Entries are small rationals or the binary values of doubles, and rows
+    are scaled by factors from 10^-9 to 10^12.
+    """
     m = draw(st.integers(1, 6))
     n = m if square else draw(st.integers(1, 6))
     rows = []
@@ -160,7 +187,8 @@ def rational_matrices(draw, square=False):
             c, d = draw(small_rationals), draw(small_rationals)
             rows.append([c * x + d * y for x, y in zip(rows[j], rows[k])])
         else:
-            rows.append(draw(st.lists(small_rationals, min_size=n, max_size=n)))
+            scale = draw(row_scales)
+            rows.append([scale * x for x in draw(st.lists(entries, min_size=n, max_size=n))])
     return rows
 
 
@@ -232,7 +260,7 @@ class TestEliminationProperties:
             b = [sum(x * y for x, y in zip(r, theta0)) for r in a]
             feasible = True
         else:
-            b = data.draw(st.lists(small_rationals, min_size=m, max_size=m))
+            b = data.draw(st.lists(entries, min_size=m, max_size=m))
             feasible = None
         theta = lp_nonneg_solve(a, b)
         if feasible:
@@ -270,6 +298,10 @@ class TestEliminationProperties:
             # row 2's artificial stays basic at zero with a -1 in column 2,
             # where it is pivoted out
             ([[1, 1, 1], [0, -1, 0]], [1, 0], [2, 0, 1], [0, 0, 1]),
+            # phase 1 pivots on 4 (the row is negated so that b >= 0), so
+            # phase 2 starts on an integer tableau scaled by 4 and must
+            # price its costs to match
+            ([[-4, -2]], [-14], [3, 1], [0, 7]),
         ],
     )
     def test_lp_phase2_degenerate(self, a, b, c, want):
