@@ -8,6 +8,7 @@ via squared comparisons; FutureCone membership is exact through the form.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from typing import Sequence, Union
 
 from .errors import (
     DimensionMismatch,
+    DimTooLarge,
     NotCausal,
     NotLorentzian,
     NotMember,
@@ -31,7 +33,7 @@ from .lorentz import (
     wick_inner,
     wick_orthogonal_basis,
 )
-from .numerics import Vector, exact_rank, lp_nonneg_solve
+from .numerics import Vector, exact_null_space, exact_rank, lp_nonneg_solve
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,7 @@ class Polyhedral:
         if any(g.dim != gens[0].dim for g in gens):
             raise DimensionMismatch("generators disagree on ambient dimension")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_h", None)  # h_description, built on first use
 
     @property
     def ambient_dim(self) -> int:
@@ -72,6 +75,9 @@ class FutureCone:
     form: GramForm
     t: Vector
 
+    def __post_init__(self):
+        object.__setattr__(self, "_rays", None)  # null_rays_2d, built on first use
+
     @property
     def ambient_dim(self) -> int:
         return self.t.dim
@@ -89,6 +95,111 @@ class Orthant:
 
 
 Cone = Union[Polyhedral, PCone, FutureCone, Orthant]
+
+
+# Caps the subsets one H-description enumerates: the (k-1)-subsets of the m
+# generators searched for facets, C(m, k-1), and the j-subsets (j <= k) of
+# the K facets tested for independence, sum_j C(K, j).  2^12 admits a square
+# cone up to dimension 12 and a 3-D cone with up to 29 facets.  The cones of
+# the benchmark need at most 8 subsets, those of the tests at most 42 (a 3-D
+# cone with 6 facets), apart from the two built to trip the cap.
+MAX_SUBSETS = 4096
+
+
+@dataclass(frozen=True)
+class HDescription:
+    """cone(G) = {u : E u = 0, h . u >= 0 for every facet normal h}, exactly.
+
+    ``normals`` are the facet normals, each in span(G) with its first
+    nonzero entry +-1; ``equalities`` a basis E of the orthogonal complement
+    of span(G); ``rank`` k = dim span(G).  ``faces[j]`` lists the j-subsets
+    of facet indices whose normals are linearly independent, for j = 0 up
+    to the largest j (<= k) that has one: every face of F, or of any
+    polyhedron cut out by these normals, has the affine hull that one of
+    them spans together with E.
+    """
+
+    normals: tuple
+    equalities: tuple
+    rank: int
+    faces: tuple
+
+
+def _check_work(count: int, what: str):
+    if count > MAX_SUBSETS:
+        raise DimTooLarge(f"{what} needs {count} subsets, above MAX_SUBSETS = {MAX_SUBSETS}")
+
+
+def h_description(c: Polyhedral) -> HDescription:
+    """The exact H-description of a polyhedral cone, built once per cone.
+
+    For rank k, a facet holds k - 1 independent generators, so its normal
+    spans the null space of those generators together with E; a candidate
+    is kept when one orientation is >= 0 on every generator.  Raises
+    DimTooLarge, before enumerating, when either enumeration would exceed
+    MAX_SUBSETS = 4096 subsets.
+    """
+    if c._h is None:
+        n = c.ambient_dim
+        gens = [[Fraction(t) for t in g.coords] for g in c.generators]
+        eqs = exact_null_space(gens, n)
+        k = n - len(eqs)
+        normals = {}  # dict as an ordered set
+        if k:
+            _check_work(math.comb(len(gens), k - 1), "the facet search")
+            for sub in itertools.combinations(gens, k - 1):
+                null = exact_null_space(list(sub) + eqs, n)
+                if len(null) != 1:
+                    continue
+                h = null[0]
+                dots = [sum(a * b for a, b in zip(h, g)) for g in gens]
+                if all(d <= 0 for d in dots):
+                    h = [-t for t in h]
+                elif min(dots) < 0:
+                    continue
+                lead = abs(next(t for t in h if t))
+                normals[tuple(t / lead for t in h)] = None
+        normals = tuple(normals)
+        _check_work(sum(math.comb(len(normals), j) for j in range(k + 1)), "the face enumeration")
+        faces = [((),)]
+        for j in range(1, k + 1):
+            level = tuple(
+                s + (i,)
+                for s in faces[-1]
+                for i in range(s[-1] + 1 if s else 0, len(normals))
+                if exact_rank([normals[t] for t in s + (i,)]) == j
+            )
+            if not level:
+                break
+            faces.append(level)
+        object.__setattr__(c, "_h", HDescription(normals, tuple(map(tuple, eqs)), k, tuple(faces)))
+    return c._h
+
+
+def null_rays_2d(c: FutureCone) -> Polyhedral:
+    """A 2-D future cone as the polyhedral cone on its null rays t +- w_hat.
+
+    w = (-(St)_1, (St)_0) is S-orthogonal to t, with n(w)^2 = -<w, w>.  It is
+    oriented like e_i - <e_i, t> t for the first e_i not parallel to t, the
+    direction a frame's spatial basis starts from.  The rays are rounded to
+    floats (for a Minkowski frame they are exact), then built once per cone.
+    """
+    if c._rays is None:
+        s = c.form.std
+        (s00, s01), (_, s11) = s.rows
+        if s00 * s11 - s01 * s01 >= 0:
+            raise NotLorentzian("2-D future cone needs a form with det < 0")
+        if c.form.inner(c.t, c.t) != 1:
+            raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
+        st = s.apply(c.t).coords
+        w = Vector([-st[1], st[0]])
+        if next(z for z in s.apply(w).coords if z != 0) > 0:
+            w = -w
+        nw = math.sqrt(float(-s.quad(w, w)))
+        what = [a / nw for a in w.as_floats()]
+        rays = [Vector([Fraction(a + sgn * b) for a, b in zip(c.t.as_floats(), what)]) for sgn in (1, -1)]
+        object.__setattr__(c, "_rays", Polyhedral(rays))
+    return c._rays
 
 
 def _check_dim(c: Cone, x: Vector):

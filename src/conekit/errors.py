@@ -54,7 +54,7 @@ class Infeasible(ConekitError):
 
 
 class DimTooLarge(ConekitError):
-    """Brute-force enumeration was requested above its dimension cap."""
+    """An enumeration was requested above its cap (dimension or subset count)."""
 
 
 class BallNotContained(ConekitError):

@@ -3,37 +3,29 @@
 n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  On the future cone
 with the Wick norm it has a closed form: n_W(x) on causal x and
 sqrt(2) n(w_x) on spacelike x.  Polyhedral cones, and the 2-D future cone
-as the square cone on its two null rays, are solved on the exact (binary)
-values of their generators and of the target: l1 and linf by one exact
-two-phase simplex LP, l2 and Wick norms on a full-rank square cone by
-enumerating the faces of the feasible set.  A pointed, full-dimensional
-2-D cone is the square cone on its two extreme rays.  Only l2 and Wick
-norms on other cones (overcomplete in dimension 3 and up, or
-lower-dimensional) still use a projected subgradient method, capped by
-``max_iters``.  The grid oracle certifies accuracy independently.
+as the polyhedral cone on its two null rays, are solved by finite methods:
+l1 and linf by one exact two-phase simplex LP on the exact (binary) values
+of the generators and of the target; l2 and Wick norms by enumerating the
+faces of F cap (x + F), cut out by the cone's exact H-description (see
+``cone.h_description``), which covers overcomplete, lower-dimensional and
+non-pointed cones alike.  No solver iterates.  The grid oracle certifies
+accuracy independently.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from .cone import Cone, FutureCone, Orthant, PCone, Polyhedral
-from .errors import (
-    BallNotContained,
-    DimTooLarge,
-    Infeasible,
-    NotLorentzian,
-    UnsupportedFamily,
-)
+from .cone import Cone, FutureCone, HDescription, Orthant, PCone, Polyhedral, h_description, null_rays_2d
+from .errors import BallNotContained, DimTooLarge, Infeasible, UnsupportedFamily
 from .lorentz import LorentzFrame, wick_inner
-from .numerics import Vector, exact_null_space, exact_solve, independent_rows, lp_nonneg_solve
+from .numerics import Vector, lp_nonneg_solve
 from .span import future_decompose
 
 
@@ -59,12 +51,6 @@ class WickBaseNorm:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", pts, self.matrix, pts), 0.0))
-
-    def subgrad(self, v: np.ndarray) -> np.ndarray:
-        n = self.value(v)
-        if n <= 1e-15:
-            return np.zeros_like(v)
-        return self.matrix @ v / n
 
     def coord_bound(self, r: float) -> float:
         lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
@@ -98,17 +84,6 @@ class CoordBaseNorm:
             return np.linalg.norm(pts, axis=1)
         return np.max(np.abs(pts), axis=1)
 
-    def subgrad(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "l1":
-            return np.sign(v)
-        if self.kind == "l2":
-            n = float(np.linalg.norm(v))
-            return v / n if n > 1e-15 else np.zeros_like(v)
-        i = int(np.argmax(np.abs(v)))
-        g = np.zeros_like(v)
-        g[i] = math.copysign(1.0, v[i]) if v[i] != 0 else 0.0
-        return g
-
     def coord_bound(self, r: float) -> float:
         # all three dominate the sup norm, so coordinates are bounded by r
         return r
@@ -122,11 +97,10 @@ class ExtensionProblem:
     cone: Cone
     base_norm: BaseNorm
     target: Vector
-    # read only by the iterative solver: l2 and Wick norms on cones that are
-    # neither square of full rank nor pointed and full-dimensional in 2-D
+    # unread: no solver iterates.  Kept only because the benchmark harness
+    # (bench/workloads.py, bench/tracing.py) sets and reads it.
     max_iters: int = 100_000
     resolution: int = 201
-    _stall_window: int = field(default=300, repr=False)
 
 
 @dataclass(frozen=True)
@@ -134,38 +108,9 @@ class ExtensionResult:
     value: float
     u: Vector
     v: Vector
+    # every solver is finite: iterations is always 0 and converged True
     iterations: int
-    # False when the iterative solver (see max_iters) ran to max_iters
-    # instead of stalling; the finite solvers report iterations = 0 and
-    # converged = True
     converged: bool
-
-
-def _generator_matrix(c: Polyhedral) -> np.ndarray:
-    return np.array([[float(x) for x in g.coords] for g in c.generators]).T  # columns
-
-
-def _subgradient_descent(z, f, sg, project, step_c, max_iters, stall_window):
-    """Projected subgradient steps step_c/sqrt(k), keeping the best point.
-
-    Stops after max_iters steps, or once stall_window + 1 steps in a row
-    fail to improve on the best value.  Returns (best, best value,
-    iterations, stalled).
-    """
-    best, best_val = z.copy(), f(z)
-    since = 0
-    k = 0
-    for k in range(1, max_iters + 1):
-        z = project(z - (step_c / math.sqrt(k)) * sg(z))
-        val = f(z)
-        if val < best_val - 1e-12:
-            best_val, best = val, z.copy()
-            since = 0
-        else:
-            since += 1
-            if since > stall_window:
-                return best, best_val, k, True
-    return best, best_val, k, False
 
 
 def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
@@ -221,113 +166,59 @@ def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
     return ExtensionResult(float(value), Vector([float(t) for t in u]), Vector([float(t) for t in v]), 0, True)
 
 
-def _face_solve(gmat: np.ndarray, x: np.ndarray, lo: np.ndarray, norm: BaseNorm) -> ExtensionResult:
-    """n~(x) for a Euclidean base norm on a square cone, by its 2^n faces.
+# Relative slack of the face solver's inequality check, in units of the
+# candidate's own value: far above the rounding of a small projection, far
+# below any real violation.
+_SLACK = 1e-9
 
-    u ranges over P = G(lo + R^n_+) with lo = max(G^-1 x, 0).  After the
-    change of coordinates y = R u, where n(u) = |R u| (R = I for l2, the
-    transposed Cholesky factor for a Wick norm), take each face of P with
-    free set S.  On its affine hull H, with A', B' the projections of 0 and
-    x and a, b their distances, |u| + |u - x| is least at
-    A' + a/(a+b) (B' - A').  The minimiser over P lies in the relative
-    interior of some face, where it is also the (unique) minimiser over H,
-    so the best candidate is the minimum.  Each candidate's coefficients are
-    clamped to >= 0 before it is evaluated, so every value is attained by a
-    point of P and rounding cannot drop the minimiser's own candidate.
+
+def _face_solve(desc: HDescription, x: np.ndarray, norm: BaseNorm) -> ExtensionResult:
+    """n~(x) for a Euclidean base norm, by the faces of Q = F cap (x + F).
+
+    Q = {u : E u = 0, h . u >= max(0, h . x) for every facet normal h}.  After
+    the change of coordinates y = R u, where n(u) = |R u| (R = I for l2, the
+    transposed Cholesky factor for a Wick norm), take each independent set S
+    of at most k facets, and the affine hull H where E u = 0 and the facets
+    of S hold with equality.  With A', B' the projections of 0 and x onto H
+    (by the pseudo-inverse of the rows that cut out H) and a, b their
+    distances, |y| + |y - x| is least on H at A' + a/(a+b) (B' - A').  The
+    minimiser over Q lies in the relative interior of some face, whose
+    affine hull is one such H, so the best candidate that meets every
+    inequality within _SLACK is the minimum.  All sets are solved as one
+    batch.
     """
-    n = gmat.shape[0]
+    n, k = len(x), desc.rank
     r = np.linalg.cholesky(norm.matrix).T if isinstance(norm, WickBaseNorm) else np.eye(n)
-    h, y = r @ gmat, r @ x
-    corner = h @ lo
-    best = None
-    for mask in range(1 << n):
-        free = [i for i in range(n) if mask >> i & 1]
-        d = h[:, free]
-        # coefficients on the face of the projections of 0 and y onto H, by
-        # the normal equations (the face's columns are independent)
-        s = np.linalg.solve(d.T @ d, d.T @ np.column_stack([-corner, y - corner]))
-        a = float(np.linalg.norm(corner + d @ s[:, 0]))
-        b = float(np.linalg.norm(corner + d @ s[:, 1] - y))
-        t = a / (a + b) if a + b > 0 else 0.0
-        theta = lo.copy()
-        theta[free] += np.maximum(s[:, 0] + t * (s[:, 1] - s[:, 0]), 0.0)
-        u = gmat @ theta
-        val = norm.value(u) + norm.value(u - x)
-        if best is None or val < best[0]:
-            best = (val, u)
-    val, u = best
-    return ExtensionResult(val, Vector(u.tolist()), Vector((u - x).tolist()), 0, True)
-
-
-def _square_rays(gens, n: int) -> list | None:
-    """Indices of generators whose square cone is cone(gens), or None.
-
-    A cone on n generators is square on all of them.  A pointed,
-    full-dimensional 2-D cone is the square cone on its two extreme rays:
-    the pair that writes every generator with coefficients >= 0, found
-    exactly.
-    """
-    if len(gens) == n:
-        return list(range(n))
-    if n == 2:
-        for pair in itertools.combinations(range(len(gens)), 2):
-            cols = [[gens[k][i] for k in pair] for i in range(2)]
-            if all((s := exact_solve(cols, g)) is not None and min(s) >= 0 for g in gens):
-                return list(pair)
-    return None
-
-
-def _general_polyhedral_solve(c: Polyhedral, x, xq, norm: BaseNorm, max_iters, stall_window):
-    """(theta, phi) formulation: min n(G theta) + n(G phi), G(theta-phi) = x.
-
-    Feasibility is restored by exact projection onto the affine constraint
-    followed by clipping to the nonnegative orthant and re-projection; the
-    reported value uses the exact difference v = u - x.  Generators that
-    span less than the ambient space make rows of G dependent; the
-    projection keeps a maximal independent set of them, which cuts out the
-    same affine set because the constraint is consistent.
-    """
-    gmat = _generator_matrix(c)
-    n, m = gmat.shape
-    amat, xr = np.hstack([gmat, -gmat]), x
-    rows = independent_rows([[g.coords[i] for g in c.generators] for i in range(n)])
-    if len(rows) < n:
-        amat, xr = amat[rows], x[rows]
-    aat_inv = np.linalg.inv(amat @ amat.T)
-
-    def proj_affine(z):
-        return z - amat.T @ (aat_inv @ (amat @ z - xr))
-
-    def restore(z):
-        for _ in range(30):
-            z = proj_affine(np.maximum(z, 0.0))
-        return proj_affine(z)
-
-    def f(z):
-        u = gmat @ z[:m]
-        return norm.value(u) + norm.value(u - x)
-
-    def sg(z):
-        gu = gmat.T @ norm.subgrad(gmat @ z[:m])
-        gv = gmat.T @ norm.subgrad(gmat @ z[m:])
-        return np.concatenate([gu, gv])
-
-    # seed from an exact feasible decomposition of x's exact (binary) value
-    coeffs = lp_nonneg_solve(
-        [
-            [c.generators[j].coords[i] for j in range(m)]
-            + [-c.generators[j].coords[i] for j in range(m)]
-            for i in range(n)
-        ],
-        xq,
-    )
-    if coeffs is None:
-        raise Infeasible("target is outside F - F (rank-deficient generators)")
-    z = restore(np.array([float(t) for t in coeffs]))
-    step_c = 0.5 * max(1.0, norm.value(x))
-    best, best_val, iters, stalled = _subgradient_descent(z, f, sg, restore, step_c, max_iters, stall_window)
-    u = gmat @ best[:m]
-    return best_val, u, u - x, iters, stalled
+    rinv = np.linalg.inv(r)
+    h = np.array(desc.normals, dtype=float).reshape(-1, n) @ rinv
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    e = np.array(desc.equalities, dtype=float).reshape(-1, n) @ rinv
+    # n~ is homogeneous: solve for x / 2^s with |x| < 2^s, so no square
+    # underflows or overflows
+    s = math.frexp(float(np.max(np.abs(x))))[1]
+    y = r @ np.ldexp(x, -s)
+    lo = np.maximum(h @ y, 0.0)
+    # every set padded to k facets with the index of an appended zero row:
+    # M = [E; h_S; 0] is n x n, and its pseudo-inverse ignores the zero rows
+    pad = (len(h),) * k
+    idx = np.array([f + pad[len(f):] for level in desc.faces for f in level], dtype=np.intp).reshape(-1, k)
+    hz, loz = np.vstack([h, np.zeros(n)]), np.append(lo, 0.0)
+    m = np.concatenate([np.broadcast_to(e, (len(idx),) + e.shape), hz[idx]], axis=1)
+    rhs = np.concatenate([np.zeros((len(idx), len(e))), loz[idx]], axis=1)
+    pinv = np.linalg.pinv(m)
+    a_pt = (pinv @ rhs[:, :, None])[:, :, 0]  # A', the projection of 0
+    py = (pinv @ (m @ y)[:, :, None])[:, :, 0]  # y - py is B' - A'
+    a = np.linalg.norm(a_pt, axis=1)
+    ab = a + np.linalg.norm(py - a_pt, axis=1)
+    t = np.divide(a, ab, out=np.zeros_like(a), where=ab > 0)
+    cand = a_pt + t[:, None] * (y - py)
+    vals = np.linalg.norm(cand, axis=1) + np.linalg.norm(cand - y, axis=1)
+    vals[~np.all(cand @ h.T >= lo - _SLACK * vals[:, None], axis=1)] = math.inf
+    best = int(np.argmin(vals))
+    if vals[best] == math.inf:
+        raise Infeasible("no face of F cap (x + F) has a feasible minimiser in float arithmetic")
+    u = np.ldexp(rinv @ cand[best], s)
+    return ExtensionResult(norm.value(u) + norm.value(u - x), Vector(u.tolist()), Vector((u - x).tolist()), 0, True)
 
 
 def _feasible_decomposition(c: Cone, x: Vector):
@@ -391,123 +282,65 @@ def _future_wick_closed_form(norm: WickBaseNorm, target: Vector) -> ExtensionRes
     return ExtensionResult(value, Vector(u.tolist()), Vector((u - x).tolist()), 0, True)
 
 
-def _null_generators_2d(c: FutureCone) -> np.ndarray:
-    """Columns t + w_hat, t - w_hat: the null rays bounding a 2-D future cone.
-
-    w = (-(St)_1, (St)_0) is S-orthogonal to t, with n(w)^2 = -<w, w>.  It is
-    oriented like e_i - <e_i, t> t for the first e_i not parallel to t, the
-    direction a frame's spatial basis starts from.  The rays are rounded to
-    floats; for a Minkowski frame they are exact.
-    """
-    s = c.form.std
-    (s00, s01), (_, s11) = s.rows
-    if s00 * s11 - s01 * s01 >= 0:
-        raise NotLorentzian("2-D future cone needs a form with det < 0")
-    if c.form.inner(c.t, c.t) != 1:
-        raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
-    st = s.apply(c.t).coords
-    w = Vector([-st[1], st[0]])
-    if next(z for z in s.apply(w).coords if z != 0) > 0:
-        w = -w
-    what = np.array(w.as_floats()) / math.sqrt(float(-s.quad(w, w)))
-    tf = np.array(c.t.as_floats())
-    return np.column_stack([tf + what, tf - what])
-
-
 def extended_norm(p: ExtensionProblem) -> ExtensionResult:
     """Minimize n(u) + n(u - x) over u in F intersect (x + F).
 
-    A polyhedral cone, or the 2-D future cone as the square cone on its null
-    rays, is solved on the exact (binary) values of its generators and of
-    the target: by one LP for l1 / linf, by face enumeration for l2 and Wick
-    norms on a square cone of full rank (a pointed, full-dimensional 2-D
-    cone on its extreme rays), and by projected subgradient descent for l2
-    and Wick norms otherwise.
+    The future cone with the Wick norm is solved in closed form.  A
+    polyhedral cone, or the 2-D future cone as the polyhedral cone on its
+    null rays, is solved by one exact LP for l1 / linf and by enumerating
+    the faces of F cap (x + F) for l2 and Wick norms: every result has
+    iterations = 0 and converged = True.  Raises Infeasible when x is not in
+    F - F, and DimTooLarge when the cone's H-description would enumerate
+    more than cone.MAX_SUBSETS subsets.
     """
     c = p.cone
     norm = p.base_norm
     if isinstance(c, FutureCone) and isinstance(norm, WickBaseNorm):
         return _future_wick_closed_form(norm, p.target)
-    if isinstance(c, Polyhedral):
-        gmat = _generator_matrix(c)
-        gens = [g.coords for g in c.generators]
-    elif isinstance(c, FutureCone):
+    if isinstance(c, FutureCone):
         if c.ambient_dim != 2:
             raise UnsupportedFamily(
                 "future-cone solver needs the Wick base norm above ambient dimension 2"
             )
-        gmat = _null_generators_2d(c)
-        gens = [[Fraction(t) for t in col] for col in gmat.T.tolist()]
-    else:
+        c = null_rays_2d(c)
+    elif not isinstance(c, Polyhedral):
         raise UnsupportedFamily("extended_norm expects Polyhedral or FutureCone")
     xq = [Fraction(t) for t in p.target.coords]
     if isinstance(norm, CoordBaseNorm) and norm.kind != "l2":
-        return _lp_solve(gens, xq, norm.kind)
-    x = np.array(p.target.as_floats())
-    rays = _square_rays(gens, len(xq))
-    d = exact_solve([[gens[k][i] for k in rays] for i in range(len(xq))], xq) if rays else None
-    if d is not None:
-        return _face_solve(gmat[:, rays], x, np.array([float(max(t, 0)) for t in d]), norm)
-    val, u, v, iters, converged = _general_polyhedral_solve(c, x, xq, norm, p.max_iters, p._stall_window)
-    return ExtensionResult(val, Vector(u.tolist()), Vector(v.tolist()), iters, converged)
+        return _lp_solve([g.coords for g in c.generators], xq, norm.kind)
+    desc = h_description(c)
+    if any(sum(a * b for a, b in zip(e, xq)) for e in desc.equalities):
+        raise Infeasible("target is outside F - F (rank-deficient generators)")
+    return _face_solve(desc, np.array(p.target.as_floats()), norm)
 
 
-def _facet_normals(c: Polyhedral) -> np.ndarray:
-    """Outer description of the conic hull: h with h . g >= 0 for all g.
+def _membership_test(c: Cone, tol: float):
+    """Float membership of each row of a point array, with slack tol.
 
-    Candidate facet normals come from null spaces of (dim-1)-subsets of the
-    generators; a candidate is kept when one orientation is nonnegative on
-    every generator.  Valid for dim <= 3, which is all the oracle supports.
+    The cone's float data (its form, or its unit facet normals and span
+    equalities) is built once, so one test serves many arrays.
     """
-    import itertools
-
-    n = c.ambient_dim
-    gens = [list(g.coords) for g in c.generators]
-    normals = []
-    subsets = itertools.combinations(gens, n - 1) if n > 1 else [()]
-    for sub in subsets:
-        for h in exact_null_space(list(sub), n):
-            for sgn in (1, -1):
-                cand = [sgn * x for x in h]
-                if all(sum(ci * gi for ci, gi in zip(cand, g)) >= 0 for g in gens):
-                    normals.append([float(x) for x in cand])
-                    break
-    return np.array(normals) if normals else np.zeros((0, n))
-
-
-def _span_equalities(c: Polyhedral):
-    """Normals of span(generators): pts in the cone must be orthogonal."""
-    gens = [list(g.coords) for g in c.generators]
-    return [[float(x) for x in v] for v in exact_null_space(gens, c.ambient_dim)]
-
-
-def _membership_mask(c: Cone, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if isinstance(c, FutureCone):
         s = np.array([[float(v) for v in row] for row in c.form.std.rows])
         t = np.array(c.t.as_floats())
-        return (np.einsum("ij,jk,ik->i", pts, s, pts) >= -tol) & (pts @ s @ t >= -tol)
+        return lambda pts: (np.einsum("ij,jk,ik->i", pts, s, pts) >= -tol) & (pts @ s @ t >= -tol)
     if isinstance(c, Polyhedral):
-        gmat = _generator_matrix(c)
-        if gmat.shape[0] == gmat.shape[1] and abs(float(np.linalg.det(gmat))) > 1e-12:
-            theta = np.linalg.solve(gmat, pts.T).T
-            return np.all(theta >= -tol, axis=1)
-        hmat = _facet_normals(c)
-        mask = np.ones(len(pts), dtype=bool)
-        if hmat.size:
-            mask &= np.all(pts @ hmat.T >= -tol, axis=1)
-        for eq in _span_equalities(c):
-            mask &= np.abs(pts @ np.array(eq)) <= tol
-        return mask
+        desc = h_description(c)
+        n = c.ambient_dim
+        h = np.array(desc.normals, dtype=float).reshape(-1, n)
+        e = np.array(desc.equalities, dtype=float).reshape(-1, n)
+        h /= np.linalg.norm(h, axis=1, keepdims=True)
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        return lambda pts: np.all(pts @ h.T >= -tol, axis=1) & np.all(np.abs(pts @ e.T) <= tol, axis=1)
     if isinstance(c, Orthant):
-        return np.all(pts >= -tol, axis=1)
+        return lambda pts: np.all(pts >= -tol, axis=1)
     if isinstance(c, PCone):
         pf = float(c.p)
-        sp = np.abs(pts[:, 1:]) ** pf
-        return pts[:, 0] >= np.sum(sp, axis=1) ** (1.0 / pf) - tol
+        return lambda pts: pts[:, 0] >= np.sum(np.abs(pts[:, 1:]) ** pf, axis=1) ** (1.0 / pf) - tol
     raise UnsupportedFamily(f"no grid membership for {type(c).__name__}")
 
 
-def _grid_scan(p: ExtensionProblem, x, center, halfwidth, res):
+def _grid_scan(p: ExtensionProblem, member, x, center, halfwidth, res):
     n = p.cone.ambient_dim
     axes = [np.linspace(c - halfwidth, c + halfwidth, res) for c in center]
     best = math.inf
@@ -519,7 +352,7 @@ def _grid_scan(p: ExtensionProblem, x, center, halfwidth, res):
     )
     for x0 in axes[0]:
         pts = np.hstack([np.full((rest_flat.shape[0], 1), x0), rest_flat])
-        mask = _membership_mask(p.cone, pts) & _membership_mask(p.cone, pts - x)
+        mask = member(pts) & member(pts - x)
         if not mask.any():
             continue
         feas = pts[mask]
@@ -551,21 +384,18 @@ def grid_oracle(p: ExtensionProblem, zoom_passes: int = 2) -> float:
     # a few grid steps of margin: the witness decomposition can sit right on
     # the box edge, leaving the shifted cone's apex unresolvable otherwise
     bound = p.base_norm.coord_bound(ub) * (1.0 + 8.0 / (res - 1))
+    member = _membership_test(p.cone, 1e-12)
     center = np.zeros(n)
     halfwidth = bound
     best = math.inf
     for _ in range(1 + zoom_passes):
-        val, pt = _grid_scan(p, x, center, halfwidth, res)
+        val, pt = _grid_scan(p, member, x, center, halfwidth, res)
         if pt is None:
             break
         best = min(best, val)
         step = 2.0 * halfwidth / (res - 1)
         center, halfwidth = pt, 2.0 * step
     return best
-
-
-def _contains_float(c: Cone, pt: np.ndarray, tol: float) -> bool:
-    return bool(_membership_mask(c, pt[None, :], tol)[0])
 
 
 def equivalence_constant(
@@ -582,13 +412,14 @@ def equivalence_constant(
     n = s.dim
     sf = np.array(s.as_floats())
     d = float(delta)
+    member = _membership_test(cone, tol)
     for _ in range(samples):
         direction = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         nv = base_norm.value(direction)
         if nv <= 1e-15:
             continue
         pt = sf + direction * (d / nv)
-        if not _contains_float(cone, pt, tol):
+        if not member(pt[None, :])[0]:
             raise BallNotContained(
                 f"ball of radius {d} around {s!r} leaves the cone", witness=pt.tolist()
             )

@@ -12,9 +12,11 @@ from conekit.cone import (
     Polyhedral,
     contains,
     dual_contains,
+    h_description,
     in_core,
     is_proper,
     leq,
+    null_rays_2d,
     sample_future_causal,
     self_duality_report,
 )
@@ -63,6 +65,48 @@ class TestContains:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             contains(FUT2, vec(1, 2, 3))
+
+
+eighths = st.integers(-16, 16).map(lambda k: F(k, 8))
+
+
+@st.composite
+def cones_and_points(draw):
+    """Small cones of any rank, and points: generator combinations (some on
+    the boundary, with zero coefficients) and arbitrary points."""
+    d = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.lists(eighths, min_size=d, max_size=d), min_size=1, max_size=5))
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+    inside = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(d)]
+    other = draw(st.lists(eighths, min_size=d, max_size=d))
+    return Polyhedral([Vector(g) for g in gens]), [Vector(inside), Vector(other)]
+
+
+class TestHDescription:
+    def test_lower_dimensional(self):
+        d = h_description(Polyhedral([vec(1, 0, 0), vec(0, 1, 0)]))
+        assert d.normals == ((0, 1, 0), (1, 0, 0))  # the facets through e1, e2
+        assert d.equalities == ((0, 0, 1),) and d.rank == 2
+        assert d.faces == (((),), ((0,), (1,)), ((0, 1),))
+
+    def test_built_once_per_cone(self):
+        c = Polyhedral([vec(1, 1), vec(1, -1)])
+        assert h_description(c) is h_description(c)
+
+    def test_null_rays_2d(self):
+        assert null_rays_2d(FUT2).generators == (vec(1, 1), vec(1, -1))
+        assert null_rays_2d(FUT2) is null_rays_2d(FUT2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cones_and_points())
+    def test_membership_matches_lp(self, problem):
+        c, points = problem
+        d = h_description(c)
+        for x in points:
+            by_h = all(sum(a * b for a, b in zip(e, x.coords)) == 0 for e in d.equalities) and all(
+                sum(a * b for a, b in zip(h, x.coords)) >= 0 for h in d.normals
+            )
+            assert by_h == contains(c, x)
 
 
 class TestIsProper:

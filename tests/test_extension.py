@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit import cone as cone_module
 from conekit import lorentz
 from conekit.cone import FutureCone, Polyhedral, sample_future_causal
-from conekit.errors import BallNotContained, DimTooLarge, NotLorentzian
+from conekit.errors import BallNotContained, DimTooLarge, Infeasible, NotLorentzian
 from conekit.extension import (
     CoordBaseNorm,
     ExtensionProblem,
@@ -18,8 +20,8 @@ from conekit.extension import (
     extended_norm,
     grid_oracle,
 )
-from conekit.lorentz import GramForm, decompose, minkowski_frame, wick_norm
-from conekit.numerics import SymMatrix, Vector, exact_det, exact_solve
+from conekit.lorentz import GramForm, LorentzFrame, decompose, minkowski_frame, wick_norm
+from conekit.numerics import SymMatrix, Vector, exact_det, exact_rank, exact_solve
 
 
 def vec(*xs):
@@ -33,6 +35,25 @@ WICK = WickBaseNorm(FRAME)
 
 def fut_problem(x, **kw):
     return ExtensionProblem(CONE, WICK, x, **kw)
+
+
+# A Wick norm that is not Euclidean: the frame vector (3/2, 1, 1/2) of R^{1,2}
+TILTED_WICK = WickBaseNorm(LorentzFrame(minkowski_frame(2).form, vec(F(3, 2), 1, F(1, 2))))
+PYRAMID = Polyhedral([vec(1, 1, 1), vec(1, -1, 1), vec(-1, 1, 1), vec(-1, -1, 1)])
+FIVE = Polyhedral([vec(1, 0, 1), vec(F(1, 2), 1, 1), vec(-1, F(1, 4), 1), vec(F(-1, 2), -1, 1), vec(1, -1, 2)])
+PLANE = Polyhedral([vec(1, 0, 1), vec(0, 1, 1), vec(1, 1, 2)])  # a 2-D cone in R^3
+WEDGE = Polyhedral([vec(1, 0, 0), vec(-1, 0, 0), vec(0, 1, 1), vec(0, -1, 1)])  # not pointed
+# Golden values: the least of 60 SLSQP starts (scipy) on the (theta, phi)
+# formulation, whose equality constraints are restricted to the range of G.
+OVERCOMPLETE_3D_GOLDEN = [
+    (PYRAMID, CoordBaseNorm("l2"), (0.5, 2.0, 0.0), 2.872281323269),
+    (PYRAMID, TILTED_WICK, (0.5, 2.0, 0.0), 3.167908627303),
+    (FIVE, CoordBaseNorm("l2"), (-1.25, 0.75, -0.5), 2.386191472842),
+    (FIVE, TILTED_WICK, (2.0, -1.5, 0.25), 6.999281918521),
+    (PLANE, CoordBaseNorm("l2"), (1.0, -1.0, 0.0), 2.828427124746),
+    (PLANE, TILTED_WICK, (0.5, -1.5, -1.0), 4.531371416381),
+    (WEDGE, CoordBaseNorm("l2"), (0.5, 2.0, -1.0), 2.872281323269),
+]
 
 
 class TestExtendedNorm:
@@ -100,13 +121,13 @@ class TestExtendedNorm:
         assert res.value == pytest.approx(want, abs=1e-6)
         assert (res.u - res.v).coords == pytest.approx((1.0, 0.5), abs=1e-9)
 
-    def test_converged_reports_iteration_cap(self):
-        # l2 on an overcomplete 3-D cone: the one path that still iterates
-        c = Polyhedral([vec(1, 1, 1), vec(1, -1, 1), vec(-1, 1, 1), vec(-1, -1, 1)])
+    def test_overcomplete_3d_ignores_max_iters(self):
+        # l2 on an overcomplete 3-D cone is solved on its faces: u = (0, 3/4, 3/4)
         x = Vector([0.0, 1.0, 0.5])
-        capped = extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), x, max_iters=1))
-        assert capped.iterations == 1 and capped.converged is False
-        assert extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), x)).converged
+        for kw in ({"max_iters": 1}, {}):
+            res = extended_norm(ExtensionProblem(PYRAMID, CoordBaseNorm("l2"), x, **kw))
+            assert res.value == pytest.approx(math.sqrt(2), abs=1e-12)
+            assert res.iterations == 0 and res.converged is True
 
     def test_overcomplete_2d_l2_pinned(self):
         # the square cone on the extreme rays (1, 0), (1, -3/8): u = (8/3, 0)
@@ -139,11 +160,52 @@ class TestExtendedNorm:
             (CONE, CoordBaseNorm("l1")),
             (Polyhedral([vec(1, 1), vec(1, 0), vec(1, -1)]), CoordBaseNorm("l1")),
             (Polyhedral([vec(1, 1), vec(1, 0), vec(1, -1)]), CoordBaseNorm("linf")),
+            (PYRAMID, CoordBaseNorm("l2")),
+            (PYRAMID, TILTED_WICK),
+            (Polyhedral([vec(1, 0, 0), vec(0, 1, 0)]), CoordBaseNorm("l2")),
         ],
     )
     def test_finite_solvers_do_not_iterate(self, cone, norm):
-        res = extended_norm(ExtensionProblem(cone, norm, Vector([0.5, 2.0]), max_iters=1))
+        x = Vector([0.5, 2.0, 0.0][: cone.ambient_dim])
+        res = extended_norm(ExtensionProblem(cone, norm, x, max_iters=1))
         assert res.iterations == 0 and res.converged is True
+
+    @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+    def test_lower_dimensional_cone(self, kind):
+        # cone(e1, e2) in R^3: u in F and u - x in F force u = (1, 0, 0)
+        p = ExtensionProblem(Polyhedral([vec(1, 0, 0), vec(0, 1, 0)]), CoordBaseNorm(kind), Vector([1.0, -1.0, 0.0]))
+        assert extended_norm(p).value == pytest.approx(2.0, abs=1e-9)
+        assert grid_oracle(p) == pytest.approx(2.0, abs=3e-3)
+
+    def test_target_outside_span(self):
+        p = ExtensionProblem(Polyhedral([vec(1, 0, 0), vec(0, 1, 0)]), CoordBaseNorm("l2"), Vector([1.0, 0.0, 0.5]))
+        with pytest.raises(Infeasible):
+            extended_norm(p)
+
+    @pytest.mark.parametrize("cone, norm, x, want", OVERCOMPLETE_3D_GOLDEN)
+    def test_overcomplete_3d_pinned(self, cone, norm, x, want):
+        res = extended_norm(ExtensionProblem(cone, norm, Vector(list(x))))
+        assert res.value == pytest.approx(want, abs=1e-9)
+        assert (res.u - res.v).coords == pytest.approx(x, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "m, stage, enumerator, calls_before",
+        [
+            # C(100, 2) = 4950 facet-search subsets; one null space for E
+            (100, "facet search", "exact_null_space", 1),
+            # 32 facets: sum_{j <= 3} C(32, j) = 5489 face subsets
+            (32, "face enumeration", "exact_rank", 0),
+        ],
+    )
+    def test_work_cap_trips_before_enumerating(self, monkeypatch, m, stage, enumerator, calls_before):
+        # generators on the moment curve (1, t, t^2): all m are extreme rays
+        calls = []
+        original = getattr(cone_module, enumerator)
+        monkeypatch.setattr(cone_module, enumerator, lambda *a: calls.append(a) or original(*a))
+        c = Polyhedral([vec(1, F(k, m), F(k * k, m * m)) for k in range(m)])
+        with pytest.raises(DimTooLarge, match=f"{stage} needs .* above MAX_SUBSETS"):
+            extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), Vector([1.0, 0.0, 0.0])))
+        assert len(calls) == calls_before
 
 
 FRAMES = {d: minkowski_frame(d - 1) for d in range(2, 7)}
@@ -285,16 +347,20 @@ def square_problems(draw):
         )
     )
     x = draw(st.lists(st.floats(-3, 3), min_size=d, max_size=d))
-    return gens, gens, x, draw(st.sampled_from(("l1", "l2", "linf")))
+    return gens, x, draw(st.sampled_from(("l1", "l2", "linf")))
 
 
 @st.composite
 def overcomplete_problems(draw):
-    slopes = draw(st.lists(eighths, min_size=3, max_size=4, unique=True))
-    gens = [(F(1), s) for s in slopes]
-    rays = [(F(1), min(slopes)), (F(1), max(slopes))]
-    x = draw(st.lists(st.floats(-3, 3), min_size=2, max_size=2))
-    return gens, rays, x, draw(st.sampled_from(("l1", "l2", "linf")))
+    # 2-D fans of 3-4 generators (1, s); pointed 3-D cones of 4-5 generators
+    d = draw(st.integers(2, 3))
+    if d == 2:
+        gens = [(F(1), s) for s in draw(st.lists(eighths, min_size=3, max_size=4, unique=True))]
+    else:
+        gen = st.tuples(eighths, eighths, st.integers(1, 16).map(lambda k: F(k, 8)))
+        gens = draw(st.lists(gen, min_size=4, max_size=5).filter(lambda g: exact_rank(g) == 3))
+    x = draw(st.lists(st.floats(-3, 3), min_size=d, max_size=d))
+    return gens, x, draw(st.sampled_from(("l1", "l2", "linf")))
 
 
 class TestPolyhedralSolvers:
@@ -308,15 +374,19 @@ class TestPolyhedralSolvers:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(square_problems(), overcomplete_problems()))
     def test_witnesses_and_bounds(self, problem):
-        gens, rays, x, kind = problem
+        gens, x, kind = problem
+        # F is the union of its simplicial subcones (Caratheodory): they
+        # decide membership, and each one's corner bounds n~(x) above
+        subcones = [s for s in itertools.combinations(gens, len(x)) if exact_det(s) != 0]
         res = extended_norm(ExtensionProblem(Polyhedral([Vector(g) for g in gens]), CoordBaseNorm(kind), Vector(x)))
         u, v = res.u.as_floats(), res.v.as_floats()
         scale = 1.0 + max(abs(t) for t in x)
         assert [a - b for a, b in zip(u, v)] == pytest.approx(x, abs=1e-12 * scale)
-        assert _in_square_cone(rays, np.array(u), 1e-9) and _in_square_cone(rays, np.array(v), 1e-9)
+        for w in (u, v):
+            assert any(_in_square_cone(s, np.array(w), 1e-9) for s in subcones)
         assert res.value == pytest.approx(_norm(kind, u) + _norm(kind, v), rel=1e-12, abs=1e-12)
         assert _norm(kind, x) <= res.value + 1e-12 * scale
-        assert res.value <= _corner_bound(rays, x, kind) + 1e-9 * scale
+        assert res.value <= min(_corner_bound(s, x, kind) for s in subcones) + 1e-9 * scale
 
 
 class TestGridOracle:
