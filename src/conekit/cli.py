@@ -133,25 +133,36 @@ def parse_norm(spec, cone: Cone | None = None):
 # -------------------------------------------------------------- task kinds
 
 
+def _env_seed() -> int | None:
+    """The CONEKIT_SEED override; None when it is unset or empty."""
+    env = os.environ.get("CONEKIT_SEED")
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ParseError(f"CONEKIT_SEED must be an integer, got {env!r}") from None
+
+
 def _task_seed(task, flags) -> int:
     if flags.seed is not None:
         return flags.seed
-    env = os.environ.get("CONEKIT_SEED")
-    if env is not None:
-        return int(env)
-    return int(task.get("seed", 0))
+    env = _env_seed()
+    return int(task.get("seed", 0)) if env is None else env
+
+
+def _encode_suite(res: PropertyResult) -> dict:
+    """The {status, metrics, witness} entry of one property-suite run."""
+    return {
+        "status": "pass" if res.passed else "fail",
+        "metrics": encode({"trials": res.trials, **res.metrics}),
+        "witness": encode(res.witness),
+    }
 
 
 def run_task(task, scenario, flags) -> dict:
     kind = task.get("kind")
     seed = _task_seed(task, flags)
     if kind in SUITES:
-        res: PropertyResult = run_suite(kind, trials=task.get("trials"), seed=seed)
-        return {
-            "status": "pass" if res.passed else "fail",
-            "metrics": encode({"trials": res.trials, **res.metrics}),
-            "witness": encode(res.witness),
-        }
+        return _encode_suite(run_suite(kind, trials=task.get("trials"), seed=seed))
     if kind == "polarizability_check":
         h = parse_norm(task.get("norm") or scenario.get("norm"))
         v = parse_vector(task["v"])
@@ -324,9 +335,7 @@ def main(argv=None) -> int:
             return code
         if args.command == "proptest":
             names = [args.suite] if args.suite else sorted(SUITES)
-            seed = args.seed
-            if seed is None and os.environ.get("CONEKIT_SEED"):
-                seed = int(os.environ["CONEKIT_SEED"])
+            seed = _env_seed() if args.seed is None else args.seed
             ok = True
             results = []
             for name in names:
@@ -339,15 +348,7 @@ def main(argv=None) -> int:
                     "schema": SCHEMA,
                     "version": __version__,
                     "seed": seed,
-                    "tasks": [
-                        {
-                            "name": r.name,
-                            "status": "pass" if r.passed else "fail",
-                            "metrics": encode({"trials": r.trials, **r.metrics}),
-                            "witness": encode(r.witness),
-                        }
-                        for r in results
-                    ],
+                    "tasks": [{"name": r.name, **_encode_suite(r)} for r in results],
                 }
                 with open(args.out, "w") as fh:
                     json.dump(payload, fh, indent=2, sort_keys=True)

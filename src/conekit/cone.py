@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,17 +215,18 @@ def _polyhedral_coeffs(c: Polyhedral, x: Vector):
     return lp_nonneg_solve(a, list(x.coords))
 
 
-def _pcone_spatial_norm_holds(p, x0, spatial) -> bool:
-    """x0 >= |spatial|_p, exact where possible."""
+def _pcone_holds(p, x0, spatial, strict: bool = False) -> bool:
+    """x0 >= |spatial|_p, or x0 > |spatial|_p when strict; exact where possible."""
     if x0 < 0:
         return False
+    cmp = operator.gt if strict else operator.ge
     if p == 1:
-        return x0 >= sum(abs(s) for s in spatial)
+        return cmp(x0, sum(abs(s) for s in spatial))
     if p == 2:
-        return x0 * x0 >= sum(s * s for s in spatial)
+        return cmp(x0 * x0, sum(s * s for s in spatial))
     if p == math.inf:
-        return all(x0 >= abs(s) for s in spatial)
-    return float(x0) >= sum(abs(float(s)) ** float(p) for s in spatial) ** (1.0 / float(p))
+        return cmp(x0, max((abs(s) for s in spatial), default=0))
+    return cmp(float(x0), sum(abs(float(s)) ** float(p) for s in spatial) ** (1.0 / float(p)))
 
 
 def contains(c: Cone, x: Vector) -> bool:
@@ -232,7 +234,7 @@ def contains(c: Cone, x: Vector) -> bool:
     if isinstance(c, Orthant):
         return all(v >= 0 for v in x.coords)
     if isinstance(c, PCone):
-        return _pcone_spatial_norm_holds(c.p, x.coords[0], x.coords[1:])
+        return _pcone_holds(c.p, x.coords[0], x.coords[1:])
     if isinstance(c, FutureCone):
         return c.form.inner(x, x) >= 0 and c.form.inner(x, c.t) >= 0
     return _polyhedral_coeffs(c, x) is not None
@@ -289,17 +291,7 @@ def in_core(c: Cone, x: Vector) -> bool:
     if isinstance(c, Orthant):
         return all(v > 0 for v in x.coords)
     if isinstance(c, PCone):
-        x0, spatial = x.coords[0], x.coords[1:]
-        if not _pcone_spatial_norm_holds(c.p, x0, spatial):
-            return False
-        # strictness: rule out equality
-        if c.p == 1:
-            return x0 > sum(abs(s) for s in spatial)
-        if c.p == 2:
-            return x0 > 0 and x0 * x0 > sum(s * s for s in spatial)
-        if c.p == math.inf:
-            return all(x0 > abs(s) for s in spatial)
-        return float(x0) > sum(abs(float(s)) ** float(c.p) for s in spatial) ** (1.0 / float(c.p))
+        return _pcone_holds(c.p, x.coords[0], x.coords[1:], strict=True)
     if isinstance(c, FutureCone):
         return c.form.inner(x, x) > 0 and c.form.inner(x, c.t) > 0
     gens = [[Fraction(t) for t in g.coords] for g in c.generators]

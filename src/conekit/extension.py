@@ -100,7 +100,6 @@ class ExtensionProblem:
     # unread: no solver iterates.  Kept only because the benchmark harness
     # (bench/workloads.py, bench/tracing.py) sets and reads it.
     max_iters: int = 100_000
-    resolution: int = 201
 
 
 @dataclass(frozen=True)
@@ -340,9 +339,15 @@ def _membership_test(c: Cone, tol: float):
     raise UnsupportedFamily(f"no grid membership for {type(c).__name__}")
 
 
-def _grid_scan(p: ExtensionProblem, member, x, center, halfwidth, res):
+# grid points per axis in each grid_oracle scan, and the number of zoomed
+# re-scans around the best point after the first
+GRID_RESOLUTION = 201
+ZOOM_PASSES = 2
+
+
+def _grid_scan(p: ExtensionProblem, member, x, center, halfwidth):
     n = p.cone.ambient_dim
-    axes = [np.linspace(c - halfwidth, c + halfwidth, res) for c in center]
+    axes = [np.linspace(c - halfwidth, c + halfwidth, GRID_RESOLUTION) for c in center]
     best = math.inf
     best_pt = None
     # chunk over the first coordinate to bound memory in dimension 3
@@ -364,7 +369,7 @@ def _grid_scan(p: ExtensionProblem, member, x, center, halfwidth, res):
     return best, best_pt
 
 
-def grid_oracle(p: ExtensionProblem, zoom_passes: int = 2) -> float:
+def grid_oracle(p: ExtensionProblem) -> float:
     """Brute-force upper-convergent value of n~(x) by grid enumeration.
 
     Scans u over a coordinate box sized from one feasible decomposition,
@@ -375,7 +380,6 @@ def grid_oracle(p: ExtensionProblem, zoom_passes: int = 2) -> float:
     n = p.cone.ambient_dim
     if n > 3:
         raise DimTooLarge("grid oracle supports ambient dimension <= 3")
-    res = min(p.resolution, 401)
     x = np.array(p.target.as_floats())
     u0, v0 = _feasible_decomposition(p.cone, p.target)
     ub = p.base_norm.value(np.array(u0.as_floats())) + p.base_norm.value(np.array(v0.as_floats()))
@@ -383,17 +387,17 @@ def grid_oracle(p: ExtensionProblem, zoom_passes: int = 2) -> float:
         return 0.0
     # a few grid steps of margin: the witness decomposition can sit right on
     # the box edge, leaving the shifted cone's apex unresolvable otherwise
-    bound = p.base_norm.coord_bound(ub) * (1.0 + 8.0 / (res - 1))
+    bound = p.base_norm.coord_bound(ub) * (1.0 + 8.0 / (GRID_RESOLUTION - 1))
     member = _membership_test(p.cone, 1e-12)
     center = np.zeros(n)
     halfwidth = bound
     best = math.inf
-    for _ in range(1 + zoom_passes):
-        val, pt = _grid_scan(p, member, x, center, halfwidth, res)
+    for _ in range(1 + ZOOM_PASSES):
+        val, pt = _grid_scan(p, member, x, center, halfwidth)
         if pt is None:
             break
         best = min(best, val)
-        step = 2.0 * halfwidth / (res - 1)
+        step = 2.0 * halfwidth / (GRID_RESOLUTION - 1)
         center, halfwidth = pt, 2.0 * step
     return best
 

@@ -2,8 +2,8 @@
 
 A ``GramForm`` stores a symmetric bilinear form through a basis of ambient
 vectors and the Gram matrix of that basis.  On construction the form is
-re-expressed in standard ambient coordinates, so evaluating ``inner(u, v)``
-on arbitrary vectors costs one exact quadratic form.
+re-expressed in standard ambient coordinates by two exact block solves, so
+evaluating ``inner(u, v)`` on arbitrary vectors costs one quadratic form.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .numerics import (
     SymMatrix,
     Vector,
     _integers,
-    exact_inverse,
+    _pivot,
+    _solve,
     fraction_sqrt_bounds,
     independent_rows,
 )
@@ -47,7 +48,12 @@ class Signature:
 
 
 class GramForm:
-    """Symmetric bilinear form given on a basis spanning the ambient space."""
+    """Symmetric bilinear form given on a basis spanning the ambient space.
+
+    ``std`` is the form in standard coordinates, solved exactly on the
+    ``numerics`` kernel; a float Gram matrix, symmetric only within
+    tolerance, gets it rounded to floats.
+    """
 
     __slots__ = ("basis", "gram", "std")
 
@@ -58,14 +64,15 @@ class GramForm:
             raise DimensionMismatch("basis must consist of dim-many ambient vectors")
         if gram.dim != n:
             raise DimensionMismatch("gram matrix size must match basis size")
-        bmat = [[basis[i].coords[j] for i in range(n)] for j in range(n)]  # columns = basis
-        inv = exact_inverse(bmat)
-        if inv is None:
+        # S = B^-T G B^-1, B's columns being the basis, from two block solves
+        # with Bt: Bt Y = G^T gives Y^T = G B^-1, then Bt S = Y^T.
+        bt = [b.coords for b in basis]
+        y = _solve(bt, list(zip(*gram.rows)))
+        if y is None:
             raise DependentBasis("basis vectors are linearly dependent")
-        # form in standard coordinates: S = B^-T G B^-1
-        g = gram.rows
-        tmp = [[sum(g[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        s = [[sum(inv[k][i] * tmp[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        s = _solve(bt, list(zip(*y)))
+        if not gram.exact:
+            s = [[float(v) for v in row] for row in s]
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "std", SymMatrix(s))
@@ -101,50 +108,39 @@ def _exact_signature(rows) -> tuple[int, int, int]:
     """Signature of a symmetric rational matrix by fraction-free congruence.
 
     The matrix is scaled to integers by the lcm of its denominators, which
-    keeps its inertia.  After k symmetric pivots the trailing block holds
-    d > 0 times the Schur complement as integers (symmetric Bareiss: each
-    update (p a_ij - a_ik a_kj) / d divides without remainder, and a
-    negative pivot p flips the block's sign so that d = |p|), so the sign
-    of each diagonal pivot is the sign of the congruence diagonal entry.
-    With no nonzero diagonal left, the congruence row_i += row_j,
-    col_i += col_j on the block makes a[i][i] = 2 a[i][j] != 0.
+    keeps its inertia.  The block a left to classify holds d times a Schur
+    complement, d being the previous pivot.  Each step swaps a nonzero
+    diagonal entry p to (0, 0), row and column alike, pivots on it with
+    ``numerics._pivot`` and drops its row and column; its congruence
+    diagonal entry p / d has the sign of p d.  With no nonzero diagonal
+    left, the congruence row_i += row_j, col_i += col_j makes
+    a[i][i] = 2 a[i][j] != 0 and keeps every later division exact.
     """
     n = len(rows)
     flat, _ = _integers([x for row in rows for x in row])
     a = [flat[i * n : (i + 1) * n] for i in range(n)]
-    pos = neg = 0
-    d = 1
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if a[i][i]), None)
+    pos, d = 0, 1
+    while a:
+        m = len(a)
+        piv = next((i for i in range(m) if a[i][i]), None)
         if piv is None:
-            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+            pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if pair is None:
                 break
             i, j = pair
-            for c in range(k, n):
-                a[i][c] += a[j][c]
-            for r in range(k, n):
-                a[r][i] += a[r][j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
             continue
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for r in range(n):
-                a[r][k], a[r][piv] = a[r][piv], a[r][k]
-        p = a[k][k]
-        if p > 0:
+        a[0], a[piv] = a[piv], a[0]
+        for row in a:
+            row[0], row[piv] = row[piv], row[0]
+        if a[0][0] * d > 0:
             pos += 1
-        else:
-            neg += 1
-        rk = a[k]
-        for i in range(k + 1, n):
-            ri, f = a[i], a[i][k]
-            for j in range(k + 1, n):
-                q = (p * ri[j] - f * rk[j]) // d
-                ri[j] = q if p > 0 else -q
-        d = abs(p)
-        k += 1
-    return pos, neg, n - pos - neg
+        d = _pivot(a, 0, 0, d)
+        a = [row[1:] for row in a[1:]]
+    # what is left of a is zero: its size is the nullity
+    return pos, n - len(a) - pos, len(a)
 
 
 def _float_signature(rows, rel_zero: float = 1e-9) -> tuple[int, int, int]:
@@ -160,9 +156,9 @@ def _float_signature(rows, rel_zero: float = 1e-9) -> tuple[int, int, int]:
 def classify(g: GramForm | SymMatrix) -> Signature:
     """Classify a symmetric form by its signature.
 
-    Exact rational mode uses fraction-free congruence elimination
-    (Sylvester inertia is a congruence invariant); float mode uses a
-    symmetric eigensolver with a relative zero threshold.
+    Exact rational mode uses symmetric fraction-free pivots on the
+    ``numerics`` kernel (Sylvester inertia is a congruence invariant);
+    float mode uses a symmetric eigensolver with a relative zero threshold.
     """
     m = g.gram if isinstance(g, GramForm) else g
     rows = m.rows

@@ -5,20 +5,22 @@ IEEE doubles.  Ints and numeric strings are promoted to ``Fraction`` on
 entry, so the exact backend is the default for hand-written data.  Backends
 never mix inside one vector or matrix.
 
-All exact linear algebra below runs on Python ints, on one fraction-free
+All exact linear algebra runs on Python ints, on one fraction-free
 Gauss-Jordan pivot step, ``_pivot``: the tableau holds d times the rational
 Gauss-Jordan tableau, d being the previous pivot, and each update divides
 by d without remainder (Edmonds 1967; Bareiss 1968).  ``_eliminate`` scales
-each row to integers and builds rank, determinant, solve, inverse, null
-space and independent rows on it; the two-phase simplex of
-``lp_nonneg_solve`` scales A and b by one lcm each and pivots its tableau
-with it.  Pivot choices are those of the rational tableau, so every answer
-equals the rational one.  Phase 1 finds a feasible basis; given an
-objective, phase 2 minimises it with the same Bland's-rule loop on the
-same tableau.  An exact ``SymMatrix`` keeps its entries as integer
-numerators over one denominator, so ``quad`` sums integers too.
-``Fraction``s are built only for inputs and results.  Boundary decisions in
-this domain (null vectors, cone facets) must not depend on float rounding.
+each row to integers and builds rank, determinant, null space, independent
+rows and ``_solve`` on it, the block solve behind ``exact_solve``,
+``exact_inverse`` and ``lorentz.GramForm``.  The two-phase simplex of
+``lp_nonneg_solve`` scales A and b by one lcm each, and
+``lorentz._exact_signature`` pivots symmetrically, on the same step.  Pivot
+choices are those of the rational tableau, so every answer equals the
+rational one.  Phase 1 finds a feasible basis; given an objective, phase 2
+minimises it with the same Bland's-rule loop on the same tableau.  An
+exact ``SymMatrix`` keeps its entries as integer numerators over one
+denominator, so ``quad`` sums integers too.  ``Fraction``s are built only
+for inputs and results.  Boundary decisions in this domain (null vectors,
+cone facets) must not depend on float rounding.
 """
 
 from __future__ import annotations
@@ -334,24 +336,25 @@ def exact_det(rows: Sequence[Sequence]) -> Fraction:
     return _eliminate(rows)[3]
 
 
-def exact_solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
-    """Solve the square system A x = b exactly; None if singular."""
+def _solve(rows: Sequence[Sequence], rhs: Sequence[Sequence]) -> list | None:
+    """X with A X = B for square A and an n x k block B, exactly; None if singular."""
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise DimensionMismatch("exact_solve expects a square system")
-    a, pivots, d, _ = _eliminate([list(r) + [bi] for r, bi in zip(rows, rhs)], n)
-    if len(pivots) < n:
-        return None
-    return [Fraction(row[n], d) for row in a]
-
-
-def exact_inverse(rows: Sequence[Sequence]) -> list | None:
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    a, pivots, d, _ = _eliminate(aug, n)
+        raise DimensionMismatch("expected a square system")
+    a, pivots, d, _ = _eliminate([list(r) + list(b) for r, b in zip(rows, rhs)], n)
     if len(pivots) < n:
         return None
     return [[Fraction(x, d) for x in row[n:]] for row in a]
+
+
+def exact_solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
+    """Solve the square system A x = b exactly; None if singular."""
+    x = _solve(rows, [[b] for b in rhs])
+    return None if x is None else [r[0] for r in x]
+
+
+def exact_inverse(rows: Sequence[Sequence]) -> list | None:
+    return _solve(rows, [[int(i == j) for j in range(len(rows))] for i in range(len(rows))])
 
 
 def exact_null_space(rows: Sequence[Sequence], n: int) -> list:

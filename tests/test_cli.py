@@ -81,6 +81,40 @@ class TestDeterminism:
         monkeypatch.setenv("CONEKIT_SEED", "7")
         assert run_cli(["run", str(f)]) == 0
 
+    @pytest.mark.parametrize("command", [["run", os.path.join(SCN, "p1_counterexample.json")], ["proptest"]])
+    def test_env_seed_empty_is_unset(self, command, tmp_path, capsys, monkeypatch):
+        args = command + ["--out", str(tmp_path / "r.json")]
+        if command[0] == "proptest":
+            args += ["--suite", "span", "--trials", "5"]
+        want = run_cli(args)
+        unset = json.loads((tmp_path / "r.json").read_text())
+        monkeypatch.setenv("CONEKIT_SEED", "")
+        assert run_cli(args) == want
+        empty = json.loads((tmp_path / "r.json").read_text())
+        assert strip_times(empty) == strip_times(unset)
+
+    @pytest.mark.parametrize("command", [["run", os.path.join(SCN, "minkowski_p2.json")], ["proptest"]])
+    def test_env_seed_not_an_integer_exits_2(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("CONEKIT_SEED", "seven")
+        assert run_cli(command) == 2
+        assert "CONEKIT_SEED" in capsys.readouterr().err
+
+    def test_env_seed_overridden_by_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONEKIT_SEED", "seven")
+        assert run_cli(["proptest", "--suite", "span", "--trials", "5", "--seed", "3"]) == 0
+
+    def test_run_and_proptest_encode_suites_alike(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"schema": "conekit/1", "tasks": [{"kind": "order", "trials": 15}]}))
+        run_out, prop_out = tmp_path / "run.json", tmp_path / "prop.json"
+        assert run_cli(["run", str(f), "--seed", "5", "--out", str(run_out)]) == 0
+        args = ["proptest", "--suite", "order", "--trials", "15", "--seed", "5", "--out", str(prop_out)]
+        assert run_cli(args) == 0
+        (run_task,) = json.loads(run_out.read_text())["tasks"]
+        (prop_task,) = json.loads(prop_out.read_text())["tasks"]
+        for key in ("name", "status", "metrics", "witness"):
+            assert run_task[key] == prop_task[key]
+
 
 class TestProptest:
     def test_single_suite(self, capsys):
@@ -96,6 +130,20 @@ class TestGram:
         assert out["gram"] == [["1/1", "1/1"], ["1/1", "0/1"]]
         assert out["standard"] == [["1/1", "0/1"], ["0/1", "-1/1"]]
         assert out["signature"]["kind"] == "lorentzian"
+
+    def test_float_backend(self, capsys):
+        # the float gram is symmetric only within rounding; std is rounded from the exact solve
+        basis = '[["3","1","0.3"],["2","1","0"],["5","2","3"]]'
+        code = run_cli(["gram", "--backend", "float", "--spatial-dim", "2", "--basis", basis])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["signature"] == {"kind": "lorentzian", "plus": 1, "minus": 2, "zero": 0}
+        std = out["standard"]
+        for i in range(3):
+            for j in range(3):
+                want = 1.0 if i == j == 0 else (-1.0 if i == j else 0.0)
+                assert isinstance(std[i][j], float)
+                assert abs(std[i][j] - want) <= 1e-12
 
 
 class TestExtend:

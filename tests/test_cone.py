@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -158,6 +159,23 @@ class TestInCore:
     def test_not_member(self):
         with pytest.raises(NotMember):
             in_core(FUT2, vec(0, 1))
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf, 3])
+    def test_pcone_interior_and_boundary(self, p):
+        c = PCone(p, 2)
+        for x in [vec(3, 1, 1), vec(1, F(1, 3), F(-1, 3)), vec(F(1, 2), 0, 0)]:
+            assert in_core(c, x)
+        # boundary points: x0 = |x|_p
+        boundary = {1: vec(2, 1, -1), 2: vec(5, 3, 4), math.inf: vec(2, -2, 1), 3: vec(1, 1, 0)}
+        assert contains(c, boundary[p]) and not in_core(c, boundary[p])
+        assert not in_core(c, vec(0, 0, 0))
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf, 3])
+    def test_pcone_half_line(self, p):
+        # spatial_dim 0: the half-line x0 >= 0, whose core is x0 > 0
+        c = PCone(p, 0)
+        assert in_core(c, vec(F(1, 7)))
+        assert not in_core(c, vec(0))
 
     def test_polyhedral(self):
         c = Polyhedral([vec(1, 1), vec(1, -1)])

@@ -26,7 +26,7 @@ from conekit.lorentz import (
     wick_norm,
     wick_orthogonal_basis,
 )
-from conekit.numerics import SymMatrix, Vector, exact_det
+from conekit.numerics import SymMatrix, Vector, exact_det, exact_rank
 
 
 def vec(*xs):
@@ -131,6 +131,39 @@ class TestClassifyProperties:
             for i in range(n)
         ]
         assert classify(SymMatrix(ptmp)) == classify(SymMatrix(m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_matrices(), st.sampled_from([F(1), F(2) ** 60, F(2) ** -60]))
+    def test_nonzero_count_is_rank(self, m, scale):
+        # dependent rows included: the duplicated last row and column lower the rank
+        n = len(m)
+        m = [[x * scale for x in r[:n]] + [r[0] * scale] for r in m]
+        m.append(list(m[0][:n]) + [m[0][0]])
+        sig = classify(SymMatrix(m))
+        assert sig.plus + sig.minus == exact_rank(m)
+        assert sig.zero >= 1
+
+
+class TestGramFormStandard:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_std_reproduces_gram(self, data):
+        """<b_i, b_j> in standard coordinates is the given Gram entry, exactly."""
+        n = data.draw(st.integers(1, 5))
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+        rows = data.draw(
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).filter(
+                lambda r: exact_det(r) != 0
+            )
+        )
+        g = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = data.draw(scalars)
+        basis = [Vector(r) for r in rows]
+        form = GramForm(basis, SymMatrix(g))
+        assert form.std.exact
+        assert [[form.inner(u, v) for v in basis] for u in basis] == g
 
 
 class TestFrame:

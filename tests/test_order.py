@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conekit.cone import FutureCone
+from conekit.cone import FutureCone, Polyhedral
 from conekit.errors import PreconditionFailed
-from conekit.lorentz import minkowski_frame
+from conekit.lorentz import decompose, minkowski_frame, wick_inner
 from conekit.numerics import Vector
 from conekit.order import (
     OrderedSequence,
@@ -84,6 +86,36 @@ class TestCompletenessCertificate:
         s = OrderedSequence.geometric(CONE, FRAME, T, n=10)
         cert = completeness_certificate(s, T)
         assert not cert.converged and cert.limit is None
+
+    def test_cauchy_bound_fails_outside_the_light_cone(self):
+        # (1, 2) is spacelike: along (1 - 2^-k)(1, 2), n(w_j - w_k) = 2 (alpha_j - alpha_k)
+        cone = Polyhedral([vec(1, 2), vec(1, -2)])
+        s = OrderedSequence.geometric(cone, FRAME, vec(1, 2), n=12)
+        cert = completeness_certificate(s, vec(1, 2))
+        assert cert.alpha_monotone and not cert.cauchy_bound_ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(-5, 5)), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 2), st.fractions(0, 3, max_denominator=4)), max_size=8),
+    )
+    def test_cauchy_bound_matches_all_pairs(self, gens, steps):
+        """Checking consecutive terms gives the all-pairs answer."""
+        cone = Polyhedral([vec(a, b) for a, b in gens])
+        terms = [vec(0, 0)]
+        for k, lam in steps:
+            terms.append(terms[-1] + cone.generators[k % len(gens)].scale(lam))
+        y = terms[-1] + cone.generators[0]
+        cert = completeness_certificate(OrderedSequence(cone, FRAME, terms), y)
+        decs = [decompose(FRAME, v) for v in terms]
+        all_pairs = all(
+            decs[j].alpha >= decs[k].alpha
+            and wick_inner(FRAME, decs[j].w - decs[k].w, decs[j].w - decs[k].w)
+            <= (decs[j].alpha - decs[k].alpha) ** 2
+            for k in range(len(decs))
+            for j in range(k + 1, len(decs))
+        )
+        assert cert.cauchy_bound_ok == all_pairs
 
 
 class TestMonotoneWick:
