@@ -36,7 +36,7 @@ from .lorentz import (
     gram_from_cone_basis,
     minkowski_frame,
 )
-from .numerics import Vector
+from .numerics import Vector, as_scalar
 from .properties import SUITES, PropertyResult, run_suite
 
 SCHEMA = "conekit/1"
@@ -46,17 +46,16 @@ SCHEMA = "conekit/1"
 
 
 def parse_scalar(s, exact: bool = True):
-    if isinstance(s, str):
-        if "/" in s:
-            return Fraction(s)
-        return Fraction(s) if exact else float(s)
-    if isinstance(s, bool):
-        raise ParseError(f"expected a number, got {s!r}")
-    if isinstance(s, int):
-        return Fraction(s) if exact else float(s)
-    if isinstance(s, float):
-        return s
-    raise ParseError(f"cannot parse scalar {s!r}")
+    """``numerics.as_scalar`` of a JSON value, as a float unless exact.
+
+    A float stays a float either way.  Anything ``as_scalar`` rejects, or a
+    value too large for a float, is a ParseError.
+    """
+    try:
+        x = as_scalar(s)
+        return x if exact else float(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise ParseError(f"cannot parse scalar {s!r}") from e
 
 
 def parse_vector(obj, exact: bool = True) -> Vector:
@@ -193,15 +192,12 @@ def run_task(task, scenario, flags) -> dict:
             "witness": encode(rep.witness),
         }
     if kind == "extend":
-        cone = parse_cone(task.get("cone") or scenario.get("cone"))
-        base = _base_norm(task.get("base_norm", "wick"), cone)
-        x = parse_vector(task["x"], exact=False)
-        prob = ExtensionProblem(cone, base, x)
-        res = extended_norm(prob)
+        cone_spec = task.get("cone") or scenario.get("cone")
+        res = extended_norm(_extension_problem(cone_spec, task.get("base_norm", "wick"), task["x"]))
         out = {"value": res.value, "iterations": res.iterations}
         ok = True
         if "expect" in task:
-            want = float(parse_scalar(task["expect"], exact=False))
+            want = parse_scalar(task["expect"], exact=False)
             tol = float(task.get("tol", flags.tol))
             ok = abs(res.value - want) <= tol
             out["expect"] = want
@@ -213,6 +209,12 @@ def run_task(task, scenario, flags) -> dict:
         ok = inside == bool(task.get("expect", True))
         return {"status": "pass" if ok else "fail", "metrics": {"contains": inside}, "witness": None}
     raise ParseError(f"unknown task kind {kind!r}")
+
+
+def _extension_problem(cone_spec, base_norm: str, x) -> ExtensionProblem:
+    """The problem of ``run``'s extend task and of ``extend``: a float target x."""
+    cone = parse_cone(cone_spec)
+    return ExtensionProblem(cone, _base_norm(base_norm, cone), parse_vector(x, exact=False))
 
 
 def _base_norm(name: str, cone: Cone):
@@ -369,10 +371,7 @@ def main(argv=None) -> int:
             print(json.dumps(out, indent=2, sort_keys=True))
             return 0
         if args.command == "extend":
-            cone = parse_cone(json.loads(args.cone))
-            base = _base_norm(args.base_norm, cone)
-            x = parse_vector(json.loads(args.x), exact=False)
-            prob = ExtensionProblem(cone, base, x)
+            prob = _extension_problem(json.loads(args.cone), args.base_norm, json.loads(args.x))
             res = extended_norm(prob)
             out = {"value": res.value, "iterations": res.iterations, "converged": res.converged}
             if args.oracle:

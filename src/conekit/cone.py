@@ -30,11 +30,10 @@ from .lorentz import (
     LorentzFrame,
     classify,
     frame_from_unit_vector,
-    fraction_sqrt_bounds,
     wick_inner,
     wick_orthogonal_basis,
 )
-from .numerics import Vector, exact_null_space, exact_rank, lp_nonneg_solve
+from .numerics import Vector, exact_null_space, exact_rank, fraction_sqrt_bounds, lp_nonneg_solve
 
 
 @dataclass(frozen=True)
@@ -363,18 +362,13 @@ class SelfDualityReport:
     direction: str | None = None  # which inclusion failed
 
 
-def self_duality_report(
-    c: Cone,
-    g: GramForm,
-    samples: int,
-    seed: int,
-    radius: Fraction = Fraction(10),
-) -> SelfDualityReport:
+def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDualityReport:
     """Sampled check of F = F* against the causal structure of g.
 
     F subset F* is checked exactly on generators (Polyhedral) resp. on
     sampled pairs via the reverse Cauchy-Schwarz sign (FutureCone);
-    F* subset F is probed on `samples` future-causal vectors.
+    F* subset F is probed on `samples` future-causal vectors drawn by
+    ``sample_future_causal`` with its default radius.
     """
     rng = random.Random(seed)
     frame = _sampling_frame(c, g)
@@ -388,10 +382,10 @@ def self_duality_report(
                     return SelfDualityReport(False, a, 0, "F_not_subset_dual")
     checked = 0
     for _ in range(samples):
-        v = sample_future_causal(frame, rng, radius)
+        v = sample_future_causal(frame, rng)
         checked += 1
         if isinstance(c, FutureCone):
-            u = sample_future_causal(frame, rng, radius)
+            u = sample_future_causal(frame, rng)
             if g.inner(u, v) < 0:
                 return SelfDualityReport(False, v, checked, "F_not_subset_dual")
         try:

@@ -402,22 +402,21 @@ def grid_oracle(p: ExtensionProblem) -> float:
     return best
 
 
-def equivalence_constant(
-    cone: Cone,
-    base_norm: BaseNorm,
-    s: Vector,
-    delta: float,
-    samples: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> float:
+# equivalence_constant checks B_delta(s) in F on BALL_SAMPLES boundary
+# points drawn from random.Random(BALL_SEED), with membership slack BALL_TOL
+BALL_SAMPLES = 1000
+BALL_SEED = 0
+BALL_TOL = 1e-9
+
+
+def equivalence_constant(cone: Cone, base_norm: BaseNorm, s: Vector, delta: float) -> float:
     """K = 2 n(s) / delta + 1 with a sampled check that B_delta(s) lies in F."""
-    rng = random.Random(seed)
+    rng = random.Random(BALL_SEED)
     n = s.dim
     sf = np.array(s.as_floats())
     d = float(delta)
-    member = _membership_test(cone, tol)
-    for _ in range(samples):
+    member = _membership_test(cone, BALL_TOL)
+    for _ in range(BALL_SAMPLES):
         direction = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         nv = base_norm.value(direction)
         if nv <= 1e-15:

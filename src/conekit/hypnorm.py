@@ -105,10 +105,15 @@ def norm_eval(h: HyperbolicNorm, x: Vector) -> float:
     return acc ** (1.0 / float(h.q)) if acc > 0 else 0.0
 
 
+def _require_quadratic(h: HyperbolicNorm, what: str):
+    """Only p = 2 and form-induced norms are squares of a quadratic form."""
+    if not (isinstance(h, FormInduced) or (isinstance(h, PHyperbolic) and h.p == 2)):
+        raise UnsupportedFamily(f"exact {what} needs p = 2 or a form-induced norm")
+
+
 def norm_sq_eval(h: HyperbolicNorm, x: Vector) -> Scalar:
     """Exact rational squared norm; only the quadratic families support it."""
-    if not (isinstance(h, FormInduced) or (isinstance(h, PHyperbolic) and h.p == 2)):
-        raise UnsupportedFamily("exact squared norm needs p = 2 or a form-induced norm")
+    _require_quadratic(h, "squared norm")
     _require_member(h, x)
     return _norm_sq(h, x)
 
@@ -135,8 +140,7 @@ def polarizability_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
 
 def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
     """Polarization pairing (||v+w||^2 - ||v||^2 - ||w||^2) / 2, exact."""
-    if not (isinstance(h, FormInduced) or (isinstance(h, PHyperbolic) and h.p == 2)):
-        raise UnsupportedFamily("exact polarization needs p = 2 or a form-induced norm")
+    _require_quadratic(h, "polarization")
     _require_member(h, v)
     _require_member(h, w)
     return (_norm_sq(h, v + w) - _norm_sq(h, v) - _norm_sq(h, w)) / 2

@@ -24,10 +24,9 @@ from .numerics import (
     Scalar,
     SymMatrix,
     Vector,
-    _integers,
-    _pivot,
+    _exact_signature,
     _solve,
-    fraction_sqrt_bounds,
+    fraction_sqrt,
     independent_rows,
 )
 
@@ -104,50 +103,15 @@ def minkowski_form(spatial_dim: int) -> GramForm:
     return GramForm(basis, gram)
 
 
-def _exact_signature(rows) -> tuple[int, int, int]:
-    """Signature of a symmetric rational matrix by fraction-free congruence.
-
-    The matrix is scaled to integers by the lcm of its denominators, which
-    keeps its inertia.  The block a left to classify holds d times a Schur
-    complement, d being the previous pivot.  Each step swaps a nonzero
-    diagonal entry p to (0, 0), row and column alike, pivots on it with
-    ``numerics._pivot`` and drops its row and column; its congruence
-    diagonal entry p / d has the sign of p d.  With no nonzero diagonal
-    left, the congruence row_i += row_j, col_i += col_j makes
-    a[i][i] = 2 a[i][j] != 0 and keeps every later division exact.
-    """
-    n = len(rows)
-    flat, _ = _integers([x for row in rows for x in row])
-    a = [flat[i * n : (i + 1) * n] for i in range(n)]
-    pos, d = 0, 1
-    while a:
-        m = len(a)
-        piv = next((i for i in range(m) if a[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-            if pair is None:
-                break
-            i, j = pair
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
-            continue
-        a[0], a[piv] = a[piv], a[0]
-        for row in a:
-            row[0], row[piv] = row[piv], row[0]
-        if a[0][0] * d > 0:
-            pos += 1
-        d = _pivot(a, 0, 0, d)
-        a = [row[1:] for row in a[1:]]
-    # what is left of a is zero: its size is the nullity
-    return pos, n - len(a) - pos, len(a)
+# float eigenvalues within REL_ZERO * max(1, |largest|) of 0 count as zero
+REL_ZERO = 1e-9
 
 
-def _float_signature(rows, rel_zero: float = 1e-9) -> tuple[int, int, int]:
+def _float_signature(rows) -> tuple[int, int, int]:
     import numpy as np
 
     evals = np.linalg.eigvalsh(np.array([[float(x) for x in r] for r in rows]))
-    cutoff = rel_zero * max(1.0, float(np.max(np.abs(evals))))
+    cutoff = REL_ZERO * max(1.0, float(np.max(np.abs(evals))))
     pos = int(np.sum(evals > cutoff))
     neg = int(np.sum(evals < -cutoff))
     return pos, neg, len(rows) - pos - neg
@@ -161,12 +125,8 @@ def classify(g: GramForm | SymMatrix) -> Signature:
     float mode uses a symmetric eigensolver with a relative zero threshold.
     """
     m = g.gram if isinstance(g, GramForm) else g
-    rows = m.rows
-    if m.exact:
-        pos, neg, zero = _exact_signature(rows)
-    else:
-        pos, neg, zero = _float_signature(rows)
-    n = len(rows)
+    pos, neg, zero = _exact_signature(m) if m.exact else _float_signature(m.rows)
+    n = m.dim
     if zero > 0:
         kind = FormKind.DEGENERATE
     elif pos == n:
@@ -302,13 +262,19 @@ def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
 def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:
     """Gram matrix of a cone basis under the polarization inner product.
 
-    A linearly dependent basis raises ``DependentBasis`` from ``GramForm``.
+    Each pair is evaluated once, for i <= j, and mirrored: the pairing is
+    symmetric, and a float one then stays symmetric whatever the rounding
+    of each argument order.  A linearly dependent basis raises
+    ``DependentBasis`` from ``GramForm``.
     """
     from .hypnorm import polar_inner  # deferred: hypnorm depends on cone on us
 
     basis = list(basis)
     n = len(basis)
-    entries = [[polar_inner(h, basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = polar_inner(h, basis[i], basis[j])
     return GramForm(basis, SymMatrix(entries))
 
 
@@ -317,7 +283,7 @@ def frame_from_unit_vector(form: GramForm, candidate: Vector) -> LorentzFrame:
     q = form.inner(candidate, candidate)
     if not isinstance(q, Fraction) or q <= 0:
         raise NotLorentzian("candidate frame vector is not exactly timelike")
-    lo, hi = fraction_sqrt_bounds(q)
-    if lo != hi:
+    r = fraction_sqrt(q)
+    if r is None:
         raise NotLorentzian("candidate <t,t> is not a perfect rational square")
-    return LorentzFrame(form, candidate.scale(Fraction(1) / lo))
+    return LorentzFrame(form, candidate.scale(Fraction(1) / r))

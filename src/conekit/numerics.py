@@ -13,7 +13,7 @@ each row to integers and builds rank, determinant, null space, independent
 rows and ``_solve`` on it, the block solve behind ``exact_solve``,
 ``exact_inverse`` and ``lorentz.GramForm``.  The two-phase simplex of
 ``lp_nonneg_solve`` scales A and b by one lcm each, and
-``lorentz._exact_signature`` pivots symmetrically, on the same step.  Pivot
+``_exact_signature`` pivots symmetrically, on the same step.  Pivot
 choices are those of the rational tableau, so every answer equals the
 rational one.  Phase 1 finds a feasible basis; given an objective, phase 2
 minimises it with the same Bland's-rule loop on the same tableau.  An
@@ -25,7 +25,6 @@ cone facets) must not depend on float rounding.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,12 +54,6 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, Fraction)
 
 
-class Ordering(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
 @dataclass(frozen=True)
 class ToleranceContext:
     """Tolerances for the float backend; ignored by exact rationals."""
@@ -72,23 +65,11 @@ class ToleranceContext:
 DEFAULT_TOL = ToleranceContext()
 
 
-def scalar_cmp(a: Scalar, b: Scalar) -> Ordering:
-    """Total-order comparison. Exact for rationals, raw IEEE for floats."""
-    a, b = as_scalar(a), as_scalar(b)
-    if is_exact(a) != is_exact(b):
-        raise MixedBackend(f"cannot compare {a!r} with {b!r}")
-    if a < b:
-        return Ordering.LESS
-    if a > b:
-        return Ordering.GREATER
-    return Ordering.EQUAL
-
-
 def approx_eq(a: Scalar, b: Scalar, ctx: ToleranceContext = DEFAULT_TOL) -> bool:
     """|a - b| <= abs_tol + rel_tol * max(|a|, |b|), float backend only."""
     a, b = as_scalar(a), as_scalar(b)
     if is_exact(a) or is_exact(b):
-        raise ExactBackend("use scalar_cmp for exact rationals")
+        raise ExactBackend("exact rationals compare exactly, without a tolerance")
     return abs(a - b) <= ctx.abs_tol + ctx.rel_tol * max(abs(a), abs(b))
 
 
@@ -172,11 +153,14 @@ class Vector:
 
 
 class SymMatrix:
-    """Immutable symmetric matrix; symmetry checked on construction."""
+    """Immutable symmetric matrix; symmetry checked on construction.
+
+    Exact entries must be symmetric exactly, float entries by ``approx_eq``.
+    """
 
     __slots__ = ("rows", "exact", "_nz", "_den")
 
-    def __init__(self, rows: Sequence[Sequence], ctx: ToleranceContext = DEFAULT_TOL):
+    def __init__(self, rows: Sequence[Sequence]):
         rs = tuple(tuple(as_scalar(x) for x in row) for row in rows)
         n = len(rs)
         if any(len(r) != n for r in rs):
@@ -191,7 +175,7 @@ class SymMatrix:
                 if exact:
                     if rs[i][j] != rs[j][i]:
                         raise DimensionMismatch("matrix is not symmetric")
-                elif abs(rs[i][j] - rs[j][i]) > ctx.abs_tol:
+                elif not approx_eq(rs[i][j], rs[j][i]):
                     raise DimensionMismatch("matrix is not symmetric within tolerance")
         object.__setattr__(self, "rows", rs)
         object.__setattr__(self, "exact", exact)
@@ -385,6 +369,46 @@ def independent_rows(rows: Sequence[Sequence]) -> list[int]:
     return _eliminate([list(c) for c in zip(*rows)])[1]
 
 
+def _exact_signature(m: SymMatrix) -> tuple[int, int, int]:
+    """(plus, minus, zero) of an exact symmetric matrix by fraction-free congruence.
+
+    It starts from the matrix's integer numerators, m times its positive
+    common denominator, which has the same inertia.  The block a left to
+    classify holds d times a Schur complement, d being the previous pivot.
+    Each step swaps a nonzero diagonal entry p to (0, 0), row and column
+    alike, pivots on it with ``_pivot`` and drops its row and column; its
+    congruence diagonal entry p / d has the sign of p d.  With no nonzero
+    diagonal left, the congruence row_i += row_j, col_i += col_j makes
+    a[i][i] = 2 a[i][j] != 0 and keeps every later division exact.
+    """
+    n = m.dim
+    a = [[0] * n for _ in range(n)]
+    for i, j, x in m._nz:
+        a[i][j] = x
+    pos, d = 0, 1
+    while a:
+        k = len(a)
+        piv = next((i for i in range(k) if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            continue
+        a[0], a[piv] = a[piv], a[0]
+        for row in a:
+            row[0], row[piv] = row[piv], row[0]
+        if a[0][0] * d > 0:
+            pos += 1
+        d = _pivot(a, 0, 0, d)
+        a = [row[1:] for row in a[1:]]
+    # what is left of a is zero: its size is the nullity
+    return pos, n - len(a) - pos, len(a)
+
+
 def _bland(tab: list, basis: list, n: int, d: int) -> int | None:
     """Simplex loop on an integer tableau whose last row is the objective row.
 
@@ -501,15 +525,19 @@ def fraction_sqrt(s: Fraction) -> Fraction | None:
     return None
 
 
-def fraction_sqrt_bounds(s: Fraction, digits: int = 15) -> tuple[Fraction, Fraction]:
-    """Rational (lower, upper) bounds on sqrt(s), within 10**-digits."""
+# decimal digits of fraction_sqrt_bounds: hi - lo <= 10**-SQRT_DIGITS
+SQRT_DIGITS = 15
+
+
+def fraction_sqrt_bounds(s: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational (lower, upper) bounds on sqrt(s), within 10**-SQRT_DIGITS."""
     s = Fraction(s)
     if s < 0:
         raise ValueError("negative radicand")
     exact = fraction_sqrt(s)
     if exact is not None:
         return exact, exact
-    scale = 10**digits
+    scale = 10**SQRT_DIGITS
     r = math.isqrt(s.numerator * s.denominator * scale * scale)
     lo = Fraction(r, s.denominator * scale)
     hi = Fraction(r + 1, s.denominator * scale)

@@ -18,6 +18,8 @@ from .lorentz import LorentzFrame, decompose, wick_inner, wick_norm
 from .numerics import Vector
 
 LIMIT_RESIDUAL = 1e-9
+# terms before the declared limit whose Wick distance to it is reported
+TAIL_TERMS = 5
 
 
 @dataclass(frozen=True)
@@ -43,16 +45,13 @@ class OrderedSequence:
         raise AttributeError("OrderedSequence is immutable")
 
     @classmethod
-    def geometric(
-        cls, cone: Cone, frame: LorentzFrame, target: Vector, ratio=Fraction(1, 2), n: int = 64
-    ) -> "OrderedSequence":
-        """v_k = (1 - ratio^k) * target, approaching target from below."""
-        ratio = Fraction(ratio)
+    def geometric(cls, cone: Cone, frame: LorentzFrame, target: Vector, n: int = 64) -> "OrderedSequence":
+        """v_k = (1 - 2^-k) * target, approaching target from below."""
         terms = []
         r = Fraction(1)
         for _ in range(n):
             terms.append(target.scale(1 - r))
-            r *= ratio
+            r /= 2
         return cls(cone, frame, terms)
 
     @classmethod
@@ -89,9 +88,7 @@ class CompletenessCertificate:
     converged: bool
 
 
-def completeness_certificate(
-    s: OrderedSequence, y: Vector, tail: int = 5
-) -> CompletenessCertificate:
+def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCertificate:
     """Verify the convergence mechanism on the finite prefix.
 
     (a) time components alpha_k nondecreasing and bounded by alpha_y;
@@ -101,7 +98,8 @@ def completeness_certificate(
         inequality they imply every other pair, n(w_j - w_k) <=
         sum_{k<=i<j} n(w_{i+1} - w_i) <= sum_{k<=i<j} (alpha_{i+1} - alpha_i);
     (c) limit declared as the last term once consecutive Wick distance
-        drops below 1e-9, with the max tail residual reported.
+        drops below LIMIT_RESIDUAL, with the max Wick distance of the
+        TAIL_TERMS terms before it reported.
     """
     if not is_nondecreasing(s):
         raise PreconditionFailed("sequence is not nondecreasing")
@@ -126,7 +124,7 @@ def completeness_certificate(
         if last_gap < LIMIT_RESIDUAL:
             limit = s.terms[-1]
             converged = True
-            tail_terms = s.terms[-(tail + 1) : -1]
+            tail_terms = s.terms[-(TAIL_TERMS + 1) : -1]
             max_residual = max(
                 (wick_norm(frame, v - limit) for v in tail_terms), default=0.0
             )

@@ -40,12 +40,23 @@ from .order import monotone_wick_check
 from .span import embed, equiv, extend_linear, future_decompose, future_decompose_is_minimal
 
 
-def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8, den: int = 8) -> Fraction:
-    return Fraction(rng.randint(lo * den, hi * den), den)
+# ambient dimension of the polarizability, reverse_cs, nondegenerate, wick,
+# order and span suites; future_decompose draws frames of spatial dimension
+# 1..MAX_SPATIAL; BASIS_TRIES bounds sample_independent_cone_basis's draws
+SUITE_DIM = 3
+MAX_SPATIAL = 5
+BASIS_TRIES = 200
+# rand_fraction draws multiples of 1/RAND_DEN in [-RAND_BOUND, RAND_BOUND]
+RAND_BOUND = 8
+RAND_DEN = 8
 
 
-def rand_vector(rng: random.Random, dim: int, lo: int = -8, hi: int = 8) -> Vector:
-    return Vector([rand_fraction(rng, lo, hi) for _ in range(dim)])
+def rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-RAND_BOUND * RAND_DEN, RAND_BOUND * RAND_DEN), RAND_DEN)
+
+
+def rand_vector(rng: random.Random, dim: int) -> Vector:
+    return Vector([rand_fraction(rng) for _ in range(dim)])
 
 
 def sample_p2_cone_point(rng: random.Random, spatial_dim: int) -> Vector:
@@ -62,9 +73,9 @@ def sample_p2_interior_point(rng: random.Random, spatial_dim: int) -> Vector:
     return Vector([alpha] + w)
 
 
-def sample_independent_cone_basis(rng: random.Random, dim: int, tries: int = 200) -> list:
+def sample_independent_cone_basis(rng: random.Random, dim: int) -> list:
     # small perturbations of the standard cone basis stay independent and inside
-    for _ in range(tries):
+    for _ in range(BASIS_TRIES):
         basis = []
         t = sample_p2_interior_point(rng, dim - 1)
         basis.append(t)
@@ -92,28 +103,28 @@ def _fail(name: str, trials: int, witness: dict, **metrics) -> PropertyResult:
     return PropertyResult(name, False, trials, dict(metrics), witness)
 
 
-def suite_polarizability(trials: int = 10_000, seed: int = 0, dim: int = 3) -> PropertyResult:
+def suite_polarizability(trials: int = 10_000, seed: int = 0) -> PropertyResult:
     """p=2 polarizability residual is exactly zero on random cone pairs."""
     rng = random.Random(seed)
-    h = PHyperbolic(2, dim - 1)
+    h = PHyperbolic(2, SUITE_DIM - 1)
     for k in range(trials):
-        v = sample_p2_cone_point(rng, dim - 1)
-        w = sample_p2_cone_point(rng, dim - 1)
+        v = sample_p2_cone_point(rng, SUITE_DIM - 1)
+        w = sample_p2_cone_point(rng, SUITE_DIM - 1)
         r = polarizability_residual(h, v, w)
         if r != 0:
             return _fail("polarizability", k + 1, {"v": v, "w": w, "residual": r})
     return PropertyResult("polarizability", True, trials, {"max_residual": 0})
 
 
-def suite_reverse_cs(trials: int = 10_000, seed: int = 1, dim: int = 3) -> PropertyResult:
+def suite_reverse_cs(trials: int = 10_000, seed: int = 1) -> PropertyResult:
     """Reverse CS and reverse triangle hold exactly; equality iff collinear."""
     from .hypnorm import equality_is_collinear
 
     rng = random.Random(seed)
-    h = PHyperbolic(2, dim - 1)
+    h = PHyperbolic(2, SUITE_DIM - 1)
     for k in range(trials):
-        v = sample_p2_cone_point(rng, dim - 1)
-        w = sample_p2_cone_point(rng, dim - 1)
+        v = sample_p2_cone_point(rng, SUITE_DIM - 1)
+        w = sample_p2_cone_point(rng, SUITE_DIM - 1)
         res = reverse_cs_residual(h, v, w)
         if not res.holds:
             return _fail("reverse_cs", k + 1, {"v": v, "w": w})
@@ -123,12 +134,12 @@ def suite_reverse_cs(trials: int = 10_000, seed: int = 1, dim: int = 3) -> Prope
     return PropertyResult("reverse_cs", True, trials)
 
 
-def suite_nondegenerate(trials: int = 100, seed: int = 2, dim: int = 3) -> PropertyResult:
+def suite_nondegenerate(trials: int = 100, seed: int = 2) -> PropertyResult:
     """Random cone bases give det(Gram) != 0 and a Lorentzian signature."""
     rng = random.Random(seed)
-    h = PHyperbolic(2, dim - 1)
+    h = PHyperbolic(2, SUITE_DIM - 1)
     for k in range(trials):
-        basis = sample_independent_cone_basis(rng, dim)
+        basis = sample_independent_cone_basis(rng, SUITE_DIM)
         g = gram_from_cone_basis(h, basis)
         d = exact_det(g.gram.rows)
         sig = classify(g)
@@ -137,13 +148,13 @@ def suite_nondegenerate(trials: int = 100, seed: int = 2, dim: int = 3) -> Prope
     return PropertyResult("nondegenerate", True, trials)
 
 
-def suite_wick(trials: int = 10_000, seed: int = 3, dim: int = 3) -> PropertyResult:
+def suite_wick(trials: int = 10_000, seed: int = 3) -> PropertyResult:
     """Decomposition reconstructs, Wick form is positive definite,
     future defect is nonnegative on future-causal vectors."""
     rng = random.Random(seed)
-    frame = minkowski_frame(dim - 1)
+    frame = minkowski_frame(SUITE_DIM - 1)
     for k in range(trials):
-        v = rand_vector(rng, dim)
+        v = rand_vector(rng, SUITE_DIM)
         d = decompose(frame, v)
         if frame.t.scale(d.alpha) + d.w != v:
             return _fail("wick", k + 1, {"v": v, "kind": "reconstruction"})
@@ -155,9 +166,9 @@ def suite_wick(trials: int = 10_000, seed: int = 3, dim: int = 3) -> PropertyRes
     return PropertyResult("wick", True, trials)
 
 
-def suite_future_decompose(trials: int = 10_000, seed: int = 4, max_spatial: int = 5) -> PropertyResult:
+def suite_future_decompose(trials: int = 10_000, seed: int = 4) -> PropertyResult:
     rng = random.Random(seed)
-    frames = [minkowski_frame(n) for n in range(1, max_spatial + 1)]
+    frames = [minkowski_frame(n) for n in range(1, MAX_SPATIAL + 1)]
     for k in range(trials):
         frame = frames[rng.randrange(len(frames))]
         x = rand_vector(rng, frame.form.dim)
@@ -189,10 +200,10 @@ def suite_self_duality(trials: int = 10_000, seed: int = 5) -> PropertyResult:
     )
 
 
-def suite_order(trials: int = 10_000, seed: int = 6, dim: int = 3) -> PropertyResult:
+def suite_order(trials: int = 10_000, seed: int = 6) -> PropertyResult:
     """Antisymmetry of <= on a proper cone and monotone Wick norm."""
     rng = random.Random(seed)
-    frame = minkowski_frame(dim - 1)
+    frame = minkowski_frame(SUITE_DIM - 1)
     cone = FutureCone(frame.form, frame.t)
     assert is_proper(cone)
     for k in range(trials):
@@ -204,23 +215,23 @@ def suite_order(trials: int = 10_000, seed: int = 6, dim: int = 3) -> PropertyRe
         # antisymmetry: x <= y and y <= x force x = y
         if leq(x, y, cone) and leq(y, x, cone) and x != y:
             return _fail("order", k + 1, {"x": x, "y": y, "kind": "antisymmetry"})
-        if z != Vector.zero(dim) and leq(y, x, cone):
+        if z != Vector.zero(SUITE_DIM) and leq(y, x, cone):
             return _fail("order", k + 1, {"x": x, "y": y, "kind": "strictness"})
     return PropertyResult("order", True, trials)
 
 
-def suite_span(trials: int = 1_000, seed: int = 7, dim: int = 3) -> PropertyResult:
+def suite_span(trials: int = 1_000, seed: int = 7) -> PropertyResult:
     """equiv is an equivalence relation and extend_linear is well defined
     across equivalent representatives, with f = extend_linear . embed."""
     from .span import FormalDifference
 
     rng = random.Random(seed)
-    frame = minkowski_frame(dim - 1)
+    frame = minkowski_frame(SUITE_DIM - 1)
     cone = FutureCone(frame.form, frame.t)
-    mat = [[rand_fraction(rng) for _ in range(dim)] for _ in range(2)]
+    mat = [[rand_fraction(rng) for _ in range(SUITE_DIM)] for _ in range(2)]
 
     def f(u: Vector) -> Vector:
-        return Vector([sum(r[i] * u.coords[i] for i in range(dim)) for r in mat])
+        return Vector([sum(r[i] * u.coords[i] for i in range(SUITE_DIM)) for r in mat])
 
     for k in range(trials):
         u = sample_future_causal(frame, rng)

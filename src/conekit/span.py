@@ -13,13 +13,8 @@ from typing import Callable
 
 from .cone import Cone, FutureCone, Orthant, contains
 from .errors import ConeMismatch, NotMember
-from .lorentz import (
-    LorentzFrame,
-    decompose,
-    fraction_sqrt_bounds,
-    wick_inner,
-)
-from .numerics import DEFAULT_TOL, Vector, approx_eq
+from .lorentz import LorentzFrame, decompose, wick_inner
+from .numerics import Vector, approx_eq, fraction_sqrt_bounds
 
 
 class FormalDifference:
@@ -70,7 +65,7 @@ def equiv(a: FormalDifference, b: FormalDifference) -> bool:
     right = b.pos + a.neg
     if left.exact:
         return left == right
-    return all(approx_eq(x, y, DEFAULT_TOL) for x, y in zip(left.coords, right.coords))
+    return all(approx_eq(x, y) for x, y in zip(left.coords, right.coords))
 
 
 def canonicalize(d: FormalDifference) -> FormalDifference:
@@ -128,10 +123,12 @@ def future_decompose(x: Vector, frame: LorentzFrame) -> FutureDecomposition:
     return FutureDecomposition(v1, v2, lam, lo == hi)
 
 
-def future_decompose_is_minimal(
-    frame: LorentzFrame, x: Vector, lam: Fraction, slack: Fraction = Fraction(1, 1000)
-) -> bool:
-    """True iff lam - slack violates at least one constraint (or lam = 0)."""
+# how far below lam future_decompose_is_minimal probes the constraints
+MINIMALITY_SLACK = Fraction(1, 1000)
+
+
+def future_decompose_is_minimal(frame: LorentzFrame, x: Vector, lam: Fraction) -> bool:
+    """True iff lam - MINIMALITY_SLACK violates a constraint (or lam = 0)."""
     if lam == 0:
         return True
-    return not all(_decomposition_inequalities(frame, x, lam - slack))
+    return not all(_decomposition_inequalities(frame, x, lam - MINIMALITY_SLACK))

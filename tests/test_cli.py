@@ -50,6 +50,13 @@ class TestRun:
         f.write_text(json.dumps({"schema": "conekit/1", "tasks": [{"kind": "nope"}]}))
         assert run_cli(["run", str(f)]) == 2
 
+    def test_malformed_scalar_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        cone = {"family": "future", "spatial_dim": 1}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [{"kind": "extend", "x": ["1", "x"]}]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert "cannot parse scalar 'x'" in capsys.readouterr().err
+
 
 def strip_times(report):
     for t in report["tasks"]:
@@ -132,7 +139,7 @@ class TestGram:
         assert out["signature"]["kind"] == "lorentzian"
 
     def test_float_backend(self, capsys):
-        # the float gram is symmetric only within rounding; std is rounded from the exact solve
+        # std is rounded from the exact solve
         basis = '[["3","1","0.3"],["2","1","0"],["5","2","3"]]'
         code = run_cli(["gram", "--backend", "float", "--spatial-dim", "2", "--basis", basis])
         assert code == 0
@@ -145,6 +152,15 @@ class TestGram:
                 assert isinstance(std[i][j], float)
                 assert abs(std[i][j] - want) <= 1e-12
 
+    def test_float_backend_large_entries(self, capsys):
+        basis = '[["3000","1000","300.3"],["2000","1000","0"],["5000","2000","3000"]]'
+        code = run_cli(["gram", "--backend", "float", "--spatial-dim", "2", "--basis", basis])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["signature"] == {"kind": "lorentzian", "plus": 1, "minus": 2, "zero": 0}
+        gram = out["gram"]
+        assert all(gram[i][j] == gram[j][i] for i in range(3) for j in range(3))
+
 
 class TestExtend:
     def test_extend_value(self, capsys):
@@ -154,6 +170,18 @@ class TestExtend:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert abs(out["value"] - 2**0.5) < 1e-3
+
+    def test_malformed_scalar_exits_2(self, capsys):
+        code = run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", '["abc", 1]'])
+        assert code == 2
+        assert "cannot parse scalar 'abc'" in capsys.readouterr().err
+
+    def test_fraction_string_in_float_target(self, capsys):
+        outs = []
+        for x in ('["1/2", 0.5]', "[0.5, 0.5]"):
+            assert run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", x]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 class TestReportCsv:

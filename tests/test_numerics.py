@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conekit.errors import DimensionMismatch, ExactBackend, MixedBackend, PreconditionFailed
 from conekit.numerics import (
-    Ordering,
     SymMatrix,
     ToleranceContext,
     Vector,
@@ -21,26 +20,9 @@ from conekit.numerics import (
     fraction_sqrt_bounds,
     independent_rows,
     lp_nonneg_solve,
-    scalar_cmp,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-
-
-class TestScalarCmp:
-    def test_equal(self):
-        assert scalar_cmp(F(3, 2), F(3, 2)) is Ordering.EQUAL
-
-    def test_less(self):
-        assert scalar_cmp(F(1, 3), F(2, 5)) is Ordering.LESS
-
-    def test_ieee_greater(self):
-        # 0.1 + 0.2 rounds up in binary
-        assert scalar_cmp(0.1 + 0.2, 0.3) is Ordering.GREATER
-
-    def test_mixed_backend(self):
-        with pytest.raises(MixedBackend):
-            scalar_cmp(F(1), 1.0)
 
 
 class TestApproxEq:
