@@ -53,7 +53,7 @@ from .lorentz import (
     wick_inner,
     wick_norm,
 )
-from .numerics import SymMatrix, ToleranceContext, Vector
+from .numerics import SymMatrix, Vector
 from .order import (
     OrderedSequence,
     completeness_certificate,
@@ -82,7 +82,6 @@ __all__ = [
     "Polyhedral",
     "Signature",
     "SymMatrix",
-    "ToleranceContext",
     "Vector",
     "WickBaseNorm",
     "causal_class",

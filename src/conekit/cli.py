@@ -28,14 +28,7 @@ from .extension import (
     grid_oracle,
 )
 from .hypnorm import FormInduced, PHyperbolic, polarizability_residual
-from .lorentz import (
-    GramForm,
-    LorentzFrame,
-    Signature,
-    classify,
-    gram_from_cone_basis,
-    minkowski_frame,
-)
+from .lorentz import LorentzFrame, Signature, classify, gram_from_cone_basis, minkowski_frame
 from .numerics import Vector, as_scalar
 from .properties import SUITES, PropertyResult, run_suite
 
@@ -62,6 +55,51 @@ def parse_vector(obj, exact: bool = True) -> Vector:
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"expected a coordinate list, got {obj!r}")
     return Vector([parse_scalar(c, exact) for c in obj])
+
+
+def _number(value, kind, what: str):
+    """kind(value) for kind int or float; a value without one is a ParseError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"cannot parse {what} {value!r}") from e
+
+
+def _parse_basis(obj, exact: bool = True) -> list:
+    if not isinstance(obj, list):
+        raise ParseError(f"expected a list of coordinate lists, got {obj!r}")
+    return [parse_vector(b, exact) for b in obj]
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"malformed JSON in {what}: {e}") from e
+
+
+def _load_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
+        raise ParseError(f"cannot load {what} {path}: {e}") from e
+
+
+def _field(obj: dict, key: str):
+    """A required field of a task: missing, it is a ParseError."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ParseError(f"task missing field {key!r}") from None
+
+
+def _tasks(doc, what: str) -> list:
+    """The task list of a scenario or report: a list of JSON objects."""
+    tasks = doc.get("tasks") if isinstance(doc, dict) else None
+    if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
+        raise ParseError(f"{what} needs a list of task objects")
+    return tasks
 
 
 def encode(value):
@@ -97,13 +135,13 @@ def parse_cone(spec, exact: bool = True) -> Cone:
     fam = spec["family"]
     try:
         if fam == "pcone":
-            return PCone(p=spec["p"], spatial_dim=int(spec["spatial_dim"]))
+            return PCone(p=spec["p"], spatial_dim=_number(spec["spatial_dim"], int, "spatial_dim"))
         if fam == "orthant":
-            return Orthant(dim=int(spec["dim"]))
+            return Orthant(dim=_number(spec["dim"], int, "dim"))
         if fam == "polyhedral":
             return Polyhedral([parse_vector(g, exact) for g in spec["generators"]])
         if fam == "future":
-            n = int(spec["spatial_dim"])
+            n = _number(spec["spatial_dim"], int, "spatial_dim")
             frame = minkowski_frame(n)
             t = parse_vector(spec["t"], exact) if "t" in spec else frame.t
             return FutureCone(frame.form, t)
@@ -119,7 +157,8 @@ def parse_norm(spec, cone: Cone | None = None):
     try:
         if fam == "p":
             p = spec["p"]
-            return PHyperbolic(p="inf" if p == "inf" else parse_scalar(p), spatial_dim=int(spec["spatial_dim"]))
+            n = _number(spec["spatial_dim"], int, "spatial_dim")
+            return PHyperbolic(p="inf" if p == "inf" else parse_scalar(p), spatial_dim=n)
         if fam == "form":
             if not isinstance(cone, FutureCone):
                 raise ParseError("form-induced norm needs a future cone")
@@ -145,7 +184,7 @@ def _task_seed(task, flags) -> int:
     if flags.seed is not None:
         return flags.seed
     env = _env_seed()
-    return int(task.get("seed", 0)) if env is None else env
+    return _number(task.get("seed", 0), int, "seed") if env is None else env
 
 
 def _encode_suite(res: PropertyResult) -> dict:
@@ -161,11 +200,13 @@ def run_task(task, scenario, flags) -> dict:
     kind = task.get("kind")
     seed = _task_seed(task, flags)
     if kind in SUITES:
-        return _encode_suite(run_suite(kind, trials=task.get("trials"), seed=seed))
+        trials = task.get("trials")
+        trials = None if trials is None else _number(trials, int, "trials")
+        return _encode_suite(run_suite(kind, trials=trials, seed=seed))
     if kind == "polarizability_check":
         h = parse_norm(task.get("norm") or scenario.get("norm"))
-        v = parse_vector(task["v"])
-        w = parse_vector(task["w"])
+        v = parse_vector(_field(task, "v"))
+        w = parse_vector(_field(task, "w"))
         r = polarizability_residual(h, v, w)
         ok = r == 0 if isinstance(r, Fraction) else abs(r) <= flags.tol
         return {
@@ -175,7 +216,7 @@ def run_task(task, scenario, flags) -> dict:
         }
     if kind == "signature":
         h = parse_norm(task.get("norm") or scenario.get("norm"))
-        basis = [parse_vector(b) for b in task["basis"]]
+        basis = _parse_basis(_field(task, "basis"))
         g = gram_from_cone_basis(h, basis)
         sig = classify(g)
         want = task.get("expect", "lorentzian")
@@ -193,18 +234,18 @@ def run_task(task, scenario, flags) -> dict:
         }
     if kind == "extend":
         cone_spec = task.get("cone") or scenario.get("cone")
-        res = extended_norm(_extension_problem(cone_spec, task.get("base_norm", "wick"), task["x"]))
+        res = extended_norm(_extension_problem(cone_spec, task.get("base_norm", "wick"), _field(task, "x")))
         out = {"value": res.value, "iterations": res.iterations}
         ok = True
         if "expect" in task:
             want = parse_scalar(task["expect"], exact=False)
-            tol = float(task.get("tol", flags.tol))
+            tol = _number(task.get("tol", flags.tol), float, "tol")
             ok = abs(res.value - want) <= tol
             out["expect"] = want
         return {"status": "pass" if ok else "fail", "metrics": encode(out), "witness": None}
     if kind == "membership":
         cone = parse_cone(task.get("cone") or scenario.get("cone"))
-        x = parse_vector(task["x"])
+        x = parse_vector(_field(task, "x"))
         inside = contains(cone, x)
         ok = inside == bool(task.get("expect", True))
         return {"status": "pass" if ok else "fail", "metrics": {"contains": inside}, "witness": None}
@@ -231,15 +272,10 @@ def _base_norm(name: str, cone: Cone):
 
 
 def load_scenario(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot load scenario {path}: {e}") from e
+    data = _load_json(path, "scenario")
     if not isinstance(data, dict) or data.get("schema") != SCHEMA:
         raise ParseError(f'scenario must declare "schema": "{SCHEMA}"')
-    if not isinstance(data.get("tasks"), list):
-        raise ParseError("scenario needs a task list")
+    _tasks(data, "scenario")
     return data
 
 
@@ -275,10 +311,10 @@ def report_to_csv(report: dict) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["task", "status", "metric", "wall_time_ms"])
-    for t in report["tasks"]:
+    for t in _tasks(report, "report"):
         metrics = t.get("metrics") or {}
         key = next(iter(metrics), "")
-        w.writerow([t["name"], t["status"], metrics.get(key, ""), t["wall_time_ms"]])
+        w.writerow([_field(t, "name"), _field(t, "status"), metrics.get(key, ""), _field(t, "wall_time_ms")])
     return buf.getvalue()
 
 
@@ -360,7 +396,7 @@ def main(argv=None) -> int:
             exact = args.backend == "exact"
             p = "inf" if args.p == "inf" else parse_scalar(args.p)
             h = PHyperbolic(p, args.spatial_dim)
-            basis = [parse_vector(b, exact) for b in json.loads(args.basis)]
+            basis = _parse_basis(_parse_json(args.basis, "--basis"), exact)
             g = gram_from_cone_basis(h, basis)
             sig = classify(g)
             out = {
@@ -371,7 +407,8 @@ def main(argv=None) -> int:
             print(json.dumps(out, indent=2, sort_keys=True))
             return 0
         if args.command == "extend":
-            prob = _extension_problem(json.loads(args.cone), args.base_norm, json.loads(args.x))
+            cone_spec, x = _parse_json(args.cone, "--cone"), _parse_json(args.x, "--x")
+            prob = _extension_problem(cone_spec, args.base_norm, x)
             res = extended_norm(prob)
             out = {"value": res.value, "iterations": res.iterations, "converged": res.converged}
             if args.oracle:
@@ -379,9 +416,7 @@ def main(argv=None) -> int:
             print(json.dumps(encode(out), indent=2, sort_keys=True))
             return 0
         if args.command == "report":
-            with open(args.report_path) as fh:
-                report = json.load(fh)
-            text = report_to_csv(report)
+            text = report_to_csv(_load_json(args.report_path, "report"))
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text)

@@ -337,21 +337,20 @@ def sample_future_causal(
 
     alpha is uniform in [0, radius]; w is drawn in the Wick unit ball of the
     spatial complement and scaled by alpha, which guarantees membership and
-    avoids rejection bias near the light cone.
+    avoids rejection bias near the light cone.  It draws alpha, one c_k per
+    Wick-orthogonal basis vector b_k, and u only when n(w)^2 > 0: w = sum_k
+    c_k b_k is scaled by u / hi, hi >= n(w) rational, to Wick norm <= u.
     """
     basis = wick_orthogonal_basis(frame)
     alpha = Fraction(rng.randint(0, 1000), 1000) * radius
-    if not basis:
-        return frame.t.scale(alpha)
-    w = Vector.zero(frame.dim)
-    for b in basis:
-        w = w + b.scale(Fraction(rng.randint(-1000, 1000), 1000))
+    cs = [Fraction(rng.randint(-1000, 1000), 1000) for _ in basis]
+    w = Vector([sum(c * b for c, b in zip(cs, col)) for col in zip(*(b.coords for b in basis))])
     s = wick_inner(frame, w, w)
+    scale = alpha
     if s > 0:
         _, hi = fraction_sqrt_bounds(s)
-        u = Fraction(rng.randint(0, 1000), 1000)
-        w = w.scale(u / hi)  # Wick norm now <= u <= 1
-    return frame.t.scale(alpha) + w.scale(alpha)
+        scale *= Fraction(rng.randint(0, 1000), 1000) / hi
+    return Vector([alpha * a + scale * b for a, b in zip(frame.t.coords, w.coords)])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cone import Cone, FutureCone, HDescription, Orthant, PCone, Polyhedral, h_description, null_rays_2d
 from .errors import BallNotContained, DimTooLarge, Infeasible, UnsupportedFamily
-from .lorentz import LorentzFrame, wick_inner
+from .lorentz import LorentzFrame
 from .numerics import Vector, lp_nonneg_solve
 from .span import future_decompose
 
@@ -36,12 +36,7 @@ class WickBaseNorm:
 
     def __init__(self, frame: LorentzFrame):
         object.__setattr__(self, "frame", frame)
-        n = frame.dim
-        units = [Vector.unit(n, i) for i in range(n)]
-        m = np.array(
-            [[float(wick_inner(frame, units[i], units[j])) for j in range(n)] for i in range(n)]
-        )
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", np.array([[float(w) for w in row] for row in frame.wick.rows]))
 
     def __setattr__(self, *a):
         raise AttributeError("WickBaseNorm is immutable")

@@ -14,7 +14,7 @@ from typing import Union
 
 from .cone import Cone, FutureCone, Orthant, PCone, contains
 from .errors import OutsideCone, UnsupportedFamily
-from .numerics import Scalar, Vector, exact_rank
+from .numerics import Scalar, Vector, approx_eq, exact_rank
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,8 @@ def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCo
 
     On exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2 (both
     sides rational); collinearity is an exact rank check plus sign of the
-    ratio.  Float families fall back to tolerance comparisons.
+    ratio.  Float families compare n(v+w) with n(v) + n(w), and the cross
+    products v_i w_j with v_j w_i, by the float rule ``approx_eq``.
     """
     _require_member(h, v)
     _require_member(h, w)
@@ -204,12 +205,9 @@ def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCo
             # equality iff <v,w> = ||v|| ||w||, decided in squares
             eq = reverse_cs_residual(h, v, w).inner_sq_minus_prod == 0
         return EqualityCollinearity(eq, _collinear_nonneg(v, w))
-    res = reverse_triangle_residual(h, v, w)
-    eq = abs(res) <= 1e-9
+    eq = approx_eq(norm_eval(h, v + w), norm_eval(h, v) + norm_eval(h, w))
     vf, wf = v.as_floats(), w.as_floats()
     cross = all(
-        abs(vf[i] * wf[j] - vf[j] * wf[i]) <= 1e-9
-        for i in range(len(vf))
-        for j in range(i + 1, len(wf))
+        approx_eq(vf[i] * wf[j], vf[j] * wf[i]) for i in range(len(vf)) for j in range(i + 1, len(wf))
     )
     return EqualityCollinearity(eq, cross)

@@ -27,7 +27,6 @@ from .numerics import (
     _exact_signature,
     _solve,
     fraction_sqrt,
-    independent_rows,
 )
 
 
@@ -139,9 +138,10 @@ def classify(g: GramForm | SymMatrix) -> Signature:
 
 
 class LorentzFrame:
-    """A Lorentzian form together with a unit timelike vector t."""
+    """A Lorentzian form, a unit timelike vector t and the Wick matrix
+    ``wick`` = 2 (St)(St)^T - S of the frame, S being ``form.std``."""
 
-    __slots__ = ("form", "t", "_wick_basis")
+    __slots__ = ("form", "t", "wick", "_wick_basis")
 
     def __init__(self, form: GramForm, t: Vector):
         sig = classify(form)
@@ -149,8 +149,11 @@ class LorentzFrame:
             raise NotLorentzian(f"form has signature {sig}")
         if form.inner(t, t) != 1:
             raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
+        st = form.std.apply(t).coords
+        wick = [[2 * a * b - s for b, s in zip(st, r)] for a, r in zip(st, form.std.rows)]
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "wick", SymMatrix(wick))
         object.__setattr__(self, "_wick_basis", None)
 
     def __setattr__(self, *a):
@@ -183,11 +186,9 @@ def decompose(frame: LorentzFrame, v: Vector) -> Decomposition:
 
 
 def wick_inner(frame: LorentzFrame, u: Vector, v: Vector) -> Scalar:
-    """Positive definite pairing alpha_u*alpha_v - <w_u, w_v> (exact)."""
-    au = frame.inner(u, frame.t)
-    av = frame.inner(v, frame.t)
-    # <w_u, w_v> = <u,v> - au*av, so the Wick pairing is 2*au*av - <u,v>
-    return 2 * au * av - frame.inner(u, v)
+    """Positive definite pairing alpha_u*alpha_v - <w_u, w_v> (exact): as
+    <w_u, w_v> = <u,v> - alpha_u*alpha_v, it is u^T W v = 2<u,t><v,t> - <u,v>."""
+    return frame.wick.quad(u, v)
 
 
 def wick_norm(frame: LorentzFrame, v: Vector) -> float:
@@ -220,24 +221,23 @@ def future_defect(frame: LorentzFrame, x: Vector) -> float:
 
 
 def future_defect_exact(frame: LorentzFrame, x: Vector) -> Scalar:
-    """Exact-mode variant: alpha_x^2 - n(w_x)^2 (same sign as the defect)."""
+    """Exact-mode variant: alpha_x^2 - n(w_x)^2 = <x, x> (same sign as the defect)."""
     if causal_class(frame, x) not in (CausalClass.FUTURE_CAUSAL, CausalClass.ZERO):
         raise NotFutureCausal(f"{x!r} is not future-causal")
-    d = decompose(frame, x)
-    return d.alpha * d.alpha - wick_inner(frame, d.w, d.w)
+    return frame.inner(x, x)
 
 
 def spatial_basis(frame: LorentzFrame) -> list[Vector]:
     """An exact basis of the orthogonal complement of t.
 
-    The projections e_i - <e_i, t> t of the standard basis span the
-    complement; the first maximal independent n - 1 of them are kept.
+    The projections P(e_i) = e_i - <e_i, t> t of the standard basis span
+    the complement, with the one relation sum_i t_i P(e_i) = 0: the first
+    n - 1 independent ones are all but the last P(e_i) with t_i != 0.
     """
-    n = frame.dim
-    t = frame.t
-    cands = [e - t.scale(frame.inner(e, t)) for e in (Vector.unit(n, i) for i in range(n))]
-    keep = independent_rows([w.coords for w in cands])[: n - 1]
-    return [cands[i] for i in keep]
+    t = frame.t.coords
+    last = max(i for i, c in enumerate(t) if c != 0)
+    st = frame.form.std.apply(frame.t).coords  # <e_i, t>
+    return [Vector([int(i == j) - a * c for j, c in enumerate(t)]) for i, a in enumerate(st) if i != last]
 
 
 def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:

@@ -26,7 +26,6 @@ cone facets) must not depend on float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -54,23 +53,16 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, Fraction)
 
 
-@dataclass(frozen=True)
-class ToleranceContext:
-    """Tolerances for the float backend; ignored by exact rationals."""
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
+# the float backend's one tolerance rule, approx_eq; exact rationals have none
+ABS_TOL = REL_TOL = 1e-9
 
 
-DEFAULT_TOL = ToleranceContext()
-
-
-def approx_eq(a: Scalar, b: Scalar, ctx: ToleranceContext = DEFAULT_TOL) -> bool:
-    """|a - b| <= abs_tol + rel_tol * max(|a|, |b|), float backend only."""
+def approx_eq(a: Scalar, b: Scalar) -> bool:
+    """|a - b| <= ABS_TOL + REL_TOL * max(|a|, |b|), float backend only."""
     a, b = as_scalar(a), as_scalar(b)
     if is_exact(a) or is_exact(b):
         raise ExactBackend("exact rationals compare exactly, without a tolerance")
-    return abs(a - b) <= ctx.abs_tol + ctx.rel_tol * max(abs(a), abs(b))
+    return abs(a - b) <= ABS_TOL + REL_TOL * max(abs(a), abs(b))
 
 
 class Vector:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .cone import Cone, contains, leq
 from .errors import PreconditionFailed
-from .lorentz import LorentzFrame, decompose, wick_inner, wick_norm
+from .lorentz import LorentzFrame, wick_inner, wick_norm
 from .numerics import Vector
 
 LIMIT_RESIDUAL = 1e-9
@@ -93,10 +93,12 @@ def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCerti
 
     (a) time components alpha_k nondecreasing and bounded by alpha_y;
     (b) n(w_j - w_k) <= alpha_j - alpha_k for all j > k, exactly (the
-        telescoping bound from the future-defect inequality), checked in
-        squares on consecutive terms only: by the Wick norm's triangle
-        inequality they imply every other pair, n(w_j - w_k) <=
-        sum_{k<=i<j} n(w_{i+1} - w_i) <= sum_{k<=i<j} (alpha_{i+1} - alpha_i);
+        telescoping bound from the future-defect inequality), checked on
+        consecutive terms only: by the Wick norm's triangle inequality they
+        imply every other pair, n(w_j - w_k) <= sum_{k<=i<j} n(w_{i+1} -
+        w_i) <= sum_{k<=i<j} (alpha_{i+1} - alpha_i).  As alpha_k = <v_k, t>
+        and n(dw)^2 = dalpha^2 - <dv, dv>, a step holds iff dalpha >= 0 and
+        <dv, dv> >= 0;
     (c) limit declared as the last term once consecutive Wick distance
         drops below LIMIT_RESIDUAL, with the max Wick distance of the
         TAIL_TERMS terms before it reported.
@@ -108,14 +110,13 @@ def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCerti
     if not s.terms:
         raise PreconditionFailed("empty sequence")
     frame = s.frame
-    decs = [decompose(frame, v) for v in s.terms]
-    alphas = [d.alpha for d in decs]
-    alpha_y = decompose(frame, y).alpha
+    alphas = [frame.inner(v, frame.t) for v in s.terms]
+    alpha_y = frame.inner(y, frame.t)
     alpha_monotone = all(
         alphas[k] <= alphas[k + 1] for k in range(len(alphas) - 1)
     ) and all(a <= alpha_y for a in alphas)
-    steps = [(b.w - a.w, b.alpha - a.alpha) for a, b in zip(decs, decs[1:])]
-    cauchy_ok = all(da >= 0 and wick_inner(frame, dw, dw) <= da * da for dw, da in steps)
+    steps = zip(s.terms, s.terms[1:], alphas, alphas[1:])
+    cauchy_ok = all(b >= a and frame.inner(v - u, v - u) >= 0 for u, v, a, b in steps)
     limit = None
     converged = False
     max_residual = float("inf")

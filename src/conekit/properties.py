@@ -12,23 +12,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .cone import (
-    Cone,
-    FutureCone,
-    PCone,
-    Polyhedral,
-    contains,
-    is_proper,
-    leq,
-    sample_future_causal,
-    self_duality_report,
-)
-from .hypnorm import PHyperbolic, polar_inner, polarizability_residual, reverse_cs_residual
+from .cone import FutureCone, Polyhedral, is_proper, leq, sample_future_causal, self_duality_report
+from .hypnorm import PHyperbolic, equality_is_collinear, polarizability_residual, reverse_cs_residual
 from .lorentz import (
     FormKind,
     classify,
     decompose,
-    frame_from_unit_vector,
     future_defect_exact,
     gram_from_cone_basis,
     minkowski_form,
@@ -37,7 +26,14 @@ from .lorentz import (
 )
 from .numerics import Vector, exact_det
 from .order import monotone_wick_check
-from .span import embed, equiv, extend_linear, future_decompose, future_decompose_is_minimal
+from .span import (
+    FormalDifference,
+    embed,
+    equiv,
+    extend_linear,
+    future_decompose,
+    future_decompose_is_minimal,
+)
 
 
 # ambient dimension of the polarizability, reverse_cs, nondegenerate, wick,
@@ -118,8 +114,6 @@ def suite_polarizability(trials: int = 10_000, seed: int = 0) -> PropertyResult:
 
 def suite_reverse_cs(trials: int = 10_000, seed: int = 1) -> PropertyResult:
     """Reverse CS and reverse triangle hold exactly; equality iff collinear."""
-    from .hypnorm import equality_is_collinear
-
     rng = random.Random(seed)
     h = PHyperbolic(2, SUITE_DIM - 1)
     for k in range(trials):
@@ -223,8 +217,6 @@ def suite_order(trials: int = 10_000, seed: int = 6) -> PropertyResult:
 def suite_span(trials: int = 1_000, seed: int = 7) -> PropertyResult:
     """equiv is an equivalence relation and extend_linear is well defined
     across equivalent representatives, with f = extend_linear . embed."""
-    from .span import FormalDifference
-
     rng = random.Random(seed)
     frame = minkowski_frame(SUITE_DIM - 1)
     cone = FutureCone(frame.form, frame.t)

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cone import Cone, FutureCone, Orthant, contains
+from .cone import Cone, Orthant, contains
 from .errors import ConeMismatch, NotMember
-from .lorentz import LorentzFrame, decompose, wick_inner
+from .lorentz import LorentzFrame
 from .numerics import Vector, approx_eq, fraction_sqrt_bounds
 
 
@@ -107,14 +107,14 @@ def future_decompose(x: Vector, frame: LorentzFrame) -> FutureDecomposition:
     """Split x = v1 - v2 with both parts in the causal future of t.
 
     Uses the minimal lam = (|alpha_x| + n(w_x)) / 2 solving the four
-    constraints; when n(w_x) is irrational, a rational upper bound within
-    1e-15 is used instead, keeping v1 - v2 = x exact.  The constraints are
-    re-checked exactly on every call.
+    constraints, with alpha_x = <x, t> and n(w_x)^2 = alpha_x^2 - <x, x>;
+    when n(w_x) is irrational, a rational upper bound within 1e-15 is used
+    instead, keeping v1 - v2 = x exact.  The constraints are re-checked
+    exactly on every call.
     """
-    d = decompose(frame, x)
-    s = wick_inner(frame, d.w, d.w)  # n(w_x)^2, exact
-    lo, hi = fraction_sqrt_bounds(s)
-    lam = (abs(d.alpha) + hi) / 2
+    alpha = frame.inner(x, frame.t)
+    lo, hi = fraction_sqrt_bounds(alpha * alpha - frame.inner(x, x))
+    lam = (abs(alpha) + hi) / 2
     if not all(_decomposition_inequalities(frame, x, lam)):
         raise AssertionError("minimal lambda failed its defining inequalities")
     half_x = x.scale(Fraction(1, 2))

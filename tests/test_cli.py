@@ -57,6 +57,55 @@ class TestRun:
         assert run_cli(["run", str(f)]) == 2
         assert "cannot parse scalar 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "task, field",
+        [
+            ({"kind": "extend"}, "x"),
+            ({"kind": "membership"}, "x"),
+            ({"kind": "polarizability_check", "w": ["1", "0"]}, "v"),
+            ({"kind": "polarizability_check", "v": ["1", "0"]}, "w"),
+            ({"kind": "signature"}, "basis"),
+        ],
+        ids=["extend", "membership", "polarizability-v", "polarizability-w", "signature"],
+    )
+    def test_missing_task_field_exits_2(self, task, field, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        cone = {"family": "future", "spatial_dim": 1}
+        norm = {"family": "p", "p": 2, "spatial_dim": 1}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "norm": norm, "tasks": [task]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert f"error: task missing field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            ({"kind": "span", "seed": "x"}, "cannot parse seed 'x'"),
+            ({"kind": "span", "trials": "abc"}, "cannot parse trials 'abc'"),
+            ({"kind": "extend", "x": [0, 1], "expect": 1, "tol": "abc"}, "cannot parse tol 'abc'"),
+            ({"kind": "membership", "x": [1, 0], "cone": {"family": "orthant", "dim": []}}, "cannot parse dim []"),
+        ],
+        ids=["seed", "trials", "tol", "dim"],
+    )
+    def test_non_numeric_field_exits_2(self, task, message, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        cone = {"family": "future", "spatial_dim": 1}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [task]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_basis_not_a_list_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        norm = {"family": "p", "p": 2, "spatial_dim": 1}
+        f.write_text(json.dumps({"schema": "conekit/1", "norm": norm, "tasks": [{"kind": "signature", "basis": 5}]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert "error: expected a list of coordinate lists, got 5" in capsys.readouterr().err
+
+    def test_task_not_an_object_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"schema": "conekit/1", "tasks": ["wick"]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert "error: scenario needs a list of task objects" in capsys.readouterr().err
+
 
 def strip_times(report):
     for t in report["tasks"]:
@@ -152,6 +201,10 @@ class TestGram:
                 assert isinstance(std[i][j], float)
                 assert abs(std[i][j] - want) <= 1e-12
 
+    def test_basis_not_a_list_exits_2(self, capsys):
+        assert run_cli(["gram", "--spatial-dim", "1", "--basis", "5"]) == 2
+        assert "error: expected a list of coordinate lists, got 5" in capsys.readouterr().err
+
     def test_float_backend_large_entries(self, capsys):
         basis = '[["3000","1000","300.3"],["2000","1000","0"],["5000","2000","3000"]]'
         code = run_cli(["gram", "--backend", "float", "--spatial-dim", "2", "--basis", basis])
@@ -160,6 +213,27 @@ class TestGram:
         assert out["signature"] == {"kind": "lorentzian", "plus": 1, "minus": 2, "zero": 0}
         gram = out["gram"]
         assert all(gram[i][j] == gram[j][i] for i in range(3) for j in range(3))
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["extend", "--cone", '{"family":"future","spatial_dim":1', "--x", "[0, 1]"],
+            ["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", "[0, 1"],
+            ["gram", "--spatial-dim", "1", "--basis", '[["1","0"],["1","1"]'],
+        ],
+        ids=["extend-cone", "extend-x", "gram-basis"],
+    )
+    def test_argument_exits_2(self, args, capsys):
+        assert run_cli(args) == 2
+        assert "error: malformed JSON in --" in capsys.readouterr().err
+
+    def test_report_file_exits_2(self, tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        rep.write_text('{"tasks": [')
+        assert run_cli(["report", str(rep)]) == 2
+        assert "error: cannot load report" in capsys.readouterr().err
 
 
 class TestExtend:
@@ -175,6 +249,10 @@ class TestExtend:
         code = run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", '["abc", 1]'])
         assert code == 2
         assert "cannot parse scalar 'abc'" in capsys.readouterr().err
+
+    def test_non_numeric_spatial_dim_exits_2(self, capsys):
+        assert run_cli(["extend", "--cone", '{"family":"future","spatial_dim":"x"}', "--x", "[0, 1]"]) == 2
+        assert "error: cannot parse spatial_dim 'x'" in capsys.readouterr().err
 
     def test_fraction_string_in_float_target(self, capsys):
         outs = []
@@ -193,6 +271,18 @@ class TestReportCsv:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "task,status,metric,wall_time_ms"
         assert lines[1].startswith("polarizability-p1,fail")
+
+    def test_task_without_status_exits_2(self, tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        rep.write_text(json.dumps({"tasks": [{"name": "a", "wall_time_ms": 1.0}]}))
+        assert run_cli(["report", str(rep)]) == 2
+        assert "error: task missing field 'status'" in capsys.readouterr().err
+
+    def test_task_not_an_object_exits_2(self, tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        rep.write_text(json.dumps({"tasks": ["a"]}))
+        assert run_cli(["report", str(rep)]) == 2
+        assert "error: report needs a list of task objects" in capsys.readouterr().err
 
 
 class TestOptions:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -137,6 +138,22 @@ class TestEqualityCollinear:
         h1 = PHyperbolic(1, 1)
         r = equality_is_collinear(h1, vec(2, 1), vec(4, 2))
         assert r.equality and r.collinear
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_float_family_uses_relative_rule(self, scale):
+        # p = 3 is decided in floats: w = k v must read as equal and
+        # collinear at every scale, a generic pair as neither
+        h3 = PHyperbolic(3, 2)
+        rng = random.Random(0)
+        for _ in range(200):
+            s = [rng.uniform(-1, 1) for _ in range(2)]
+            x0 = sum(abs(c) ** 3 for c in s) ** (1 / 3) + rng.uniform(0.1, 2)
+            v = Vector([scale * c for c in [x0] + s])
+            w = v.scale(rng.uniform(0.1, 10))
+            r = equality_is_collinear(h3, v, w)
+            assert r.equality and r.collinear, (v, w)
+        r = equality_is_collinear(h3, Vector([3 * scale, scale, 0.0]), Vector([3 * scale, -scale, 0.0]))
+        assert not r.equality and not r.collinear
 
 
 class TestFormInduced:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conekit.cone import FutureCone, in_core, sample_future_causal
@@ -22,11 +22,19 @@ from conekit.lorentz import (
     gram_from_cone_basis,
     minkowski_form,
     minkowski_frame,
+    spatial_basis,
     wick_inner,
     wick_norm,
     wick_orthogonal_basis,
 )
-from conekit.numerics import SymMatrix, Vector, exact_det, exact_rank
+from conekit.numerics import (
+    SymMatrix,
+    Vector,
+    exact_det,
+    exact_rank,
+    fraction_sqrt_bounds,
+    independent_rows,
+)
 
 
 def vec(*xs):
@@ -219,6 +227,64 @@ class TestWick:
         b = wick_orthogonal_basis(frame)
         assert len(b) == 2
         assert wick_inner(frame, b[0], b[1]) == 0
+
+
+@st.composite
+def general_frames(draw):
+    """The form with Gram matrix D = diag(1, -1, ..., -1) on a random exact
+    basis B, and t = b_0: S = B^-T D B^-1 is any Lorentzian form, <t,t> = 1."""
+    n = draw(st.integers(2, 5))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(exact_det(rows) != 0)
+    d = SymMatrix([[F(int(i == j) * (1 if i == 0 else -1)) for j in range(n)] for i in range(n)])
+    basis = [Vector(r) for r in rows]
+    frame = LorentzFrame(GramForm(basis, d), basis[0])
+    minkowski = minkowski_frame(n - 1)
+    assume(frame.form.std != minkowski.form.std or frame.t != minkowski.t)
+    return frame
+
+
+def _eliminated_spatial_basis(frame):
+    """The first n - 1 independent projections, found by elimination."""
+    n, t = frame.dim, frame.t
+    cands = [e - t.scale(frame.inner(e, t)) for e in (Vector.unit(n, i) for i in range(n))]
+    return [cands[i] for i in independent_rows([w.coords for w in cands])[: n - 1]]
+
+
+def _vector_loop_sample(frame, rng, radius=F(10)):
+    """sample_future_causal's draws, built one Vector operation at a time."""
+    alpha = F(rng.randint(0, 1000), 1000) * radius
+    w = Vector.zero(frame.dim)
+    for b in wick_orthogonal_basis(frame):
+        w = w + b.scale(F(rng.randint(-1000, 1000), 1000))
+    s = 2 * frame.inner(w, frame.t) ** 2 - frame.inner(w, w)
+    if s > 0:
+        _, hi = fraction_sqrt_bounds(s)
+        w = w.scale(F(rng.randint(0, 1000), 1000) / hi)
+    return frame.t.scale(alpha) + w.scale(alpha)
+
+
+class TestWickOnGeneralFrames:
+    @settings(max_examples=80, deadline=None)
+    @given(general_frames(), st.data())
+    def test_closed_forms(self, frame, data):
+        n = frame.dim
+        entry = st.fractions(min_value=-10, max_value=10, max_denominator=6)
+        u, v = (Vector(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+        t = frame.t
+        assert wick_inner(frame, u, v) == 2 * frame.inner(u, t) * frame.inner(v, t) - frame.inner(u, v)
+        assert spatial_basis(frame) == _eliminated_spatial_basis(frame)
+        seed = data.draw(st.integers(0, 2**32))
+        got, want = random.Random(seed), random.Random(seed)
+        for radius in (F(10), F(1, 3)):
+            x = sample_future_causal(frame, got, radius)
+            assert x == _vector_loop_sample(frame, want, radius)
+            d = decompose(frame, x)
+            assert future_defect_exact(frame, x) == d.alpha**2 - wick_inner(frame, d.w, d.w)
+        if causal_class(frame, u) is CausalClass.FUTURE_CAUSAL:
+            d = decompose(frame, u)
+            assert future_defect_exact(frame, u) == d.alpha**2 - wick_inner(frame, d.w, d.w)
 
 
 class TestCausalClass:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conekit.errors import DimensionMismatch, ExactBackend, MixedBackend, PreconditionFailed
 from conekit.numerics import (
     SymMatrix,
-    ToleranceContext,
     Vector,
     approx_eq,
     exact_det,
@@ -38,9 +37,6 @@ class TestApproxEq:
     def test_exact_backend_rejected(self):
         with pytest.raises(ExactBackend):
             approx_eq(F(1), F(1))
-
-    def test_custom_context(self):
-        assert approx_eq(1.0, 1.05, ToleranceContext(abs_tol=0.1, rel_tol=0.0))
 
 
 @given(rationals, rationals, rationals)
