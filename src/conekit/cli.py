@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -135,7 +136,10 @@ def parse_cone(spec, exact: bool = True) -> Cone:
     fam = spec["family"]
     try:
         if fam == "pcone":
-            return PCone(p=spec["p"], spatial_dim=_number(spec["spatial_dim"], int, "spatial_dim"))
+            p = math.inf if spec["p"] == "inf" else parse_scalar(spec["p"])
+            if p <= 0:
+                raise ParseError(f"pcone needs p > 0, got {spec['p']!r}")
+            return PCone(p=p, spatial_dim=_number(spec["spatial_dim"], int, "spatial_dim"))
         if fam == "orthant":
             return Orthant(dim=_number(spec["dim"], int, "dim"))
         if fam == "polyhedral":

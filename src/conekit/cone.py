@@ -33,7 +33,15 @@ from .lorentz import (
     wick_inner,
     wick_orthogonal_basis,
 )
-from .numerics import Vector, exact_null_space, exact_rank, fraction_sqrt_bounds, lp_nonneg_solve
+from .numerics import (
+    Vector,
+    _combination,
+    _exact_multiple,
+    exact_null_space,
+    exact_rank,
+    fraction_sqrt_bounds,
+    lp_nonneg_solve,
+)
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,8 @@ def h_description(c: Polyhedral) -> HDescription:
     """
     if c._h is None:
         n = c.ambient_dim
-        gens = [[Fraction(t) for t in g.coords] for g in c.generators]
+        # positive multiples of the generators span the same faces
+        gens = [_exact_multiple(g) for g in c.generators]
         eqs = exact_null_space(gens, n)
         k = n - len(eqs)
         normals = {}  # dict as an ordered set
@@ -207,15 +216,20 @@ def _check_dim(c: Cone, x: Vector):
         raise DimensionMismatch(f"vector dim {x.dim} != ambient dim {c.ambient_dim}")
 
 
-def _polyhedral_coeffs(c: Polyhedral, x: Vector):
-    a = [
-        [g.coords[i] for g in c.generators] for i in range(c.ambient_dim)
-    ]  # columns = generators
-    return lp_nonneg_solve(a, list(x.coords))
+def _polyhedral_member(c: Polyhedral, x: Vector) -> bool:
+    """x in cone(G): feasibility of G theta = x, theta >= 0, with positive
+    multiples of the generators as columns and of x as right-hand side."""
+    a = list(zip(*(_exact_multiple(g) for g in c.generators)))
+    return lp_nonneg_solve(a, _exact_multiple(x)) is not None
 
 
-def _pcone_holds(p, x0, spatial, strict: bool = False) -> bool:
-    """x0 >= |spatial|_p, or x0 > |spatial|_p when strict; exact where possible."""
+def _pcone_holds(p, x: Vector, strict: bool = False) -> bool:
+    """x0 >= |spatial|_p, or x0 > |spatial|_p when strict; exact where possible.
+
+    For p in {1, 2, inf} an exact x is compared on its integers: both sides
+    scale with its positive denominator.  Other p compare floats.
+    """
+    x0, *spatial = x._nums if x.exact and p in (1, 2, math.inf) else x.as_floats()
     if x0 < 0:
         return False
     cmp = operator.gt if strict else operator.ge
@@ -225,7 +239,7 @@ def _pcone_holds(p, x0, spatial, strict: bool = False) -> bool:
         return cmp(x0 * x0, sum(s * s for s in spatial))
     if p == math.inf:
         return cmp(x0, max((abs(s) for s in spatial), default=0))
-    return cmp(float(x0), sum(abs(float(s)) ** float(p) for s in spatial) ** (1.0 / float(p)))
+    return cmp(x0, sum(abs(s) ** float(p) for s in spatial) ** (1.0 / float(p)))
 
 
 def contains(c: Cone, x: Vector) -> bool:
@@ -233,10 +247,10 @@ def contains(c: Cone, x: Vector) -> bool:
     if isinstance(c, Orthant):
         return all(v >= 0 for v in x.coords)
     if isinstance(c, PCone):
-        return _pcone_holds(c.p, x.coords[0], x.coords[1:])
+        return _pcone_holds(c.p, x)
     if isinstance(c, FutureCone):
         return c.form.inner(x, x) >= 0 and c.form.inner(x, c.t) >= 0
-    return _polyhedral_coeffs(c, x) is not None
+    return _polyhedral_member(c, x)
 
 
 @dataclass(frozen=True)
@@ -283,21 +297,22 @@ def in_core(c: Cone, x: Vector) -> bool:
     strictly positive combinations of the generators (Rockafellar, Convex
     Analysis, Thm 6.9); homogenised as G(theta + 1) = (1 + lam) x with
     theta, lam >= 0, this is decided exactly by one phase-1 LP, with no
-    cutoff.
+    cutoff.  Positive multiples of the generators and of x have the same
+    strictly positive combinations, so the LP runs on their integers.
     """
     if not contains(c, x):
         raise NotMember(f"{x!r} is not in the cone")
     if isinstance(c, Orthant):
         return all(v > 0 for v in x.coords)
     if isinstance(c, PCone):
-        return _pcone_holds(c.p, x.coords[0], x.coords[1:], strict=True)
+        return _pcone_holds(c.p, x, strict=True)
     if isinstance(c, FutureCone):
         return c.form.inner(x, x) > 0 and c.form.inner(x, c.t) > 0
-    gens = [[Fraction(t) for t in g.coords] for g in c.generators]
+    gens = [_exact_multiple(g) for g in c.generators]
     if exact_rank(gens) < c.ambient_dim:
         return False
     # x = G mu with mu > 0, homogenised: G theta - lam x = x - sum(g), theta, lam >= 0
-    xs = [Fraction(t) for t in x.coords]
+    xs = _exact_multiple(x)
     a = [[g[i] for g in gens] + [-xs[i]] for i in range(c.ambient_dim)]
     b = [xs[i] - sum(g[i] for g in gens) for i in range(c.ambient_dim)]
     return lp_nonneg_solve(a, b) is not None
@@ -339,18 +354,18 @@ def sample_future_causal(
     spatial complement and scaled by alpha, which guarantees membership and
     avoids rejection bias near the light cone.  It draws alpha, one c_k per
     Wick-orthogonal basis vector b_k, and u only when n(w)^2 > 0: w = sum_k
-    c_k b_k is scaled by u / hi, hi >= n(w) rational, to Wick norm <= u.
+    c_k b_k, summed on the integers of the b_k, is scaled by u / hi,
+    hi >= n(w) rational, to Wick norm <= u.
     """
     basis = wick_orthogonal_basis(frame)
     alpha = Fraction(rng.randint(0, 1000), 1000) * radius
-    cs = [Fraction(rng.randint(-1000, 1000), 1000) for _ in basis]
-    w = Vector([sum(c * b for c, b in zip(cs, col)) for col in zip(*(b.coords for b in basis))])
+    w = _combination([rng.randint(-1000, 1000) for _ in basis], basis, 1000)
     s = wick_inner(frame, w, w)
     scale = alpha
     if s > 0:
         _, hi = fraction_sqrt_bounds(s)
         scale *= Fraction(rng.randint(0, 1000), 1000) / hi
-    return Vector([alpha * a + scale * b for a, b in zip(frame.t.coords, w.coords)])
+    return frame.t.scale(alpha) + w.scale(scale)
 
 
 @dataclass(frozen=True)

@@ -78,19 +78,22 @@ def _norm_sq(h: HyperbolicNorm, x: Vector) -> Scalar:
     if isinstance(h, FormInduced):
         return h.cone.form.inner(x, x)
     if isinstance(h, PHyperbolic):
-        x0, spatial = x.coords[0], x.coords[1:]
+        if h.p not in (1, 2):
+            v = _pnorm_value(h.p, x.as_floats())
+            return v * v
+        # an exact x on its integers over d, then one Fraction over d^2
+        x0, *spatial = x._nums if x.exact else x.coords
         if h.p == 2:
-            return x0 * x0 - sum(s * s for s in spatial)
-        if h.p == 1:
+            r = x0 * x0 - sum(s * s for s in spatial)
+        else:
             r = x0 - sum(abs(s) for s in spatial)
-            return r * r
-        v = _pnorm_value(h.p, x0, spatial)
-        return v * v
+            r = r * r
+        return Fraction(r, x._den * x._den) if x.exact else r
     return norm_eval(h, x) ** 2
 
 
-def _pnorm_value(p, x0, spatial) -> float:
-    inner = abs(float(x0)) ** float(p) - sum(abs(float(s)) ** float(p) for s in spatial)
+def _pnorm_value(p, xs: tuple) -> float:
+    inner = abs(xs[0]) ** float(p) - sum(abs(s) ** float(p) for s in xs[1:])
     return max(inner, 0.0) ** (1.0 / float(p))
 
 
@@ -100,7 +103,7 @@ def norm_eval(h: HyperbolicNorm, x: Vector) -> float:
     if isinstance(h, FormInduced):
         return math.sqrt(max(float(h.cone.form.inner(x, x)), 0.0))
     if isinstance(h, PHyperbolic):
-        return _pnorm_value(h.p, x.coords[0], x.coords[1:])
+        return _pnorm_value(h.p, x.as_floats())
     acc = sum(float(w) * float(f) ** float(h.q) for w, f in zip(h.weights, x.coords))
     return acc ** (1.0 / float(h.q)) if acc > 0 else 0.0
 
@@ -178,10 +181,12 @@ class EqualityCollinearity:
 def _collinear_nonneg(v: Vector, w: Vector) -> bool:
     if v.is_zero() or w.is_zero():
         return True
-    if exact_rank([list(v.coords), list(w.coords)]) > 1:
+    # on the integers of v and w: their denominators are positive
+    vn, wn = v._nums, w._nums
+    if exact_rank([vn, wn]) > 1:
         return False
-    i = next(i for i, c in enumerate(w.coords) if c != 0)
-    return v.coords[i] / w.coords[i] >= 0
+    i = next(i for i, c in enumerate(wn) if c != 0)
+    return vn[i] * wn[i] >= 0
 
 
 def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCollinearity:

@@ -25,6 +25,7 @@ from .numerics import (
     SymMatrix,
     Vector,
     _exact_signature,
+    _int_sym_matrix,
     _solve,
     fraction_sqrt,
 )
@@ -139,9 +140,14 @@ def classify(g: GramForm | SymMatrix) -> Signature:
 
 class LorentzFrame:
     """A Lorentzian form, a unit timelike vector t and the Wick matrix
-    ``wick`` = 2 (St)(St)^T - S of the frame, S being ``form.std``."""
+    ``wick`` = 2 (St)(St)^T - S of the frame, S being ``form.std``.
 
-    __slots__ = ("form", "t", "wick", "_wick_basis")
+    An exact W is built on integers: with St = a / e and S = N / D in
+    lowest terms, W = (2 D a a^T - e^2 N) / (D e^2).  St is kept for
+    ``spatial_basis``.
+    """
+
+    __slots__ = ("form", "t", "wick", "_st", "_wick_basis")
 
     def __init__(self, form: GramForm, t: Vector):
         sig = classify(form)
@@ -149,11 +155,20 @@ class LorentzFrame:
             raise NotLorentzian(f"form has signature {sig}")
         if form.inner(t, t) != 1:
             raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
-        st = form.std.apply(t).coords
-        wick = [[2 * a * b - s for b, s in zip(st, r)] for a, r in zip(st, form.std.rows)]
+        s = form.std
+        st = s.apply(t)
+        if s.exact:
+            a, e, den = st._nums, st._den, s._den
+            w = [[2 * den * x * y for y in a] for x in a]
+            for i, j, m in s._nz:
+                w[i][j] -= e * e * m
+            wick = _int_sym_matrix(w, den * e * e)
+        else:
+            wick = SymMatrix([[2 * a * b - x for b, x in zip(st.coords, r)] for a, r in zip(st.coords, s.rows)])
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "wick", SymMatrix(wick))
+        object.__setattr__(self, "wick", wick)
+        object.__setattr__(self, "_st", st)
         object.__setattr__(self, "_wick_basis", None)
 
     def __setattr__(self, *a):
@@ -236,7 +251,7 @@ def spatial_basis(frame: LorentzFrame) -> list[Vector]:
     """
     t = frame.t.coords
     last = max(i for i, c in enumerate(t) if c != 0)
-    st = frame.form.std.apply(frame.t).coords  # <e_i, t>
+    st = frame._st.coords  # <e_i, t>
     return [Vector([int(i == j) - a * c for j, c in enumerate(t)]) for i, a in enumerate(st) if i != last]
 
 

@@ -13,20 +13,26 @@ each row to integers and builds rank, determinant, null space, independent
 rows and ``_solve`` on it, the block solve behind ``exact_solve``,
 ``exact_inverse`` and ``lorentz.GramForm``.  The two-phase simplex of
 ``lp_nonneg_solve`` scales A and b by one lcm each, and
-``_exact_signature`` pivots symmetrically, on the same step.  Pivot
-choices are those of the rational tableau, so every answer equals the
-rational one.  Phase 1 finds a feasible basis; given an objective, phase 2
-minimises it with the same Bland's-rule loop on the same tableau.  An
-exact ``SymMatrix`` keeps its entries as integer numerators over one
-denominator, so ``quad`` sums integers too.  ``Fraction``s are built only
-for inputs and results.  Boundary decisions in this domain (null vectors,
-cone facets) must not depend on float rounding.
+``_exact_signature`` pivots symmetrically, on the same step, updating
+only the block it has left to classify.  Pivot choices are those of the
+rational tableau, so every answer equals the rational one.  Phase 1 finds
+a feasible basis; given an objective, phase 2 minimises it with the same
+Bland's-rule loop on the same tableau.
+
+An exact ``Vector`` is integer numerators over one positive denominator,
+in lowest terms, and an exact ``SymMatrix`` keeps its nonzero entries the
+same way.  Vector sums, differences, negation and scaling, ``apply`` and
+``quad`` run on those integers; ``quad`` builds one ``Fraction`` for its
+result, and a vector's ``coords`` are built as ``Fraction``s only when
+read.  Boundary decisions in this domain (null vectors, cone facets) must
+not depend on float rounding.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, ExactBackend, MixedBackend, PreconditionFailed
@@ -68,11 +74,16 @@ def approx_eq(a: Scalar, b: Scalar) -> bool:
 class Vector:
     """Immutable coordinate vector with a homogeneous scalar backend.
 
-    ``_ints`` is filled on first use by ``SymMatrix.quad``: an exact
-    vector's coordinates as integers over their lcm denominator.
+    An exact vector is the integers ``_nums`` over one denominator ``_den``
+    in lowest terms, ``_den > 0`` and gcd(_den, *_nums) == 1, so equal
+    vectors have equal integers; its arithmetic runs on them.  ``coords``
+    holds the coordinates as scalars.  A float vector, and an exact one
+    built from coordinates, has it from the start; an exact one that
+    arithmetic built gets it, as ``Fraction``s, when it is first read.  An
+    exact vector built from coordinates gets its integers on first use.
     """
 
-    __slots__ = ("coords", "exact", "_ints")
+    __slots__ = ("coords", "exact", "dim", "_nums", "_den")
 
     def __init__(self, coords: Sequence):
         cs = tuple(as_scalar(c) for c in coords)
@@ -81,15 +92,26 @@ class Vector:
         exact = is_exact(cs[0])
         if any(is_exact(c) != exact for c in cs):
             raise MixedBackend("mixed scalar backends in one vector")
-        object.__setattr__(self, "coords", cs)
-        object.__setattr__(self, "exact", exact)
+        _set_coords(self, cs)
+        _set_exact(self, exact)
+        _set_dim(self, len(cs))
+
+    def __getattr__(self, name):
+        # called only for an unset slot: an exact vector's missing form
+        if name == "coords":
+            d = self._den
+            cs = tuple([Fraction(x, d) for x in self._nums])
+            _set_coords(self, cs)
+            return cs
+        if name in ("_nums", "_den") and self.exact:
+            nums, den = _integers(self.coords)
+            _set_nums(self, tuple(nums))
+            _set_den(self, den)
+            return getattr(self, name)
+        raise AttributeError(name)
 
     def __setattr__(self, *a):
         raise AttributeError("Vector is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
     @staticmethod
     def zero(dim: int, exact: bool = True) -> "Vector":
@@ -106,42 +128,103 @@ class Vector:
             raise MixedBackend("mixed scalar backends between vectors")
 
     def __add__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        return Vector([a + b for a, b in zip(self.coords, other.coords)])
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Vector") -> "Vector":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Vector", sign: int) -> "Vector":
+        """self + sign * other, on the integers over the lcm of both denominators."""
         self._check(other)
-        return Vector([a - b for a, b in zip(self.coords, other.coords)])
+        if not self.exact:
+            return Vector([a + sign * b for a, b in zip(self.coords, other.coords)])
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        ka, kb = db // g, sign * (da // g)
+        return _int_vector([a * ka + b * kb for a, b in zip(self._nums, other._nums)], da * ka)
 
     def __neg__(self) -> "Vector":
-        return Vector([-a for a in self.coords])
+        if not self.exact:
+            return Vector([-a for a in self.coords])
+        return _int_vector([-a for a in self._nums], self._den)
 
     def scale(self, lam) -> "Vector":
         lam = as_scalar(lam)
-        if is_exact(lam) != self.exact:
-            if self.exact and not is_exact(lam):
-                raise MixedBackend("float scalar applied to exact vector")
-            lam = float(lam)
-        return Vector([lam * a for a in self.coords])
-
-    def dot(self, other: "Vector") -> Scalar:
-        self._check(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords))
+        if not self.exact:
+            return Vector([float(lam) * a for a in self.coords])
+        if not is_exact(lam):
+            raise MixedBackend("float scalar applied to exact vector")
+        p = lam.numerator
+        return _int_vector([p * a for a in self._nums], lam.denominator * self._den)
 
     def is_zero(self) -> bool:
+        if self.exact:
+            return not any(self._nums)
         return all(c == 0 for c in self.coords)
 
     def as_floats(self) -> tuple:
+        if self.exact:
+            # int / int rounds correctly, as float(Fraction) does
+            d = self._den
+            return tuple([a / d for a in self._nums])
         return tuple(float(c) for c in self.coords)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.coords == other.coords
+        if not isinstance(other, Vector):
+            return False
+        if self.exact and other.exact:
+            return self._den == other._den and self._nums == other._nums
+        return self.coords == other.coords
 
     def __hash__(self):
         return hash(self.coords)
 
     def __repr__(self):
         return f"Vector({list(self.coords)!r})"
+
+
+_new_vector = object.__new__
+_set_coords = Vector.coords.__set__
+_set_exact = Vector.exact.__set__
+_set_dim = Vector.dim.__set__
+_set_nums = Vector._nums.__set__
+_set_den = Vector._den.__set__
+
+
+def _int_vector(nums: list, den: int) -> Vector:
+    """The exact vector nums / den for den > 0, in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+    v = _new_vector(Vector)
+    _set_nums(v, tuple(nums))
+    _set_den(v, den)
+    _set_exact(v, True)
+    _set_dim(v, len(nums))
+    return v
+
+
+def _combination(coeffs: Sequence[int], vectors: Sequence[Vector], den: int) -> Vector:
+    """sum_k (coeffs_k / den) vectors_k for integer coeffs and den > 0.
+
+    Exact vectors are summed on their integers over the lcm of their
+    denominators; float ones on their coords.
+    """
+    if not vectors[0].exact:
+        return Vector([sum((c / den) * a for c, a in zip(coeffs, col)) for col in zip(*(v.coords for v in vectors))])
+    lcm = math.lcm(*(v._den for v in vectors))
+    ks = [c * (lcm // v._den) for c, v in zip(coeffs, vectors)]
+    return _int_vector([sum(k * a for k, a in zip(ks, col)) for col in zip(*(v._nums for v in vectors))], den * lcm)
+
+
+def _exact_multiple(v: Vector) -> tuple:
+    """A positive multiple of v, exactly: an exact vector's integers, a float
+    vector's coords at their binary values.  Ranks, null spaces and LP
+    feasibility do not change when a row or a column is scaled by a
+    positive number."""
+    return v._nums if v.exact else tuple(map(Fraction, v.coords))
 
 
 class SymMatrix:
@@ -191,7 +274,13 @@ class SymMatrix:
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:
             raise DimensionMismatch(f"{v.dim} != {self.dim}")
-        return Vector([sum(r[j] * v.coords[j] for j in range(self.dim)) for r in self.rows])
+        if not (self.exact and v.exact):
+            return Vector([sum(r[j] * v.coords[j] for j in range(self.dim)) for r in self.rows])
+        vc = v._nums
+        out = [0] * self.dim
+        for i, j, m in self._nz:
+            out[i] += m * vc[j]
+        return _int_vector(out, self._den * v._den)
 
     def quad(self, u: Vector, v: Vector) -> Scalar:
         """u^T M v."""
@@ -202,10 +291,9 @@ class SymMatrix:
         if not u.exact:
             uc, vc = u.coords, v.coords
             return sum((m * uc[i] * vc[j] for i, j, m in self._nz), 0.0)
-        # integers over the lcm of each vector's denominators: one Fraction
-        uc, ku = _numerators(u)
-        vc, kv = (uc, ku) if v is u else _numerators(v)
-        return Fraction(sum(m * uc[i] * vc[j] for i, j, m in self._nz), self._den * ku * kv)
+        # the integers of both vectors and the matrix: one Fraction
+        uc, vc = u._nums, v._nums
+        return Fraction(sum(m * uc[i] * vc[j] for i, j, m in self._nz), self._den * u._den * v._den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.rows == other.rows
@@ -215,6 +303,18 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix({[list(r) for r in self.rows]!r})"
+
+
+def _int_sym_matrix(rows: list, den: int) -> SymMatrix:
+    """The exact matrix rows / den from symmetric integer rows and den > 0,
+    unchecked: one ``Fraction`` per entry."""
+    g = math.gcd(den, *(x for r in rows for x in r))
+    m = object.__new__(SymMatrix)
+    object.__setattr__(m, "rows", tuple(tuple(Fraction(x, den) for x in r) for r in rows))
+    object.__setattr__(m, "exact", True)
+    object.__setattr__(m, "_nz", tuple((i, j, x // g) for i, r in enumerate(rows) for j, x in enumerate(r) if x))
+    object.__setattr__(m, "_den", den // g)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +331,29 @@ def _integers(xs) -> tuple[list, int]:
     return [x.numerator * (k // x.denominator) for x in xs], k
 
 
-def _numerators(v: Vector) -> tuple[list, int]:
-    """``_integers`` of an exact vector's coords, kept in its ``_ints`` slot."""
-    try:
-        return v._ints
-    except AttributeError:
-        ints = _integers(v.coords)
-        object.__setattr__(v, "_ints", ints)
-        return ints
-
-
-def _pivot(a: list, r: int, col: int, d: int) -> int:
+def _pivot(a: list, r: int, col: int, d: int, start: int = 0) -> int:
     """One integer-preserving Gauss-Jordan pivot on a[r][col]; returns the new d.
 
     a holds d times a Gauss-Jordan tableau T as integers, d being the
     previous pivot (1 at the start).  Pivoting T on (r, col) keeps that
     form with d' = p = a[r][col]: row r is unchanged, and every other row
     becomes (p row_i - a[i][col] row_r) / d, a division without remainder
-    (Edmonds 1967; Bareiss 1968).
+    (Edmonds 1967; Bareiss 1968).  Rows and columns before ``start`` are
+    left as they are, for a caller that is done with them.
     """
     p = a[r][col]
-    pr = a[r]
-    for i, row in enumerate(a):
+    pr = a[r][start:] if start else a[r]
+    for i in range(start, len(a)):
         if i == r:
             continue
+        row = a[i]
         f = row[col]
-        if f:
+        if start:
+            if f:
+                row[start:] = [(p * x - f * y) // d for x, y in zip(row[start:], pr)]
+            elif p != d:
+                row[start:] = [p * x // d for x in row[start:]]
+        elif f:
             a[i] = [(p * x - f * y) // d for x, y in zip(row, pr)]
         elif p != d:
             a[i] = [p * x // d for x in row]
@@ -365,40 +462,41 @@ def _exact_signature(m: SymMatrix) -> tuple[int, int, int]:
     """(plus, minus, zero) of an exact symmetric matrix by fraction-free congruence.
 
     It starts from the matrix's integer numerators, m times its positive
-    common denominator, which has the same inertia.  The block a left to
-    classify holds d times a Schur complement, d being the previous pivot.
-    Each step swaps a nonzero diagonal entry p to (0, 0), row and column
-    alike, pivots on it with ``_pivot`` and drops its row and column; its
-    congruence diagonal entry p / d has the sign of p d.  With no nonzero
-    diagonal left, the congruence row_i += row_j, col_i += col_j makes
-    a[i][i] = 2 a[i][j] != 0 and keeps every later division exact.
+    common denominator, which has the same inertia.  After k steps the
+    trailing block a[k:][k:] holds d times a Schur complement, d being the
+    previous pivot.  Each step swaps a nonzero diagonal entry p of the
+    block to (k, k), row and column alike, and pivots on it with
+    ``_pivot``, which updates the block after row and column k in place;
+    its congruence diagonal entry p / d has the sign of p d.  With no
+    nonzero diagonal left, the congruence row_i += row_j, col_i += col_j
+    makes a[i][i] = 2 a[i][j] != 0 and keeps every later division exact.
     """
     n = m.dim
     a = [[0] * n for _ in range(n)]
     for i, j, x in m._nz:
         a[i][j] = x
-    pos, d = 0, 1
-    while a:
-        k = len(a)
-        piv = next((i for i in range(k) if a[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j]), None)
-            if pair is None:
-                break
-            i, j = pair
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
-            continue
-        a[0], a[piv] = a[piv], a[0]
-        for row in a:
-            row[0], row[piv] = row[piv], row[0]
-        if a[0][0] * d > 0:
+    pos, d, k = 0, 1, 0
+    while k < n:
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if piv is None:
+                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+                if pair is None:
+                    break
+                i, j = pair
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+                for row in islice(a, k, None):
+                    row[i] += row[j]
+                continue
+            a[k], a[piv] = a[piv], a[k]
+            for row in islice(a, k, None):
+                row[k], row[piv] = row[piv], row[k]
+        if a[k][k] * d > 0:
             pos += 1
-        d = _pivot(a, 0, 0, d)
-        a = [row[1:] for row in a[1:]]
-    # what is left of a is zero: its size is the nullity
-    return pos, n - len(a) - pos, len(a)
+        d = _pivot(a, k, k, d, k + 1)
+        k += 1
+    # the block left is zero: its size is the nullity
+    return pos, k - pos, n - k
 
 
 def _bland(tab: list, basis: list, n: int, d: int) -> int | None:

@@ -106,6 +106,36 @@ class TestRun:
         assert run_cli(["run", str(f)]) == 2
         assert "error: scenario needs a list of task objects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "p, x, inside",
+        [("inf", [1, 5], False), ("inf", [5, -5], True), ("3/2", [2, 1], True), (3, [1, 1], True), (1, [1, 2], False)],
+    )
+    def test_pcone_p_parsed(self, p, x, inside, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        cone = {"family": "pcone", "p": p, "spatial_dim": 1}
+        task = {"kind": "membership", "x": x, "expect": inside}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [task]}))
+        out = tmp_path / "rep.json"
+        assert run_cli(["run", str(f), "--out", str(out)]) == 0
+        (task,) = json.loads(out.read_text())["tasks"]
+        assert task["metrics"]["contains"] is inside
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ("abc", "cannot parse scalar 'abc'"),
+            ([2], "cannot parse scalar [2]"),
+            (0, "pcone needs p > 0, got 0"),
+            ("-1", "pcone needs p > 0, got '-1'"),
+        ],
+    )
+    def test_pcone_bad_p_exits_2(self, p, message, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        cone = {"family": "pcone", "p": p, "spatial_dim": 1}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [{"kind": "membership", "x": [1, 0]}]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 def strip_times(report):
     for t in report["tasks"]:
@@ -170,6 +200,27 @@ class TestDeterminism:
         (prop_task,) = json.loads(prop_out.read_text())["tasks"]
         for key in ("name", "status", "metrics", "witness"):
             assert run_task[key] == prop_task[key]
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+class TestGolden:
+    """``conekit run --seed 42`` on each shipped scenario, byte for byte.
+
+    The fixtures are the reports with ``wall_time_ms`` removed, written as
+    the CLI writes them: ``conekit run scenarios/<name>.json --seed 42
+    --out <file>``, then each task's ``wall_time_ms`` dropped.  Any change
+    in an exact answer fails here.
+    """
+
+    @pytest.mark.parametrize("name, code", [("minkowski_p2", 0), ("p1_counterexample", 1)])
+    def test_report_matches_fixture(self, name, code, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert run_cli(["run", os.path.join(SCN, f"{name}.json"), "--seed", "42", "--out", str(out)]) == code
+        got = json.dumps(strip_times(json.loads(out.read_text())), indent=2, sort_keys=True) + "\n"
+        with open(os.path.join(FIXTURES, f"run_seed42_{name}.json")) as fh:
+            assert got == fh.read()
 
 
 class TestProptest:

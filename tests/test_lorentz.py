@@ -287,6 +287,61 @@ class TestWickOnGeneralFrames:
             assert future_defect_exact(frame, u) == d.alpha**2 - wick_inner(frame, d.w, d.w)
 
 
+def _fraction_sample(frame, rng, radius):
+    """sample_future_causal's formula on Fraction coordinates: w = sum c_k b_k
+    coordinate by coordinate, then alpha t + scale w."""
+    basis = wick_orthogonal_basis(frame)
+    alpha = F(rng.randint(0, 1000), 1000) * radius
+    cs = [F(rng.randint(-1000, 1000), 1000) for _ in basis]
+    w = Vector([sum(c * b for c, b in zip(cs, col)) for col in zip(*(b.coords for b in basis))])
+    s = wick_inner(frame, w, w)
+    scale = alpha
+    if s > 0:
+        _, hi = fraction_sqrt_bounds(s)
+        scale *= F(rng.randint(0, 1000), 1000) / hi
+    return Vector([alpha * a + scale * b for a, b in zip(frame.t.coords, w.coords)])
+
+
+def _random_frame(rng, n):
+    """diag(1, -1, ..., -1) on a random exact basis of R^n, t = b_0."""
+    while True:
+        rows = [[F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        if exact_det(rows) != 0:
+            break
+    d = SymMatrix([[F(int(i == j) * (1 if i == 0 else -1)) for j in range(n)] for i in range(n)])
+    basis = [Vector(r) for r in rows]
+    return LorentzFrame(GramForm(basis, d), basis[0])
+
+
+class TestIntegerSampler:
+    """The sampler sums on integers; it must return the vectors, and make
+    the draws, of its formula on Fraction coordinates."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_fraction_formula(self, n):
+        rng = random.Random(n)
+        frames = [minkowski_frame(n - 1)] + [_random_frame(rng, n) for _ in range(2)]
+        for k, frame in enumerate(frames):
+            # W = 2 (St)(St)^T - S, on Fractions
+            st_ = [sum(a * b for a, b in zip(r, frame.t.coords)) for r in frame.form.std.rows]
+            rows = frame.form.std.rows
+            assert frame.wick == SymMatrix([[2 * a * b - x for b, x in zip(st_, r)] for a, r in zip(st_, rows)])
+            for radius in (F(10), F(5), F(1, 3)):
+                got, want = random.Random(100 * n + k), random.Random(100 * n + k)
+                for _ in range(5):
+                    assert sample_future_causal(frame, got, radius) == _fraction_sample(frame, want, radius)
+                assert got.random() == want.random()
+
+    def test_float_frame(self):
+        basis = [Vector([1.0, 0.0, 0.0]), Vector([0.0, 1.0, 0.0]), Vector([0.0, 0.0, 1.0])]
+        form = GramForm(basis, SymMatrix([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]))
+        frame = LorentzFrame(form, Vector([1.0, 0.0, 0.0]))
+        got, want = random.Random(3), random.Random(3)
+        for radius in (F(10), F(1, 3)):
+            x = sample_future_causal(frame, got, radius)
+            assert not x.exact and x.coords == _fraction_sample(frame, want, radius).coords
+
+
 class TestCausalClass:
     def test_classes(self):
         assert causal_class(FRAME2, vec(2, 1)) is CausalClass.FUTURE_CAUSAL

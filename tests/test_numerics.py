@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from conekit.errors import DimensionMismatch, ExactBackend, MixedBackend, Precon
 from conekit.numerics import (
     SymMatrix,
     Vector,
+    _int_vector,
     approx_eq,
     exact_det,
     exact_inverse,
@@ -60,7 +62,6 @@ class TestVector:
         assert (v + w).coords == (F(4), F(1))
         assert (v - w).coords == (F(-2), F(3))
         assert v.scale(F(2)).coords == (F(2), F(4))
-        assert v.dot(w) == 1
 
     def test_mixed_coords_rejected(self):
         with pytest.raises(MixedBackend):
@@ -69,6 +70,77 @@ class TestVector:
     def test_mixed_vectors_rejected(self):
         with pytest.raises(MixedBackend):
             Vector([F(1)]) + Vector([1.0])
+
+
+def assert_normal(v: Vector):
+    """v's integers are in lowest terms and equal its coords."""
+    assert v._den > 0 and math.gcd(v._den, *v._nums) == 1
+    assert tuple(F(a, v._den) for a in v._nums) == v.coords
+
+
+class TestIntegerVector:
+    """Exact vectors are integers over one denominator; every result must
+    equal Fraction arithmetic on the coordinates, in lowest terms."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_ops_match_fraction_arithmetic(self, data):
+        n = data.draw(st.integers(1, 6))
+        xs, ys = (data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2))
+        lam = data.draw(entries)
+        u, v = Vector(xs), Vector(ys)
+        cases = [
+            (u + v, [a + b for a, b in zip(xs, ys)]),
+            (u - v, [a - b for a, b in zip(xs, ys)]),
+            (u - u, [F(0)] * n),
+            (-u, [-a for a in xs]),
+            (u.scale(lam), [lam * a for a in xs]),
+            (u.scale(0), [F(0)] * n),
+            ((u + v).scale(lam) - v, [lam * (a + b) - b for a, b in zip(xs, ys)]),
+        ]
+        for got, want in cases:
+            # read the integers before coords: coords are built from them
+            assert_normal(got)
+            assert got.coords == tuple(want)
+            assert got.is_zero() == all(c == 0 for c in want)
+            assert got.as_floats() == tuple(float(c) for c in want)
+            same = Vector(want)
+            assert got == same and same == got and hash(got) == hash(same)
+            assert (got._nums, got._den) == (same._nums, same._den)
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = data.draw(entries)
+        w, z = u + v, u.scale(lam)
+        want = sum(m[i][j] * (xs[i] + ys[i]) * lam * xs[j] for i in range(n) for j in range(n))
+        assert SymMatrix(m).quad(w, z) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_construction_paths_agree(self, data):
+        n = data.draw(st.integers(1, 6))
+        xs = data.draw(st.lists(entries, min_size=n, max_size=n))
+        k = data.draw(st.integers(1, 10**6))
+        v = Vector(xs)
+        assert_normal(v)
+        den = math.lcm(*(x.denominator for x in xs))
+        # the same vector from unreduced integers, and rebuilt by arithmetic
+        paths = [
+            _int_vector([k * x.numerator * (den // x.denominator) for x in xs], k * den),
+            -(-v),
+            v + Vector.zero(n),
+            v.scale(k).scale(F(1, k)),
+        ]
+        for w in paths:
+            assert_normal(w)
+            assert w == v and v == w and hash(w) == hash(v)
+            assert w != v + Vector.unit(n, 0)
+        # exact and float vectors of the same values compare equal, as Fraction and float do
+        assert (v == Vector([float(x) for x in xs])) == all(F(float(x)) == x for x in xs)
+
+    def test_mixed_scale_rejected(self):
+        with pytest.raises(MixedBackend):
+            Vector([F(1), F(2)]).scale(0.5)
 
 
 class TestSymMatrix:
