@@ -130,15 +130,21 @@ def encode(value):
 # ---------------------------------------------------------- scenario specs
 
 
+def _parse_p(value, what: str):
+    """The exponent p of a p-cone or p-norm: "inf" is math.inf, else a scalar > 0."""
+    p = math.inf if value == "inf" else parse_scalar(value)
+    if p <= 0:
+        raise ParseError(f"{what} needs p > 0, got {value!r}")
+    return p
+
+
 def parse_cone(spec, exact: bool = True) -> Cone:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ParseError(f"bad cone spec: {spec!r}")
     fam = spec["family"]
     try:
         if fam == "pcone":
-            p = math.inf if spec["p"] == "inf" else parse_scalar(spec["p"])
-            if p <= 0:
-                raise ParseError(f"pcone needs p > 0, got {spec['p']!r}")
+            p = _parse_p(spec["p"], "pcone")
             return PCone(p=p, spatial_dim=_number(spec["spatial_dim"], int, "spatial_dim"))
         if fam == "orthant":
             return Orthant(dim=_number(spec["dim"], int, "dim"))
@@ -160,9 +166,8 @@ def parse_norm(spec, cone: Cone | None = None):
     fam = spec["family"]
     try:
         if fam == "p":
-            p = spec["p"]
-            n = _number(spec["spatial_dim"], int, "spatial_dim")
-            return PHyperbolic(p="inf" if p == "inf" else parse_scalar(p), spatial_dim=n)
+            p = _parse_p(spec["p"], "p norm")
+            return PHyperbolic(p=p, spatial_dim=_number(spec["spatial_dim"], int, "spatial_dim"))
         if fam == "form":
             if not isinstance(cone, FutureCone):
                 raise ParseError("form-induced norm needs a future cone")
@@ -398,8 +403,7 @@ def main(argv=None) -> int:
             return 0 if ok else 1
         if args.command == "gram":
             exact = args.backend == "exact"
-            p = "inf" if args.p == "inf" else parse_scalar(args.p)
-            h = PHyperbolic(p, args.spatial_dim)
+            h = PHyperbolic(_parse_p(args.p, "--p"), args.spatial_dim)
             basis = _parse_basis(_parse_json(args.basis, "--basis"), exact)
             g = gram_from_cone_basis(h, basis)
             sig = classify(g)

@@ -19,7 +19,10 @@ from .numerics import Scalar, Vector, approx_eq, exact_rank
 
 @dataclass(frozen=True)
 class PHyperbolic:
-    """(x0^p - sum |x_j|^p)^(1/p) on the p-cone in R^{1+n}."""
+    """(x0^p - sum |x_j|^p)^(1/p) on the p-cone in R^{1+n}.
+
+    p = math.inf is the p -> inf limit: x0 inside the cone, 0 on its boundary.
+    """
 
     p: object
     spatial_dim: int
@@ -93,6 +96,8 @@ def _norm_sq(h: HyperbolicNorm, x: Vector) -> Scalar:
 
 
 def _pnorm_value(p, xs: tuple) -> float:
+    if p == math.inf:
+        return xs[0] if xs[0] > max((abs(s) for s in xs[1:]), default=0.0) else 0.0
     inner = abs(xs[0]) ** float(p) - sum(abs(s) ** float(p) for s in xs[1:])
     return max(inner, 0.0) ** (1.0 / float(p))
 

@@ -25,7 +25,6 @@ from .numerics import (
     SymMatrix,
     Vector,
     _exact_signature,
-    _int_sym_matrix,
     _solve,
     fraction_sqrt,
 )
@@ -162,7 +161,7 @@ class LorentzFrame:
             w = [[2 * den * x * y for y in a] for x in a]
             for i, j, m in s._nz:
                 w[i][j] -= e * e * m
-            wick = _int_sym_matrix(w, den * e * e)
+            wick = SymMatrix([[Fraction(x, den * e * e) for x in r] for r in w])
         else:
             wick = SymMatrix([[2 * a * b - x for b, x in zip(st.coords, r)] for a, r in zip(st.coords, s.rows)])
         object.__setattr__(self, "form", form)

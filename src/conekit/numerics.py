@@ -305,18 +305,6 @@ class SymMatrix:
         return f"SymMatrix({[list(r) for r in self.rows]!r})"
 
 
-def _int_sym_matrix(rows: list, den: int) -> SymMatrix:
-    """The exact matrix rows / den from symmetric integer rows and den > 0,
-    unchecked: one ``Fraction`` per entry."""
-    g = math.gcd(den, *(x for r in rows for x in r))
-    m = object.__new__(SymMatrix)
-    object.__setattr__(m, "rows", tuple(tuple(Fraction(x, den) for x in r) for r in rows))
-    object.__setattr__(m, "exact", True)
-    object.__setattr__(m, "_nz", tuple((i, j, x // g) for i, r in enumerate(rows) for j, x in enumerate(r) if x))
-    object.__setattr__(m, "_den", den // g)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Exact dense linear algebra, fraction-free on integers.
 
@@ -338,25 +326,21 @@ def _pivot(a: list, r: int, col: int, d: int, start: int = 0) -> int:
     previous pivot (1 at the start).  Pivoting T on (r, col) keeps that
     form with d' = p = a[r][col]: row r is unchanged, and every other row
     becomes (p row_i - a[i][col] row_r) / d, a division without remainder
-    (Edmonds 1967; Bareiss 1968).  Rows and columns before ``start`` are
-    left as they are, for a caller that is done with them.
+    (Edmonds 1967; Bareiss 1968).  Each row is updated in place from
+    column ``start`` on; rows and columns before ``start`` are left as they
+    are, for a caller that is done with them.
     """
     p = a[r][col]
-    pr = a[r][start:] if start else a[r]
+    pr = a[r][start:]
     for i in range(start, len(a)):
         if i == r:
             continue
         row = a[i]
         f = row[col]
-        if start:
-            if f:
-                row[start:] = [(p * x - f * y) // d for x, y in zip(row[start:], pr)]
-            elif p != d:
-                row[start:] = [p * x // d for x in row[start:]]
-        elif f:
-            a[i] = [(p * x - f * y) // d for x, y in zip(row, pr)]
+        if f:
+            row[start:] = [(p * x - f * y) // d for x, y in zip(row[start:], pr)]
         elif p != d:
-            a[i] = [p * x // d for x in row]
+            row[start:] = [p * x // d for x in row[start:]]
     return p
 
 

@@ -137,6 +137,31 @@ class TestRun:
         assert f"error: {message}" in capsys.readouterr().err
 
 
+    def test_p_norm_inf_below_one(self, tmp_path, capsys):
+        # every vector here has x0 < 1 and lies inside the p = inf cone
+        f = tmp_path / "s.json"
+        norm = {"family": "p", "p": "inf", "spatial_dim": 1}
+        task = {"kind": "polarizability_check", "v": ["1/2", "1/4"], "w": ["1/3", "0"]}
+        f.write_text(json.dumps({"schema": "conekit/1", "norm": norm, "tasks": [task]}))
+        out = tmp_path / "rep.json"
+        assert run_cli(["run", str(f), "--out", str(out)]) == 0
+        (task,) = json.loads(out.read_text())["tasks"]
+        assert task["status"] == "pass"
+        assert abs(task["metrics"]["residual"]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [("abc", "cannot parse scalar 'abc'"), (0, "p norm needs p > 0, got 0"), ("-2", "p norm needs p > 0, got '-2'")],
+    )
+    def test_p_norm_bad_p_exits_2(self, p, message, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        norm = {"family": "p", "p": p, "spatial_dim": 1}
+        task = {"kind": "polarizability_check", "v": [2, 1], "w": [1, 0]}
+        f.write_text(json.dumps({"schema": "conekit/1", "norm": norm, "tasks": [task]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def strip_times(report):
     for t in report["tasks"]:
         t.pop("wall_time_ms", None)
@@ -255,6 +280,13 @@ class TestGram:
     def test_basis_not_a_list_exits_2(self, capsys):
         assert run_cli(["gram", "--spatial-dim", "1", "--basis", "5"]) == 2
         assert "error: expected a list of coordinate lists, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "p, message", [("0", "--p needs p > 0, got '0'"), ("-1", "--p needs p > 0, got '-1'"), ("abc", "cannot parse scalar 'abc'")]
+    )
+    def test_bad_p_exits_2(self, p, message, capsys):
+        assert run_cli(["gram", "--p", p, "--spatial-dim", "1", "--basis", '[["1","0"],["1","1"]]']) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_float_backend_large_entries(self, capsys):
         basis = '[["3000","1000","300.3"],["2000","1000","0"],["5000","2000","3000"]]'

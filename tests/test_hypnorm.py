@@ -44,6 +44,15 @@ class TestNormEval:
         with pytest.raises(OutsideCone):
             norm_eval(H2, vec(1, 2))
 
+    def test_p_inf_limit(self):
+        # x0 inside the cone, 0 on its boundary; p = 100 is already close
+        h = PHyperbolic(math.inf, 2)
+        assert norm_eval(h, vec(3, 1, -2)) == 3.0
+        assert norm_eval(h, vec(F(1, 2), F(1, 4), 0)) == 0.5
+        assert norm_eval(h, vec(5, 5, -1)) == 0.0
+        assert norm_eval(PHyperbolic(math.inf, 0), vec(7)) == 7.0
+        assert norm_eval(PHyperbolic(100, 2), vec(3, 1, -2)) == pytest.approx(3.0)
+
 
 class TestNormSqEval:
     def test_values(self):
