@@ -344,6 +344,12 @@ class TestExtend:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("x, norm", [("[1]", "l1"), ("[1]", "l2"), ("[1, 2, 3]", "linf")])
+    def test_target_dimension_mismatch_exits_1(self, x, norm, capsys):
+        cone = '{"family":"polyhedral","generators":[[1,0],[0,1]]}'
+        assert run_cli(["extend", "--cone", cone, "--x", x, "--base-norm", norm, "--oracle"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestReportCsv:
     def test_csv(self, tmp_path, capsys):

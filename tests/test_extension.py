@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conekit import cone as cone_module
-from conekit import lorentz
+from conekit import extension, lorentz
 from conekit.cone import FutureCone, Polyhedral, sample_future_causal
-from conekit.errors import BallNotContained, DimTooLarge, Infeasible, NotLorentzian
+from conekit.errors import BallNotContained, DimensionMismatch, DimTooLarge, Infeasible, NotLorentzian
+from conekit.errors import PreconditionFailed
 from conekit.extension import (
     CoordBaseNorm,
     ExtensionProblem,
@@ -181,6 +182,13 @@ class TestExtendedNorm:
         p = ExtensionProblem(Polyhedral([vec(1, 0, 0), vec(0, 1, 0)]), CoordBaseNorm("l2"), Vector([1.0, 0.0, 0.5]))
         with pytest.raises(Infeasible):
             extended_norm(p)
+
+    @pytest.mark.parametrize("fn", [extended_norm, grid_oracle])
+    @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0]])
+    def test_target_dimension_mismatch(self, fn, kind, x):
+        with pytest.raises(DimensionMismatch):
+            fn(ExtensionProblem(Polyhedral([vec(1, 0), vec(0, 1)]), CoordBaseNorm(kind), Vector(x)))
 
     @pytest.mark.parametrize("cone, norm, x, want", OVERCOMPLETE_3D_GOLDEN)
     def test_overcomplete_3d_pinned(self, cone, norm, x, want):
@@ -409,6 +417,69 @@ class TestGridOracle:
         p = fut_problem(Vector([0.3, 0.9]))
         assert grid_oracle(p) >= extended_norm(p).value - 1e-3
 
+    @pytest.mark.parametrize("gens", [[vec(1)], [vec(1), vec(-1)]], ids=["ray", "line"])
+    @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+    def test_one_dimensional(self, gens, kind):
+        # u >= 0 (or any u on the line) and u + 2 >= 0: |u| + |u + 2| >= 2, with equality at u = 0
+        p = ExtensionProblem(Polyhedral(gens), CoordBaseNorm(kind), Vector([-2.0]))
+        assert extended_norm(p).value == pytest.approx(2.0, abs=1e-12)
+        assert grid_oracle(p) == pytest.approx(2.0, abs=1e-9)
+
+
+def _per_slice_grid_scan(p, member, x, center, halfwidth, resolution):
+    """Reference: the grid scan one x0-slice at a time, with 1-D as a special case."""
+    n = p.cone.ambient_dim
+    axes = [np.linspace(c - halfwidth, c + halfwidth, resolution) for c in center]
+    best = math.inf
+    best_pt = None
+    rest = np.meshgrid(*axes[1:], indexing="ij") if n > 1 else []
+    rest_flat = np.stack([r.ravel() for r in rest], axis=1) if n > 1 else np.zeros((1, 0))
+    for x0 in axes[0]:
+        pts = np.hstack([np.full((rest_flat.shape[0], 1), x0), rest_flat])
+        mask = member(pts) & member(pts - x)
+        if not mask.any():
+            continue
+        feas = pts[mask]
+        vals = p.base_norm.values(feas) + p.base_norm.values(feas - x)
+        i = int(vals.argmin())
+        if vals[i] < best:
+            best = float(vals[i])
+            best_pt = feas[i]
+    return best, best_pt
+
+
+class TestGridScanBlocks:
+    FULL, ZOOM = extension.GRID_RESOLUTION, extension.ZOOM_RESOLUTION
+
+    @pytest.mark.parametrize(
+        "cone, norm, x, resolution",
+        [
+            (Polyhedral([vec(1)]), CoordBaseNorm("l1"), [-2.0], FULL),
+            # every u in [-2, 0] ties: the first minimum must win
+            (Polyhedral([vec(1), vec(-1)]), CoordBaseNorm("l1"), [-2.0], FULL),
+            (CONE, WICK, [0.3, 0.9], FULL),
+            # F = R^2: n~(x) = |x|_inf is attained on a parallelogram of u
+            # across three blocks, whose first points in x0-major and in
+            # x1-major order differ
+            (Polyhedral([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]), CoordBaseNorm("linf"), [2.0, 1.0], FULL),
+            (Polyhedral([vec(1, F(1, 2)), vec(F(1, 2), 1)]), CoordBaseNorm("l2"), [2.0, 1.0], FULL),
+            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("linf"), [-1.0, 2.5], ZOOM),
+            (PLANE, CoordBaseNorm("l2"), [1.0, -1.0, 0.0], FULL),
+            (PYRAMID, TILTED_WICK, [0.5, 2.0, 0.0], ZOOM),
+        ],
+    )
+    def test_matches_per_slice_scan(self, cone, norm, x, resolution):
+        p = ExtensionProblem(cone, norm, Vector(x))
+        xf = np.array(x)
+        member = extension._membership_test(cone, 1e-12)
+        # a step of 2^-5 at 201 points: the tied values are exact
+        center, halfwidth = np.zeros(len(x)), 3.125
+        best, pt = extension._grid_scan(p, member, xf, center, halfwidth, resolution)
+        want_best, want_pt = _per_slice_grid_scan(p, member, xf, center, halfwidth, resolution)
+        assert want_pt is not None
+        assert best == want_best
+        assert pt.tolist() == want_pt.tolist()
+
 
 class TestNormAxiomsSampled:
     def test_symmetry_and_homogeneity(self):
@@ -450,3 +521,50 @@ class TestEquivalenceConstant:
         with pytest.raises(BallNotContained) as e:
             equivalence_constant(CONE, WICK, vec(1, 0), 1.0)
         assert e.value.witness is not None
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.0, math.nan, math.inf])
+    def test_radius_must_be_finite_and_positive(self, delta):
+        with pytest.raises(PreconditionFailed):
+            equivalence_constant(CONE, WICK, vec(1, 0), delta)
+
+    def test_center_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            equivalence_constant(CONE, WICK, vec(1, 0, 0), 0.5)
+
+    @pytest.mark.parametrize(
+        "cone, norm, s, delta",
+        [
+            (CONE, WICK, vec(1, 0), 0.5),
+            (CONE, WICK, vec(1, 0), 1.0),
+            (CONE, WICK, vec(1, 0), 0.70712),  # just above 1/sqrt(2): one sample leaves F
+            (CONE, CoordBaseNorm("l2"), vec(2, F(1, 2)), 0.9),
+            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("l1"), vec(3, 1), 1.0),
+            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("linf"), vec(3, 1), 1.5),
+            (PYRAMID, TILTED_WICK, vec(0, 0, 2), 0.5),
+            (PYRAMID, CoordBaseNorm("l2"), vec(F(1, 2), 0, 1), 0.5),
+        ],
+    )
+    def test_matches_per_sample_check(self, cone, norm, s, delta):
+        def outcome(check):
+            try:
+                return check(cone, norm, s, delta)
+            except BallNotContained as e:
+                return e.witness
+
+        assert outcome(equivalence_constant) == outcome(_per_sample_equivalence_constant)
+
+
+def _per_sample_equivalence_constant(cone, base_norm, s, delta):
+    """Reference: the ball check one sample and one membership call at a time."""
+    rng = random.Random(extension.BALL_SEED)
+    sf = np.array(s.as_floats())
+    member = extension._membership_test(cone, extension.BALL_TOL)
+    for _ in range(extension.BALL_SAMPLES):
+        direction = np.array([rng.gauss(0.0, 1.0) for _ in range(s.dim)])
+        nv = base_norm.value(direction)
+        if nv <= 1e-15:
+            continue
+        pt = sf + direction * (delta / nv)
+        if not member(pt[None, :])[0]:
+            raise BallNotContained("ball leaves the cone", witness=pt.tolist())
+    return 2.0 * base_norm.value(sf) / delta + 1.0
