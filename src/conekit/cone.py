@@ -19,15 +19,18 @@ from typing import Sequence, Union
 from .errors import (
     DimensionMismatch,
     DimTooLarge,
+    MixedBackend,
     NotCausal,
     NotLorentzian,
     NotMember,
+    PreconditionFailed,
     UnsupportedFamily,
 )
 from .lorentz import (
     FormKind,
     GramForm,
     LorentzFrame,
+    _wick_kernel,
     classify,
     frame_from_unit_vector,
     wick_inner,
@@ -35,8 +38,9 @@ from .lorentz import (
 )
 from .numerics import (
     Vector,
-    _combination,
     _exact_multiple,
+    _int_vector,
+    _sqrt_bounds,
     exact_null_space,
     exact_rank,
     fraction_sqrt_bounds,
@@ -352,14 +356,50 @@ def sample_future_causal(
 
     alpha is uniform in [0, radius]; w is drawn in the Wick unit ball of the
     spatial complement and scaled by alpha, which guarantees membership and
-    avoids rejection bias near the light cone.  It draws alpha, one c_k per
-    Wick-orthogonal basis vector b_k, and u only when n(w)^2 > 0: w = sum_k
-    c_k b_k, summed on the integers of the b_k, is scaled by u / hi,
-    hi >= n(w) rational, to Wick norm <= u.
+    avoids rejection bias near the light cone.  It draws a for alpha =
+    (a / 1000) radius, one c_k per Wick-orthogonal basis vector b_k, and u
+    only when s = n(w)^2 > 0: w = sum_k (c_k / 1000) b_k is scaled by
+    (u / 1000) / hi, hi >= n(w) the upper bound ``fraction_sqrt_bounds``
+    gives, to Wick norm <= u / 1000.
+
+    On an exact frame it runs on integers: with the b_k as integers over
+    their lcm L (``lorentz._wick_kernel``), w's integers are sum_k c_k b_k
+    over 1000 L, s's numerator is sum m w_i w_j over the Wick matrix's
+    numerators m, and s = that / (W_den (1000 L)^2) is reduced by one gcd,
+    since the bound on sqrt(s) depends on s in lowest terms.  The sample
+    alpha (t + (u / 1000) / hi w) is one integer vector.  A negative radius,
+    or a float one on an exact frame, raises before any draw.
     """
+    if radius < 0:
+        raise PreconditionFailed(f"sampling radius must be >= 0, got {radius!r}")
+    t = frame.t
+    if not t.exact:
+        return _float_sample(frame, rng, radius)
+    if isinstance(radius, float):
+        raise MixedBackend("float radius on an exact frame")
+    cols, lcm = _wick_kernel(frame)
+    a = rng.randint(0, 1000) * radius.numerator  # alpha = a / (1000 r_d)
+    cs = [rng.randint(-1000, 1000) for _ in cols[0]]
+    w = [sum(c * b for c, b in zip(cs, col)) for col in cols]
+    den = 1000 * radius.denominator * t._den
+    sn = sum(m * w[i] * w[j] for i, j, m in frame.wick._nz)
+    if sn == 0:
+        return _int_vector([a * x for x in t._nums], den)
+    sd = frame.wick._den * (1000 * lcm) ** 2
+    g = math.gcd(sn, sd)
+    u = rng.randint(0, 1000)
+    _, hn, hd = _sqrt_bounds(sn // g, sd // g)
+    # t + (u hd / (1000 hn)) w / (1000 L), over t_d 10^6 hn L
+    kt, kw = 1_000_000 * hn * lcm, t._den * u * hd
+    return _int_vector([a * (x * kt + y * kw) for x, y in zip(t._nums, w)], den * kt)
+
+
+def _float_sample(frame: LorentzFrame, rng: random.Random, radius) -> Vector:
+    """sample_future_causal on a float frame, on float coordinates."""
     basis = wick_orthogonal_basis(frame)
     alpha = Fraction(rng.randint(0, 1000), 1000) * radius
-    w = _combination([rng.randint(-1000, 1000) for _ in basis], basis, 1000)
+    cs = [rng.randint(-1000, 1000) for _ in basis]
+    w = Vector([sum((c / 1000) * b for c, b in zip(cs, col)) for col in zip(*(v.coords for v in basis))])
     s = wick_inner(frame, w, w)
     scale = alpha
     if s > 0:

@@ -23,7 +23,14 @@ from typing import Union
 import numpy as np
 
 from .cone import Cone, FutureCone, HDescription, Orthant, PCone, Polyhedral, _check_dim, h_description, null_rays_2d
-from .errors import BallNotContained, DimTooLarge, Infeasible, PreconditionFailed, UnsupportedFamily
+from .errors import (
+    BallNotContained,
+    DimensionMismatch,
+    DimTooLarge,
+    Infeasible,
+    PreconditionFailed,
+    UnsupportedFamily,
+)
 from .lorentz import LorentzFrame
 from .numerics import Vector, lp_nonneg_solve
 from .span import future_decompose
@@ -97,7 +104,14 @@ class ExtensionProblem:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        _check_dim(self.cone, self.target)
+        _check_dims(self.cone, self.base_norm, self.target)
+
+
+def _check_dims(c: Cone, norm: BaseNorm, x: Vector):
+    """x, and a Wick base norm's frame, must have the cone's ambient dimension."""
+    _check_dim(c, x)
+    if isinstance(norm, WickBaseNorm) and norm.frame.dim != c.ambient_dim:
+        raise DimensionMismatch(f"Wick base norm dim {norm.frame.dim} != ambient dim {c.ambient_dim}")
 
 
 @dataclass(frozen=True)
@@ -333,7 +347,7 @@ def _membership_test(c: Cone, tol: float):
         return lambda pts: np.all(pts >= -tol, axis=1)
     if isinstance(c, PCone):
         pf = float(c.p)
-        return lambda pts: pts[:, 0] >= np.sum(np.abs(pts[:, 1:]) ** pf, axis=1) ** (1.0 / pf) - tol
+        return lambda pts: pts[:, 0] >= np.linalg.norm(pts[:, 1:], ord=pf, axis=1) - tol
     raise UnsupportedFamily(f"no grid membership for {type(c).__name__}")
 
 
@@ -409,7 +423,7 @@ def equivalence_constant(cone: Cone, base_norm: BaseNorm, s: Vector, delta: floa
     d = float(delta)
     if not (math.isfinite(d) and d > 0):
         raise PreconditionFailed(f"ball radius must be finite and positive, got {delta!r}")
-    _check_dim(cone, s)
+    _check_dims(cone, base_norm, s)
     rng = random.Random(BALL_SEED)
     dirs = np.array([[rng.gauss(0.0, 1.0) for _ in range(s.dim)] for _ in range(BALL_SAMPLES)])
     # value() per row: values() rounds l2 and Wick norms differently in the last bit

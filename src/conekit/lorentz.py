@@ -25,6 +25,7 @@ from .numerics import (
     SymMatrix,
     Vector,
     _exact_signature,
+    _int_vector,
     _solve,
     fraction_sqrt,
 )
@@ -143,10 +144,12 @@ class LorentzFrame:
 
     An exact W is built on integers: with St = a / e and S = N / D in
     lowest terms, W = (2 D a a^T - e^2 N) / (D e^2).  St is kept for
-    ``spatial_basis``.
+    ``spatial_basis``.  The Wick-orthogonal basis is built on first use and
+    kept, with, on an exact frame, its integers per coordinate over their
+    lcm (``_wick_kernel``), which the causal sampler sums on.
     """
 
-    __slots__ = ("form", "t", "wick", "_st", "_wick_basis")
+    __slots__ = ("form", "t", "wick", "_st", "_wick_basis", "_wick_cols")
 
     def __init__(self, form: GramForm, t: Vector):
         sig = classify(form)
@@ -169,6 +172,7 @@ class LorentzFrame:
         object.__setattr__(self, "wick", wick)
         object.__setattr__(self, "_st", st)
         object.__setattr__(self, "_wick_basis", None)
+        object.__setattr__(self, "_wick_cols", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LorentzFrame is immutable")
@@ -246,12 +250,18 @@ def spatial_basis(frame: LorentzFrame) -> list[Vector]:
 
     The projections P(e_i) = e_i - <e_i, t> t of the standard basis span
     the complement, with the one relation sum_i t_i P(e_i) = 0: the first
-    n - 1 independent ones are all but the last P(e_i) with t_i != 0.
+    n - 1 independent ones are all but the last P(e_i) with t_i != 0.  On
+    an exact frame, with <e_i, t> = a_i / e and t = t_n / t_d on integers,
+    P(e_i) = (e t_d delta_ij - a_i t_n,j) / (e t_d), one integer vector each.
     """
-    t = frame.t.coords
-    last = max(i for i, c in enumerate(t) if c != 0)
-    st = frame._st.coords  # <e_i, t>
-    return [Vector([int(i == j) - a * c for j, c in enumerate(t)]) for i, a in enumerate(st) if i != last]
+    t, st = frame.t, frame._st  # st_i = <e_i, t>
+    if t.exact:
+        tc, sc, et = t._nums, st._nums, st._den * t._den
+    else:
+        tc, sc, et = t.coords, st.coords, 1
+    last = max(i for i, c in enumerate(tc) if c != 0)
+    rows = [[et * (i == j) - a * c for j, c in enumerate(tc)] for i, a in enumerate(sc) if i != last]
+    return [_int_vector(r, et) for r in rows] if t.exact else [Vector(r) for r in rows]
 
 
 def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
@@ -260,17 +270,49 @@ def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
     Returned vectors are mutually Wick-orthogonal but not normalized
     (normalization generally needs square roots).  Computed once per frame
     and kept on it: frames are immutable and samplers call this in a tight
-    loop.
+    loop.  On an exact frame each b = b_n / b_d of ``spatial_basis`` becomes
+    one integer vector: with u_j = u_n,j / u_d,j the vectors before it,
+    q_j = u_n,j^T N u_n,j and p_j = b_n^T N u_n,j on the Wick matrix's
+    numerators N, and Q the lcm of the q_j,
+    w = (b_n Q - sum_j p_j (Q / q_j) u_n,j) / (b_d Q), the vector the
+    Fraction loop w = b - sum_j <b, u_j>_W / <u_j, u_j>_W u_j returns.
     """
     if frame._wick_basis is None:
         out: list[Vector] = []
-        for b in spatial_basis(frame):
-            w = b
-            for u in out:
-                w = w - u.scale(wick_inner(frame, b, u) / wick_inner(frame, u, u))
-            out.append(w)
+        if frame.t.exact:
+            nz = frame.wick._nz
+            qs = []  # q_j with the numerators of u_j
+            for b in spatial_basis(frame):
+                bn = b._nums
+                big_q = math.lcm(*(q for q, _ in qs))
+                ws = [x * big_q for x in bn]
+                for q, un in qs:
+                    k = sum(m * bn[i] * un[j] for i, j, m in nz) * (big_q // q)
+                    ws = [x - k * y for x, y in zip(ws, un)]
+                w = _int_vector(ws, b._den * big_q)
+                un = w._nums
+                qs.append((sum(m * un[i] * un[j] for i, j, m in nz), un))
+                out.append(w)
+            # the basis's integers per coordinate over their lcm, for the sampler
+            lcm = math.lcm(*(u._den for u in out))
+            cols = tuple(zip(*(tuple(x * (lcm // u._den) for x in u._nums) for u in out)))
+            object.__setattr__(frame, "_wick_cols", (cols, lcm))
+        else:
+            for b in spatial_basis(frame):
+                w = b
+                for u in out:
+                    w = w - u.scale(wick_inner(frame, b, u) / wick_inner(frame, u, u))
+                out.append(w)
         object.__setattr__(frame, "_wick_basis", tuple(out))
     return list(frame._wick_basis)
+
+
+def _wick_kernel(frame: LorentzFrame) -> tuple[tuple, int]:
+    """(cols, L) of an exact frame: cols[i][k] / L is coordinate i of the
+    k-th Wick-orthogonal basis vector, L the lcm of their denominators."""
+    if frame._wick_cols is None:
+        wick_orthogonal_basis(frame)
+    return frame._wick_cols
 
 
 def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:

@@ -206,19 +206,6 @@ def _int_vector(nums: list, den: int) -> Vector:
     return v
 
 
-def _combination(coeffs: Sequence[int], vectors: Sequence[Vector], den: int) -> Vector:
-    """sum_k (coeffs_k / den) vectors_k for integer coeffs and den > 0.
-
-    Exact vectors are summed on their integers over the lcm of their
-    denominators; float ones on their coords.
-    """
-    if not vectors[0].exact:
-        return Vector([sum((c / den) * a for c, a in zip(coeffs, col)) for col in zip(*(v.coords for v in vectors))])
-    lcm = math.lcm(*(v._den for v in vectors))
-    ks = [c * (lcm // v._den) for c, v in zip(coeffs, vectors)]
-    return _int_vector([sum(k * a for k, a in zip(ks, col)) for col in zip(*(v._nums for v in vectors))], den * lcm)
-
-
 def _exact_multiple(v: Vector) -> tuple:
     """A positive multiple of v, exactly: an exact vector's integers, a float
     vector's coords at their binary values.  Ranks, null spaces and LP
@@ -608,11 +595,18 @@ def fraction_sqrt_bounds(s: Fraction) -> tuple[Fraction, Fraction]:
     s = Fraction(s)
     if s < 0:
         raise ValueError("negative radicand")
-    exact = fraction_sqrt(s)
-    if exact is not None:
-        return exact, exact
+    lo, hi, den = _sqrt_bounds(s.numerator, s.denominator)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _sqrt_bounds(n: int, d: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo / den <= sqrt(n / d) <= hi / den, for n / d >= 0
+    in lowest terms: the exact root pn / pd when n and d are perfect squares,
+    else isqrt(n d 10**(2 SQRT_DIGITS)) and that plus 1 over d 10**SQRT_DIGITS.
+    The bounds depend on n / d being in lowest terms."""
+    pn, pd = math.isqrt(n), math.isqrt(d)
+    if pn * pn == n and pd * pd == d:
+        return pn, pn, pd
     scale = 10**SQRT_DIGITS
-    r = math.isqrt(s.numerator * s.denominator * scale * scale)
-    lo = Fraction(r, s.denominator * scale)
-    hi = Fraction(r + 1, s.denominator * scale)
-    return lo, hi
+    r = math.isqrt(n * d * scale * scale)
+    return r, r + 1, d * scale

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conekit import cone as cone_module
 from conekit import extension, lorentz
-from conekit.cone import FutureCone, Polyhedral, sample_future_causal
+from conekit.cone import FutureCone, PCone, Polyhedral, contains, sample_future_causal
 from conekit.errors import BallNotContained, DimensionMismatch, DimTooLarge, Infeasible, NotLorentzian
 from conekit.errors import PreconditionFailed
 from conekit.extension import (
@@ -189,6 +189,21 @@ class TestExtendedNorm:
     def test_target_dimension_mismatch(self, fn, kind, x):
         with pytest.raises(DimensionMismatch):
             fn(ExtensionProblem(Polyhedral([vec(1, 0), vec(0, 1)]), CoordBaseNorm(kind), Vector(x)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cone, norm, x: extended_norm(ExtensionProblem(cone, norm, x)),
+            lambda cone, norm, x: grid_oracle(ExtensionProblem(cone, norm, x)),
+            lambda cone, norm, x: equivalence_constant(cone, norm, x, 0.5),
+        ],
+        ids=["extended_norm", "grid_oracle", "equivalence_constant"],
+    )
+    @pytest.mark.parametrize("cone", [Polyhedral([vec(1, 1), vec(1, -1)]), CONE], ids=["polyhedral", "future"])
+    def test_base_norm_dimension_mismatch(self, call, cone):
+        # a Wick norm on R^3 with a cone and a target in R^2
+        with pytest.raises(DimensionMismatch):
+            call(cone, WickBaseNorm(minkowski_frame(2)), vec(1, 0))
 
     @pytest.mark.parametrize("cone, norm, x, want", OVERCOMPLETE_3D_GOLDEN)
     def test_overcomplete_3d_pinned(self, cone, norm, x, want):
@@ -426,6 +441,20 @@ class TestGridOracle:
         assert grid_oracle(p) == pytest.approx(2.0, abs=1e-9)
 
 
+class TestMembershipTest:
+    @pytest.mark.parametrize("p", [1, 2, 3, math.inf])
+    @pytest.mark.parametrize("spatial_dim", [1, 2])
+    def test_pcone_matches_contains(self, p, spatial_dim):
+        c = PCone(p, spatial_dim)
+        pts = [(x0,) + r for x0 in range(-1, 5) for r in itertools.product(range(-3, 4), repeat=spatial_dim)]
+        mask = extension._membership_test(c, 1e-12)(np.array(pts, dtype=float))
+        assert mask.tolist() == [contains(c, Vector(list(q))) for q in pts]
+
+    def test_pcone_inf_mask(self):
+        mask = extension._membership_test(PCone(math.inf, 1), 1e-12)(np.array([[0.5, 0.0], [2.0, 5.0], [3.0, 1.0]]))
+        assert mask.tolist() == [True, False, True]
+
+
 def _per_slice_grid_scan(p, member, x, center, halfwidth, resolution):
     """Reference: the grid scan one x0-slice at a time, with 1-D as a special case."""
     n = p.cone.ambient_dim
@@ -526,6 +555,10 @@ class TestEquivalenceConstant:
     def test_radius_must_be_finite_and_positive(self, delta):
         with pytest.raises(PreconditionFailed):
             equivalence_constant(CONE, WICK, vec(1, 0), delta)
+
+    def test_pcone_inf_ball(self):
+        # B_1/2((1, 0)) in linf lies in x0 >= |x1|
+        assert equivalence_constant(PCone(math.inf, 1), CoordBaseNorm("linf"), vec(1, 0), 0.5) == pytest.approx(5.0)
 
     def test_center_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conekit.cone import FutureCone, in_core, sample_future_causal
-from conekit.errors import DependentBasis, NotFutureCausal, NotLorentzian
+from conekit.errors import DependentBasis, MixedBackend, NotFutureCausal, NotLorentzian, PreconditionFailed
 from conekit.hypnorm import PHyperbolic, norm_sq_eval
 from conekit.lorentz import (
     CausalClass,
@@ -252,11 +252,34 @@ def _eliminated_spatial_basis(frame):
     return [cands[i] for i in independent_rows([w.coords for w in cands])[: n - 1]]
 
 
+def _fraction_spatial_basis(frame):
+    """Reference: the projections e_i - <e_i, t> t on Fraction coordinates."""
+    t = frame.t.coords
+    last = max(i for i, c in enumerate(t) if c != 0)
+    st_ = frame._st.coords
+    return [Vector([int(i == j) - a * c for j, c in enumerate(t)]) for i, a in enumerate(st_) if i != last]
+
+
+def _fraction_wick_basis(frame):
+    """Reference: Gram-Schmidt under the Wick pairing, one Vector operation at a time."""
+    out = []
+    for b in _fraction_spatial_basis(frame):
+        w = b
+        for u in out:
+            w = w - u.scale(wick_inner(frame, b, u) / wick_inner(frame, u, u))
+        out.append(w)
+    return out
+
+
+def _integers(vectors):
+    return [(v._nums, v._den) for v in vectors]
+
+
 def _vector_loop_sample(frame, rng, radius=F(10)):
     """sample_future_causal's draws, built one Vector operation at a time."""
     alpha = F(rng.randint(0, 1000), 1000) * radius
     w = Vector.zero(frame.dim)
-    for b in wick_orthogonal_basis(frame):
+    for b in _fraction_wick_basis(frame):
         w = w + b.scale(F(rng.randint(-1000, 1000), 1000))
     s = 2 * frame.inner(w, frame.t) ** 2 - frame.inner(w, w)
     if s > 0:
@@ -275,13 +298,16 @@ class TestWickOnGeneralFrames:
         t = frame.t
         assert wick_inner(frame, u, v) == 2 * frame.inner(u, t) * frame.inner(v, t) - frame.inner(u, v)
         assert spatial_basis(frame) == _eliminated_spatial_basis(frame)
+        assert _integers(spatial_basis(frame)) == _integers(_fraction_spatial_basis(frame))
+        assert _integers(wick_orthogonal_basis(frame)) == _integers(_fraction_wick_basis(frame))
         seed = data.draw(st.integers(0, 2**32))
         got, want = random.Random(seed), random.Random(seed)
-        for radius in (F(10), F(1, 3)):
+        for radius in (F(10), F(1, 3), 7):
             x = sample_future_causal(frame, got, radius)
             assert x == _vector_loop_sample(frame, want, radius)
             d = decompose(frame, x)
             assert future_defect_exact(frame, x) == d.alpha**2 - wick_inner(frame, d.w, d.w)
+        assert got.random() == want.random()
         if causal_class(frame, u) is CausalClass.FUTURE_CAUSAL:
             d = decompose(frame, u)
             assert future_defect_exact(frame, u) == d.alpha**2 - wick_inner(frame, d.w, d.w)
@@ -290,7 +316,7 @@ class TestWickOnGeneralFrames:
 def _fraction_sample(frame, rng, radius):
     """sample_future_causal's formula on Fraction coordinates: w = sum c_k b_k
     coordinate by coordinate, then alpha t + scale w."""
-    basis = wick_orthogonal_basis(frame)
+    basis = _fraction_wick_basis(frame)
     alpha = F(rng.randint(0, 1000), 1000) * radius
     cs = [F(rng.randint(-1000, 1000), 1000) for _ in basis]
     w = Vector([sum(c * b for c, b in zip(cs, col)) for col in zip(*(b.coords for b in basis))])
@@ -314,8 +340,15 @@ def _random_frame(rng, n):
 
 
 class TestIntegerSampler:
-    """The sampler sums on integers; it must return the vectors, and make
-    the draws, of its formula on Fraction coordinates."""
+    """The sampler and the Wick basis run on integers; they must return the
+    vectors, and make the draws, of their formulas on Fraction coordinates."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bases_match_fraction_loop(self, n):
+        rng = random.Random(n)
+        for frame in [minkowski_frame(n - 1)] + [_random_frame(rng, n) for _ in range(3)]:
+            assert _integers(spatial_basis(frame)) == _integers(_fraction_spatial_basis(frame))
+            assert _integers(wick_orthogonal_basis(frame)) == _integers(_fraction_wick_basis(frame))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_fraction_formula(self, n):
@@ -326,7 +359,7 @@ class TestIntegerSampler:
             st_ = [sum(a * b for a, b in zip(r, frame.t.coords)) for r in frame.form.std.rows]
             rows = frame.form.std.rows
             assert frame.wick == SymMatrix([[2 * a * b - x for b, x in zip(st_, r)] for a, r in zip(st_, rows)])
-            for radius in (F(10), F(5), F(1, 3)):
+            for radius in (F(10), F(5), F(1, 3), 7):
                 got, want = random.Random(100 * n + k), random.Random(100 * n + k)
                 for _ in range(5):
                     assert sample_future_causal(frame, got, radius) == _fraction_sample(frame, want, radius)
@@ -340,6 +373,31 @@ class TestIntegerSampler:
         for radius in (F(10), F(1, 3)):
             x = sample_future_causal(frame, got, radius)
             assert not x.exact and x.coords == _fraction_sample(frame, want, radius).coords
+
+
+class TestSamplerRadius:
+    FLOAT_FRAME = LorentzFrame(
+        GramForm([Vector([1.0, 0.0]), Vector([0.0, 1.0])], SymMatrix([[1.0, 0.0], [0.0, -1.0]])), Vector([1.0, 0.0])
+    )
+
+    @pytest.mark.parametrize("frame", [minkowski_frame(2), FLOAT_FRAME], ids=["exact", "float"])
+    @pytest.mark.parametrize("radius", [F(-5), -1, -0.5])
+    def test_negative_radius_raises_before_drawing(self, frame, radius):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(PreconditionFailed):
+            sample_future_causal(frame, rng, radius)
+        assert rng.getstate() == state
+
+    def test_float_radius_on_exact_frame_raises_before_drawing(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(MixedBackend):
+            sample_future_causal(minkowski_frame(2), rng, 2.5)
+        assert rng.getstate() == state
+
+    def test_zero_radius(self):
+        assert sample_future_causal(minkowski_frame(2), random.Random(1), 0) == Vector.zero(3)
 
 
 class TestCausalClass:
