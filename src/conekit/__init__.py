@@ -1,7 +1,7 @@
 """conekit: linear cones over ordered fields, hyperbolic norms, Lorentz forms.
 
-Exact rational numerics by default (fractions.Fraction); float mode is
-opt-in per value.  See the README for the module map and the CLI.
+Exact rational numerics (fractions.Fraction): a float enters at its exact
+binary value.  See the README for the module map and the CLI.
 """
 
 __version__ = "0.1.0"

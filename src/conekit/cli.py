@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .cone import Cone, FutureCone, Orthant, PCone, Polyhedral, contains, is_proper
-from .errors import ConekitError, ParseError
+from .errors import ConekitError, ParseError, PreconditionFailed
 from .extension import (
     CoordBaseNorm,
     ExtensionProblem,
@@ -39,37 +39,39 @@ SCHEMA = "conekit/1"
 # ---------------------------------------------------------------- encoding
 
 
-def parse_scalar(s, exact: bool = True):
-    """``numerics.as_scalar`` of a JSON value, as a float unless exact.
-
-    A float stays a float either way.  Anything ``as_scalar`` rejects, or a
-    value too large for a float, is a ParseError.
+def parse_scalar(s) -> Fraction:
+    """``numerics.as_scalar`` of a JSON value: a JSON number with a decimal
+    point at its binary value.  Anything ``as_scalar`` rejects, a nan or an
+    infinity among them, is a ParseError.
     """
     try:
-        x = as_scalar(s)
-        return x if exact else float(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        return as_scalar(s)
+    except (TypeError, ValueError, ZeroDivisionError, PreconditionFailed) as e:
         raise ParseError(f"cannot parse scalar {s!r}") from e
 
 
-def parse_vector(obj, exact: bool = True) -> Vector:
+def parse_vector(obj) -> Vector:
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"expected a coordinate list, got {obj!r}")
-    return Vector([parse_scalar(c, exact) for c in obj])
+    return Vector([parse_scalar(c) for c in obj])
 
 
 def _number(value, kind, what: str):
-    """kind(value) for kind int or float; a value without one is a ParseError."""
+    """kind(value) for kind int or float; a value without one, or a float
+    that is not finite, is a ParseError."""
     try:
-        return kind(value)
+        x = kind(value)
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"cannot parse {what} {value!r}") from e
+    if kind is float and not math.isfinite(x):
+        raise ParseError(f"cannot parse {what} {value!r}")
+    return x
 
 
-def _parse_basis(obj, exact: bool = True) -> list:
+def _parse_basis(obj) -> list:
     if not isinstance(obj, list):
         raise ParseError(f"expected a list of coordinate lists, got {obj!r}")
-    return [parse_vector(b, exact) for b in obj]
+    return [parse_vector(b) for b in obj]
 
 
 def _parse_json(text: str, what: str):
@@ -138,7 +140,7 @@ def _parse_p(value, what: str):
     return p
 
 
-def parse_cone(spec, exact: bool = True) -> Cone:
+def parse_cone(spec) -> Cone:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ParseError(f"bad cone spec: {spec!r}")
     fam = spec["family"]
@@ -149,11 +151,11 @@ def parse_cone(spec, exact: bool = True) -> Cone:
         if fam == "orthant":
             return Orthant(dim=_number(spec["dim"], int, "dim"))
         if fam == "polyhedral":
-            return Polyhedral([parse_vector(g, exact) for g in spec["generators"]])
+            return Polyhedral([parse_vector(g) for g in spec["generators"]])
         if fam == "future":
             n = _number(spec["spatial_dim"], int, "spatial_dim")
             frame = minkowski_frame(n)
-            t = parse_vector(spec["t"], exact) if "t" in spec else frame.t
+            t = parse_vector(spec["t"]) if "t" in spec else frame.t
             return FutureCone(frame.form, t)
     except KeyError as e:
         raise ParseError(f"cone spec missing field {e}") from e
@@ -247,8 +249,8 @@ def run_task(task, scenario, flags) -> dict:
         out = {"value": res.value, "iterations": res.iterations}
         ok = True
         if "expect" in task:
-            want = parse_scalar(task["expect"], exact=False)
-            tol = _number(task.get("tol", flags.tol), float, "tol")
+            want = _number(parse_scalar(task["expect"]), float, "expect")
+            tol = _number(task["tol"], float, "tol") if "tol" in task else flags.tol
             ok = abs(res.value - want) <= tol
             out["expect"] = want
         return {"status": "pass" if ok else "fail", "metrics": encode(out), "witness": None}
@@ -262,9 +264,9 @@ def run_task(task, scenario, flags) -> dict:
 
 
 def _extension_problem(cone_spec, base_norm: str, x) -> ExtensionProblem:
-    """The problem of ``run``'s extend task and of ``extend``: a float target x."""
+    """The problem of ``run``'s extend task and of ``extend``."""
     cone = parse_cone(cone_spec)
-    return ExtensionProblem(cone, _base_norm(base_norm, cone), parse_vector(x, exact=False))
+    return ExtensionProblem(cone, _base_norm(base_norm, cone), parse_vector(x))
 
 
 def _base_norm(name: str, cone: Cone):
@@ -352,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     prop.add_argument("--trials", type=int, default=None)
 
     gram = sub.add_parser("gram", help="Gram matrix and signature of a cone basis")
-    gram.add_argument("--backend", choices=["exact", "float"], default="exact")
     gram.add_argument("--p", default="2")
     gram.add_argument("--spatial-dim", type=int, required=True)
     gram.add_argument("--basis", required=True, help="JSON list of vectors")
@@ -402,9 +403,8 @@ def main(argv=None) -> int:
                     fh.write("\n")
             return 0 if ok else 1
         if args.command == "gram":
-            exact = args.backend == "exact"
             h = PHyperbolic(_parse_p(args.p, "--p"), args.spatial_dim)
-            basis = _parse_basis(_parse_json(args.basis, "--basis"), exact)
+            basis = _parse_basis(_parse_json(args.basis, "--basis"))
             g = gram_from_cone_basis(h, basis)
             sig = classify(g)
             out = {

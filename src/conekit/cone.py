@@ -19,7 +19,6 @@ from typing import Sequence, Union
 from .errors import (
     DimensionMismatch,
     DimTooLarge,
-    MixedBackend,
     NotCausal,
     NotLorentzian,
     NotMember,
@@ -33,17 +32,14 @@ from .lorentz import (
     _wick_kernel,
     classify,
     frame_from_unit_vector,
-    wick_inner,
-    wick_orthogonal_basis,
 )
 from .numerics import (
     Vector,
-    _exact_multiple,
     _int_vector,
     _sqrt_bounds,
+    as_scalar,
     exact_null_space,
     exact_rank,
-    fraction_sqrt_bounds,
     lp_nonneg_solve,
 )
 
@@ -153,8 +149,8 @@ def h_description(c: Polyhedral) -> HDescription:
     """
     if c._h is None:
         n = c.ambient_dim
-        # positive multiples of the generators span the same faces
-        gens = [_exact_multiple(g) for g in c.generators]
+        # the generators' integers: positive multiples span the same faces
+        gens = [g._nums for g in c.generators]
         eqs = exact_null_space(gens, n)
         k = n - len(eqs)
         normals = {}  # dict as an ordered set
@@ -194,7 +190,7 @@ def null_rays_2d(c: FutureCone) -> Polyhedral:
 
     w = (-(St)_1, (St)_0) is S-orthogonal to t, with n(w)^2 = -<w, w>.  It is
     oriented like e_i - <e_i, t> t for the first e_i not parallel to t, the
-    direction a frame's spatial basis starts from.  The rays are rounded to
+    direction a frame's spatial basis starts from.  The rays are computed in
     floats (for a Minkowski frame they are exact), then built once per cone.
     """
     if c._rays is None:
@@ -210,7 +206,7 @@ def null_rays_2d(c: FutureCone) -> Polyhedral:
             w = -w
         nw = math.sqrt(float(-s.quad(w, w)))
         what = [a / nw for a in w.as_floats()]
-        rays = [Vector([Fraction(a + sgn * b) for a, b in zip(c.t.as_floats(), what)]) for sgn in (1, -1)]
+        rays = [Vector([a + sgn * b for a, b in zip(c.t.as_floats(), what)]) for sgn in (1, -1)]
         object.__setattr__(c, "_rays", Polyhedral(rays))
     return c._rays
 
@@ -222,18 +218,19 @@ def _check_dim(c: Cone, x: Vector):
 
 def _polyhedral_member(c: Polyhedral, x: Vector) -> bool:
     """x in cone(G): feasibility of G theta = x, theta >= 0, with positive
-    multiples of the generators as columns and of x as right-hand side."""
-    a = list(zip(*(_exact_multiple(g) for g in c.generators)))
-    return lp_nonneg_solve(a, _exact_multiple(x)) is not None
+    multiples of the generators (their integers) as columns and of x as
+    right-hand side."""
+    a = list(zip(*(g._nums for g in c.generators)))
+    return lp_nonneg_solve(a, x._nums) is not None
 
 
 def _pcone_holds(p, x: Vector, strict: bool = False) -> bool:
     """x0 >= |spatial|_p, or x0 > |spatial|_p when strict; exact where possible.
 
-    For p in {1, 2, inf} an exact x is compared on its integers: both sides
-    scale with its positive denominator.  Other p compare floats.
+    For p in {1, 2, inf} x is compared on its integers: both sides scale
+    with its positive denominator.  Other p compare floats.
     """
-    x0, *spatial = x._nums if x.exact and p in (1, 2, math.inf) else x.as_floats()
+    x0, *spatial = x._nums if p in (1, 2, math.inf) else x.as_floats()
     if x0 < 0:
         return False
     cmp = operator.gt if strict else operator.ge
@@ -312,11 +309,11 @@ def in_core(c: Cone, x: Vector) -> bool:
         return _pcone_holds(c.p, x, strict=True)
     if isinstance(c, FutureCone):
         return c.form.inner(x, x) > 0 and c.form.inner(x, c.t) > 0
-    gens = [_exact_multiple(g) for g in c.generators]
+    gens = [g._nums for g in c.generators]
     if exact_rank(gens) < c.ambient_dim:
         return False
     # x = G mu with mu > 0, homogenised: G theta - lam x = x - sum(g), theta, lam >= 0
-    xs = _exact_multiple(x)
+    xs = x._nums
     a = [[g[i] for g in gens] + [-xs[i]] for i in range(c.ambient_dim)]
     b = [xs[i] - sum(g[i] for g in gens) for i in range(c.ambient_dim)]
     return lp_nonneg_solve(a, b) is not None
@@ -362,21 +359,18 @@ def sample_future_causal(
     (u / 1000) / hi, hi >= n(w) the upper bound ``fraction_sqrt_bounds``
     gives, to Wick norm <= u / 1000.
 
-    On an exact frame it runs on integers: with the b_k as integers over
-    their lcm L (``lorentz._wick_kernel``), w's integers are sum_k c_k b_k
-    over 1000 L, s's numerator is sum m w_i w_j over the Wick matrix's
-    numerators m, and s = that / (W_den (1000 L)^2) is reduced by one gcd,
-    since the bound on sqrt(s) depends on s in lowest terms.  The sample
-    alpha (t + (u / 1000) / hi w) is one integer vector.  A negative radius,
-    or a float one on an exact frame, raises before any draw.
+    It runs on integers: with the b_k as integers over their lcm L
+    (``lorentz._wick_kernel``), w's integers are sum_k c_k b_k over 1000 L,
+    s's numerator is sum m w_i w_j over the Wick matrix's numerators m, and
+    s = that / (W_den (1000 L)^2) is reduced by one gcd, since the bound on
+    sqrt(s) depends on s in lowest terms.  The sample
+    alpha (t + (u / 1000) / hi w) is one integer vector.  A float radius is
+    taken at its binary value; a negative radius raises before any draw.
     """
+    radius = as_scalar(radius)
     if radius < 0:
         raise PreconditionFailed(f"sampling radius must be >= 0, got {radius!r}")
     t = frame.t
-    if not t.exact:
-        return _float_sample(frame, rng, radius)
-    if isinstance(radius, float):
-        raise MixedBackend("float radius on an exact frame")
     cols, lcm = _wick_kernel(frame)
     a = rng.randint(0, 1000) * radius.numerator  # alpha = a / (1000 r_d)
     cs = [rng.randint(-1000, 1000) for _ in cols[0]]
@@ -392,20 +386,6 @@ def sample_future_causal(
     # t + (u hd / (1000 hn)) w / (1000 L), over t_d 10^6 hn L
     kt, kw = 1_000_000 * hn * lcm, t._den * u * hd
     return _int_vector([a * (x * kt + y * kw) for x, y in zip(t._nums, w)], den * kt)
-
-
-def _float_sample(frame: LorentzFrame, rng: random.Random, radius) -> Vector:
-    """sample_future_causal on a float frame, on float coordinates."""
-    basis = wick_orthogonal_basis(frame)
-    alpha = Fraction(rng.randint(0, 1000), 1000) * radius
-    cs = [rng.randint(-1000, 1000) for _ in basis]
-    w = Vector([sum((c / 1000) * b for c, b in zip(cs, col)) for col in zip(*(v.coords for v in basis))])
-    s = wick_inner(frame, w, w)
-    scale = alpha
-    if s > 0:
-        _, hi = fraction_sqrt_bounds(s)
-        scale *= Fraction(rng.randint(0, 1000), 1000) / hi
-    return frame.t.scale(alpha) + w.scale(scale)
 
 
 @dataclass(frozen=True)

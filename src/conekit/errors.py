@@ -5,10 +5,6 @@ class ConekitError(Exception):
     """Base class for all library errors."""
 
 
-class MixedBackend(ConekitError):
-    """Exact and float scalars were combined in one operation."""
-
-
 class ExactBackend(ConekitError):
     """A tolerance-based operation was invoked on exact rationals."""
 

@@ -4,12 +4,11 @@ n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  On the future cone
 with the Wick norm it has a closed form: n_W(x) on causal x and
 sqrt(2) n(w_x) on spacelike x.  Polyhedral cones, and the 2-D future cone
 as the polyhedral cone on its two null rays, are solved by finite methods:
-l1 and linf by one exact two-phase simplex LP on the exact (binary) values
-of the generators and of the target; l2 and Wick norms by enumerating the
-faces of F cap (x + F), cut out by the cone's exact H-description (see
-``cone.h_description``), which covers overcomplete, lower-dimensional and
-non-pointed cones alike.  No solver iterates.  The grid oracle certifies
-accuracy independently.
+l1 and linf by one exact two-phase simplex LP on the generators and the
+target; l2 and Wick norms by enumerating the faces of F cap (x + F), cut
+out by the cone's exact H-description (see ``cone.h_description``), which
+covers overcomplete, lower-dimensional and non-pointed cones alike.  No
+solver iterates.  The grid oracle certifies accuracy independently.
 """
 
 from __future__ import annotations
@@ -133,8 +132,7 @@ def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
             minimise sum(u+ + u- + v+ + v-);
       linf: G(theta - phi) = x, +-(G theta)_i <= tau_u, +-(G phi)_i <= tau_v
             (as equalities with slacks), minimise tau_u + tau_v.
-    The optimum is exact, and u - v = x holds exactly before the witnesses
-    are rounded to floats.
+    The optimum is exact, and so are the witnesses: u - v = x holds exactly.
     """
     n, m = len(xq), len(gens)
     zero_m, zero_n = [0] * m, [0] * n
@@ -174,7 +172,7 @@ def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
         value = sum(abs(t) for t in u) + sum(abs(t) for t in v)
     else:
         value = max(abs(t) for t in u) + max(abs(t) for t in v)
-    return ExtensionResult(float(value), Vector([float(t) for t in u]), Vector([float(t) for t in v]), 0, True)
+    return ExtensionResult(float(value), Vector(u), Vector(v), 0, True)
 
 
 # Relative slack of the face solver's inequality check, in units of the
@@ -234,8 +232,6 @@ def _face_solve(desc: HDescription, x: np.ndarray, norm: BaseNorm) -> ExtensionR
 
 def _feasible_decomposition(c: Cone, x: Vector):
     """One exact decomposition x = u - v with u, v in F (upper-bound witness)."""
-    if not x.exact:
-        x = Vector([Fraction(t) for t in x.coords])
     if isinstance(c, FutureCone):
         frame = LorentzFrame(c.form, c.t)
         fd = future_decompose(x, frame)
@@ -268,13 +264,13 @@ def _future_wick_closed_form(norm: WickBaseNorm, target: Vector) -> ExtensionRes
     turn the cone into an orthant and the Wick norm into the Euclidean norm,
     so n~(x) = n_W(x) when x is causal and sqrt(2) n(w) when it is spacelike.
     Both squares are rational in alpha and <x, x>: the causal/spacelike
-    decision is exact on the target's (exact or binary) rational value.
+    decision is exact.
     """
     frame = norm.frame
     x = np.array(target.as_floats())
     # scale by 2^-e so that |x| < 1: the squares neither underflow nor overflow
     e = math.frexp(float(np.max(np.abs(x))))[1]
-    xq = Vector([Fraction(c) * Fraction(2) ** -e for c in target.coords])
+    xq = target.scale(Fraction(2) ** -e)
     alpha = frame.inner(xq, frame.t)
     xx = frame.inner(xq, xq)
     if xx >= 0:
@@ -316,7 +312,7 @@ def extended_norm(p: ExtensionProblem) -> ExtensionResult:
         c = null_rays_2d(c)
     elif not isinstance(c, Polyhedral):
         raise UnsupportedFamily("extended_norm expects Polyhedral or FutureCone")
-    xq = [Fraction(t) for t in p.target.coords]
+    xq = p.target.coords
     if isinstance(norm, CoordBaseNorm) and norm.kind != "l2":
         return _lp_solve([g.coords for g in c.generators], xq, norm.kind)
     desc = h_description(c)

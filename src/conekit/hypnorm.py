@@ -1,6 +1,6 @@
 """Hyperbolic norm families, polarization, reverse Cauchy-Schwarz.
 
-Exact mode works on squared norms: every check expressible in squares
+Checks work on squared norms: every check expressible in squares
 (polarizability, reverse CS, equality cases) is decided over Fraction, so
 null and boundary cases come out exactly.  Square roots force floats.
 """
@@ -14,7 +14,10 @@ from typing import Union
 
 from .cone import Cone, FutureCone, Orthant, PCone, contains
 from .errors import OutsideCone, UnsupportedFamily
-from .numerics import Scalar, Vector, approx_eq, exact_rank
+from .numerics import Vector, approx_eq, exact_rank
+
+# a Fraction, or the float value of a norm that needs a root
+Scalar = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -84,14 +87,14 @@ def _norm_sq(h: HyperbolicNorm, x: Vector) -> Scalar:
         if h.p not in (1, 2):
             v = _pnorm_value(h.p, x.as_floats())
             return v * v
-        # an exact x on its integers over d, then one Fraction over d^2
-        x0, *spatial = x._nums if x.exact else x.coords
+        # x on its integers over d, then one Fraction over d^2
+        x0, *spatial = x._nums
         if h.p == 2:
             r = x0 * x0 - sum(s * s for s in spatial)
         else:
             r = x0 - sum(abs(s) for s in spatial)
             r = r * r
-        return Fraction(r, x._den * x._den) if x.exact else r
+        return Fraction(r, x._den * x._den)
     return norm_eval(h, x) ** 2
 
 
@@ -119,7 +122,7 @@ def _require_quadratic(h: HyperbolicNorm, what: str):
         raise UnsupportedFamily(f"exact {what} needs p = 2 or a form-induced norm")
 
 
-def norm_sq_eval(h: HyperbolicNorm, x: Vector) -> Scalar:
+def norm_sq_eval(h: HyperbolicNorm, x: Vector) -> Fraction:
     """Exact rational squared norm; only the quadratic families support it."""
     _require_quadratic(h, "squared norm")
     _require_member(h, x)
@@ -146,7 +149,7 @@ def polarizability_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
     return lhs - rhs
 
 
-def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
+def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Fraction:
     """Polarization pairing (||v+w||^2 - ||v||^2 - ||w||^2) / 2, exact."""
     _require_quadratic(h, "polarization")
     _require_member(h, v)
@@ -157,8 +160,8 @@ def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
 @dataclass(frozen=True)
 class ReverseCSResult:
     residual: float  # <v,w> - ||v|| ||w||
-    inner: Scalar  # exact <v,w>
-    inner_sq_minus_prod: Scalar  # exact <v,w>^2 - ||v||^2 ||w||^2
+    inner: Fraction  # exact <v,w>
+    inner_sq_minus_prod: Fraction  # exact <v,w>^2 - ||v||^2 ||w||^2
     holds: bool  # decided without square roots
 
 
@@ -199,12 +202,13 @@ def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCo
 
     On exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2 (both
     sides rational); collinearity is an exact rank check plus sign of the
-    ratio.  Float families compare n(v+w) with n(v) + n(w), and the cross
-    products v_i w_j with v_j w_i, by the float rule ``approx_eq``.
+    ratio.  The other families, whose norm values are irrational floats,
+    compare n(v+w) with n(v) + n(w), and the cross products v_i w_j with
+    v_j w_i of the rounded coordinates, by the float rule ``approx_eq``.
     """
     _require_member(h, v)
     _require_member(h, w)
-    if _norm_sq_exactable(h) and v.exact and w.exact:
+    if _norm_sq_exactable(h):
         if isinstance(h, PHyperbolic) and h.p == 1:
             # the 1-hyperbolic norm itself is rational: compare values directly
             def n1(u):

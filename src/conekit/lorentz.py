@@ -21,7 +21,6 @@ from .errors import (
     NotLorentzian,
 )
 from .numerics import (
-    Scalar,
     SymMatrix,
     Vector,
     _exact_signature,
@@ -50,8 +49,7 @@ class GramForm:
     """Symmetric bilinear form given on a basis spanning the ambient space.
 
     ``std`` is the form in standard coordinates, solved exactly on the
-    ``numerics`` kernel; a float Gram matrix, symmetric only within
-    tolerance, gets it rounded to floats.
+    ``numerics`` kernel.
     """
 
     __slots__ = ("basis", "gram", "std")
@@ -70,8 +68,6 @@ class GramForm:
         if y is None:
             raise DependentBasis("basis vectors are linearly dependent")
         s = _solve(bt, list(zip(*y)))
-        if not gram.exact:
-            s = [[float(v) for v in row] for row in s]
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "std", SymMatrix(s))
@@ -83,7 +79,7 @@ class GramForm:
     def dim(self) -> int:
         return len(self.basis)
 
-    def inner(self, u: Vector, v: Vector) -> Scalar:
+    def inner(self, u: Vector, v: Vector) -> Fraction:
         return self.std.quad(u, v)
 
     def in_standard_coordinates(self) -> SymMatrix:
@@ -103,29 +99,14 @@ def minkowski_form(spatial_dim: int) -> GramForm:
     return GramForm(basis, gram)
 
 
-# float eigenvalues within REL_ZERO * max(1, |largest|) of 0 count as zero
-REL_ZERO = 1e-9
-
-
-def _float_signature(rows) -> tuple[int, int, int]:
-    import numpy as np
-
-    evals = np.linalg.eigvalsh(np.array([[float(x) for x in r] for r in rows]))
-    cutoff = REL_ZERO * max(1.0, float(np.max(np.abs(evals))))
-    pos = int(np.sum(evals > cutoff))
-    neg = int(np.sum(evals < -cutoff))
-    return pos, neg, len(rows) - pos - neg
-
-
 def classify(g: GramForm | SymMatrix) -> Signature:
     """Classify a symmetric form by its signature.
 
-    Exact rational mode uses symmetric fraction-free pivots on the
-    ``numerics`` kernel (Sylvester inertia is a congruence invariant);
-    float mode uses a symmetric eigensolver with a relative zero threshold.
+    The signature is exact, by symmetric fraction-free pivots on the
+    ``numerics`` kernel (Sylvester inertia is a congruence invariant).
     """
     m = g.gram if isinstance(g, GramForm) else g
-    pos, neg, zero = _exact_signature(m) if m.exact else _float_signature(m.rows)
+    pos, neg, zero = _exact_signature(m)
     n = m.dim
     if zero > 0:
         kind = FormKind.DEGENERATE
@@ -142,11 +123,11 @@ class LorentzFrame:
     """A Lorentzian form, a unit timelike vector t and the Wick matrix
     ``wick`` = 2 (St)(St)^T - S of the frame, S being ``form.std``.
 
-    An exact W is built on integers: with St = a / e and S = N / D in
-    lowest terms, W = (2 D a a^T - e^2 N) / (D e^2).  St is kept for
-    ``spatial_basis``.  The Wick-orthogonal basis is built on first use and
-    kept, with, on an exact frame, its integers per coordinate over their
-    lcm (``_wick_kernel``), which the causal sampler sums on.
+    W is built on integers: with St = a / e and S = N / D in lowest terms,
+    W = (2 D a a^T - e^2 N) / (D e^2).  St is kept for ``spatial_basis``.
+    The Wick-orthogonal basis is built on first use and kept, with its
+    integers per coordinate over their lcm (``_wick_kernel``), which the
+    causal sampler sums on.
     """
 
     __slots__ = ("form", "t", "wick", "_st", "_wick_basis", "_wick_cols")
@@ -159,14 +140,11 @@ class LorentzFrame:
             raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
         s = form.std
         st = s.apply(t)
-        if s.exact:
-            a, e, den = st._nums, st._den, s._den
-            w = [[2 * den * x * y for y in a] for x in a]
-            for i, j, m in s._nz:
-                w[i][j] -= e * e * m
-            wick = SymMatrix([[Fraction(x, den * e * e) for x in r] for r in w])
-        else:
-            wick = SymMatrix([[2 * a * b - x for b, x in zip(st.coords, r)] for a, r in zip(st.coords, s.rows)])
+        a, e, den = st._nums, st._den, s._den
+        w = [[2 * den * x * y for y in a] for x in a]
+        for i, j, m in s._nz:
+            w[i][j] -= e * e * m
+        wick = SymMatrix([[Fraction(x, den * e * e) for x in r] for r in w])
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "wick", wick)
@@ -181,7 +159,7 @@ class LorentzFrame:
     def dim(self) -> int:
         return self.form.dim
 
-    def inner(self, u: Vector, v: Vector) -> Scalar:
+    def inner(self, u: Vector, v: Vector) -> Fraction:
         return self.form.inner(u, v)
 
 
@@ -192,7 +170,7 @@ def minkowski_frame(spatial_dim: int) -> LorentzFrame:
 
 @dataclass(frozen=True)
 class Decomposition:
-    alpha: Scalar
+    alpha: Fraction
     w: Vector
 
 
@@ -203,7 +181,7 @@ def decompose(frame: LorentzFrame, v: Vector) -> Decomposition:
     return Decomposition(alpha, w)
 
 
-def wick_inner(frame: LorentzFrame, u: Vector, v: Vector) -> Scalar:
+def wick_inner(frame: LorentzFrame, u: Vector, v: Vector) -> Fraction:
     """Positive definite pairing alpha_u*alpha_v - <w_u, w_v> (exact): as
     <w_u, w_v> = <u,v> - alpha_u*alpha_v, it is u^T W v = 2<u,t><v,t> - <u,v>."""
     return frame.wick.quad(u, v)
@@ -238,8 +216,8 @@ def future_defect(frame: LorentzFrame, x: Vector) -> float:
     return float(d.alpha) - wick_norm(frame, d.w)
 
 
-def future_defect_exact(frame: LorentzFrame, x: Vector) -> Scalar:
-    """Exact-mode variant: alpha_x^2 - n(w_x)^2 = <x, x> (same sign as the defect)."""
+def future_defect_exact(frame: LorentzFrame, x: Vector) -> Fraction:
+    """Exact variant: alpha_x^2 - n(w_x)^2 = <x, x> (same sign as the defect)."""
     if causal_class(frame, x) not in (CausalClass.FUTURE_CAUSAL, CausalClass.ZERO):
         raise NotFutureCausal(f"{x!r} is not future-causal")
     return frame.inner(x, x)
@@ -250,18 +228,15 @@ def spatial_basis(frame: LorentzFrame) -> list[Vector]:
 
     The projections P(e_i) = e_i - <e_i, t> t of the standard basis span
     the complement, with the one relation sum_i t_i P(e_i) = 0: the first
-    n - 1 independent ones are all but the last P(e_i) with t_i != 0.  On
-    an exact frame, with <e_i, t> = a_i / e and t = t_n / t_d on integers,
+    n - 1 independent ones are all but the last P(e_i) with t_i != 0.  With
+    <e_i, t> = a_i / e and t = t_n / t_d on integers,
     P(e_i) = (e t_d delta_ij - a_i t_n,j) / (e t_d), one integer vector each.
     """
     t, st = frame.t, frame._st  # st_i = <e_i, t>
-    if t.exact:
-        tc, sc, et = t._nums, st._nums, st._den * t._den
-    else:
-        tc, sc, et = t.coords, st.coords, 1
+    tc, sc, et = t._nums, st._nums, st._den * t._den
     last = max(i for i, c in enumerate(tc) if c != 0)
     rows = [[et * (i == j) - a * c for j, c in enumerate(tc)] for i, a in enumerate(sc) if i != last]
-    return [_int_vector(r, et) for r in rows] if t.exact else [Vector(r) for r in rows]
+    return [_int_vector(r, et) for r in rows]
 
 
 def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
@@ -270,8 +245,8 @@ def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
     Returned vectors are mutually Wick-orthogonal but not normalized
     (normalization generally needs square roots).  Computed once per frame
     and kept on it: frames are immutable and samplers call this in a tight
-    loop.  On an exact frame each b = b_n / b_d of ``spatial_basis`` becomes
-    one integer vector: with u_j = u_n,j / u_d,j the vectors before it,
+    loop.  Each b = b_n / b_d of ``spatial_basis`` becomes one integer
+    vector: with u_j = u_n,j / u_d,j the vectors before it,
     q_j = u_n,j^T N u_n,j and p_j = b_n^T N u_n,j on the Wick matrix's
     numerators N, and Q the lcm of the q_j,
     w = (b_n Q - sum_j p_j (Q / q_j) u_n,j) / (b_d Q), the vector the
@@ -279,36 +254,29 @@ def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
     """
     if frame._wick_basis is None:
         out: list[Vector] = []
-        if frame.t.exact:
-            nz = frame.wick._nz
-            qs = []  # q_j with the numerators of u_j
-            for b in spatial_basis(frame):
-                bn = b._nums
-                big_q = math.lcm(*(q for q, _ in qs))
-                ws = [x * big_q for x in bn]
-                for q, un in qs:
-                    k = sum(m * bn[i] * un[j] for i, j, m in nz) * (big_q // q)
-                    ws = [x - k * y for x, y in zip(ws, un)]
-                w = _int_vector(ws, b._den * big_q)
-                un = w._nums
-                qs.append((sum(m * un[i] * un[j] for i, j, m in nz), un))
-                out.append(w)
-            # the basis's integers per coordinate over their lcm, for the sampler
-            lcm = math.lcm(*(u._den for u in out))
-            cols = tuple(zip(*(tuple(x * (lcm // u._den) for x in u._nums) for u in out)))
-            object.__setattr__(frame, "_wick_cols", (cols, lcm))
-        else:
-            for b in spatial_basis(frame):
-                w = b
-                for u in out:
-                    w = w - u.scale(wick_inner(frame, b, u) / wick_inner(frame, u, u))
-                out.append(w)
+        nz = frame.wick._nz
+        qs = []  # q_j with the numerators of u_j
+        for b in spatial_basis(frame):
+            bn = b._nums
+            big_q = math.lcm(*(q for q, _ in qs))
+            ws = [x * big_q for x in bn]
+            for q, un in qs:
+                k = sum(m * bn[i] * un[j] for i, j, m in nz) * (big_q // q)
+                ws = [x - k * y for x, y in zip(ws, un)]
+            w = _int_vector(ws, b._den * big_q)
+            un = w._nums
+            qs.append((sum(m * un[i] * un[j] for i, j, m in nz), un))
+            out.append(w)
+        # the basis's integers per coordinate over their lcm, for the sampler
+        lcm = math.lcm(*(u._den for u in out))
+        cols = tuple(zip(*(tuple(x * (lcm // u._den) for x in u._nums) for u in out)))
+        object.__setattr__(frame, "_wick_cols", (cols, lcm))
         object.__setattr__(frame, "_wick_basis", tuple(out))
     return list(frame._wick_basis)
 
 
 def _wick_kernel(frame: LorentzFrame) -> tuple[tuple, int]:
-    """(cols, L) of an exact frame: cols[i][k] / L is coordinate i of the
+    """(cols, L) of a frame: cols[i][k] / L is coordinate i of the
     k-th Wick-orthogonal basis vector, L the lcm of their denominators."""
     if frame._wick_cols is None:
         wick_orthogonal_basis(frame)
@@ -319,9 +287,8 @@ def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:
     """Gram matrix of a cone basis under the polarization inner product.
 
     Each pair is evaluated once, for i <= j, and mirrored: the pairing is
-    symmetric, and a float one then stays symmetric whatever the rounding
-    of each argument order.  A linearly dependent basis raises
-    ``DependentBasis`` from ``GramForm``.
+    symmetric.  A linearly dependent basis raises ``DependentBasis`` from
+    ``GramForm``.
     """
     from .hypnorm import polar_inner  # deferred: hypnorm depends on cone on us
 
@@ -337,7 +304,7 @@ def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:
 def frame_from_unit_vector(form: GramForm, candidate: Vector) -> LorentzFrame:
     """Build a frame from any timelike vector whose norm is a rational square."""
     q = form.inner(candidate, candidate)
-    if not isinstance(q, Fraction) or q <= 0:
+    if q <= 0:
         raise NotLorentzian("candidate frame vector is not exactly timelike")
     r = fraction_sqrt(q)
     if r is None:

@@ -1,16 +1,17 @@
 """Scalars, vectors and exact linear algebra.
 
-Two scalar backends coexist: exact rationals (``fractions.Fraction``) and
-IEEE doubles.  Ints and numeric strings are promoted to ``Fraction`` on
-entry, so the exact backend is the default for hand-written data.  Backends
-never mix inside one vector or matrix.
+Every scalar is an exact rational, a ``fractions.Fraction``.  Ints, numeric
+strings and finite floats are promoted to ``Fraction`` on entry, a float at
+its exact binary value; a nan or an infinity is rejected.  Only norm
+values that need a root (``hypnorm``) are floats, and ``approx_eq`` is
+their one tolerance rule.
 
 All exact linear algebra runs on Python ints, on one fraction-free
 Gauss-Jordan pivot step, ``_pivot``: the tableau holds d times the rational
 Gauss-Jordan tableau, d being the previous pivot, and each update divides
 by d without remainder (Edmonds 1967; Bareiss 1968).  ``_eliminate`` scales
-each row to integers and builds rank, determinant, null space, independent
-rows and ``_solve`` on it, the block solve behind ``exact_solve``,
+each row to integers and builds rank, determinant, null space and
+``_solve`` on it, the block solve behind ``exact_solve``,
 ``exact_inverse`` and ``lorentz.GramForm``.  The two-phase simplex of
 ``lp_nonneg_solve`` scales A and b by one lcm each, and
 ``_exact_signature`` pivots symmetrically, on the same step, updating
@@ -19,13 +20,13 @@ rational tableau, so every answer equals the rational one.  Phase 1 finds
 a feasible basis; given an objective, phase 2 minimises it with the same
 Bland's-rule loop on the same tableau.
 
-An exact ``Vector`` is integer numerators over one positive denominator,
-in lowest terms, and an exact ``SymMatrix`` keeps its nonzero entries the
-same way.  Vector sums, differences, negation and scaling, ``apply`` and
-``quad`` run on those integers; ``quad`` builds one ``Fraction`` for its
-result, and a vector's ``coords`` are built as ``Fraction``s only when
-read.  Boundary decisions in this domain (null vectors, cone facets) must
-not depend on float rounding.
+A ``Vector`` is integer numerators over one positive denominator, in
+lowest terms, and a ``SymMatrix`` keeps its nonzero entries the same way.
+Vector sums, differences, negation and scaling, ``apply`` and ``quad`` run
+on those integers; ``quad`` builds one ``Fraction`` for its result, and a
+vector's ``coords`` are built as ``Fraction``s only when read.  Boundary
+decisions in this domain (null vectors, cone facets) must not depend on
+float rounding.
 """
 
 from __future__ import annotations
@@ -33,77 +34,65 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence, Union
+from typing import Sequence
 
-from .errors import DimensionMismatch, ExactBackend, MixedBackend, PreconditionFailed
+from .errors import DimensionMismatch, ExactBackend, PreconditionFailed
 
-Scalar = Union[Fraction, float]
-
-
-def as_scalar(x) -> Scalar:
-    """Promote ints and strings like ``"3/4"`` to Fraction; pass floats through."""
+def as_scalar(x) -> Fraction:
+    """Promote ints, strings like ``"3/4"`` and finite floats (at their exact
+    binary value) to Fraction; a nan or an infinity is PreconditionFailed."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
-        return x
-    if isinstance(x, str):
+        if not math.isfinite(x):
+            raise PreconditionFailed(f"{x!r} is not a finite scalar")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
-def is_exact(x: Scalar) -> bool:
-    return isinstance(x, Fraction)
-
-
-# the float backend's one tolerance rule, approx_eq; exact rationals have none
+# the one tolerance rule, for norm values that need a root
 ABS_TOL = REL_TOL = 1e-9
 
 
-def approx_eq(a: Scalar, b: Scalar) -> bool:
-    """|a - b| <= ABS_TOL + REL_TOL * max(|a|, |b|), float backend only."""
-    a, b = as_scalar(a), as_scalar(b)
-    if is_exact(a) or is_exact(b):
+def approx_eq(a: float, b: float) -> bool:
+    """|a - b| <= ABS_TOL + REL_TOL * max(|a|, |b|), on floats only."""
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
         raise ExactBackend("exact rationals compare exactly, without a tolerance")
     return abs(a - b) <= ABS_TOL + REL_TOL * max(abs(a), abs(b))
 
 
 class Vector:
-    """Immutable coordinate vector with a homogeneous scalar backend.
+    """Immutable exact coordinate vector.
 
-    An exact vector is the integers ``_nums`` over one denominator ``_den``
-    in lowest terms, ``_den > 0`` and gcd(_den, *_nums) == 1, so equal
-    vectors have equal integers; its arithmetic runs on them.  ``coords``
-    holds the coordinates as scalars.  A float vector, and an exact one
-    built from coordinates, has it from the start; an exact one that
-    arithmetic built gets it, as ``Fraction``s, when it is first read.  An
-    exact vector built from coordinates gets its integers on first use.
+    A vector is the integers ``_nums`` over one denominator ``_den`` in
+    lowest terms, ``_den > 0`` and gcd(_den, *_nums) == 1, so equal vectors
+    have equal integers; its arithmetic runs on them.  ``coords`` holds the
+    coordinates as ``Fraction``s.  A vector built from coordinates has them
+    from the start and gets its integers on first use; one that arithmetic
+    built gets its coords when they are first read.
     """
 
-    __slots__ = ("coords", "exact", "dim", "_nums", "_den")
+    __slots__ = ("coords", "dim", "_nums", "_den")
 
     def __init__(self, coords: Sequence):
-        cs = tuple(as_scalar(c) for c in coords)
+        cs = tuple(map(as_scalar, coords))
         if not cs:
             raise DimensionMismatch("vectors must have positive dimension")
-        exact = is_exact(cs[0])
-        if any(is_exact(c) != exact for c in cs):
-            raise MixedBackend("mixed scalar backends in one vector")
         _set_coords(self, cs)
-        _set_exact(self, exact)
         _set_dim(self, len(cs))
 
     def __getattr__(self, name):
-        # called only for an unset slot: an exact vector's missing form
+        # called only for an unset slot: the form not built yet
         if name == "coords":
             d = self._den
             cs = tuple([Fraction(x, d) for x in self._nums])
             _set_coords(self, cs)
             return cs
-        if name in ("_nums", "_den") and self.exact:
+        if name in ("_nums", "_den"):
             nums, den = _integers(self.coords)
             _set_nums(self, tuple(nums))
             _set_den(self, den)
@@ -114,18 +103,12 @@ class Vector:
         raise AttributeError("Vector is immutable")
 
     @staticmethod
-    def zero(dim: int, exact: bool = True) -> "Vector":
-        return Vector([Fraction(0)] * dim if exact else [0.0] * dim)
+    def zero(dim: int) -> "Vector":
+        return Vector([0] * dim)
 
     @staticmethod
     def unit(dim: int, i: int) -> "Vector":
-        return Vector([Fraction(int(j == i)) for j in range(dim)])
-
-    def _check(self, other: "Vector"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        if self.exact != other.exact:
-            raise MixedBackend("mixed scalar backends between vectors")
+        return Vector([int(j == i) for j in range(dim)])
 
     def __add__(self, other: "Vector") -> "Vector":
         return self._plus(other, 1)
@@ -135,46 +118,33 @@ class Vector:
 
     def _plus(self, other: "Vector", sign: int) -> "Vector":
         """self + sign * other, on the integers over the lcm of both denominators."""
-        self._check(other)
-        if not self.exact:
-            return Vector([a + sign * b for a, b in zip(self.coords, other.coords)])
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"{self.dim} != {other.dim}")
         da, db = self._den, other._den
         g = math.gcd(da, db)
         ka, kb = db // g, sign * (da // g)
         return _int_vector([a * ka + b * kb for a, b in zip(self._nums, other._nums)], da * ka)
 
     def __neg__(self) -> "Vector":
-        if not self.exact:
-            return Vector([-a for a in self.coords])
         return _int_vector([-a for a in self._nums], self._den)
 
     def scale(self, lam) -> "Vector":
         lam = as_scalar(lam)
-        if not self.exact:
-            return Vector([float(lam) * a for a in self.coords])
-        if not is_exact(lam):
-            raise MixedBackend("float scalar applied to exact vector")
         p = lam.numerator
         return _int_vector([p * a for a in self._nums], lam.denominator * self._den)
 
     def is_zero(self) -> bool:
-        if self.exact:
-            return not any(self._nums)
-        return all(c == 0 for c in self.coords)
+        return not any(self._nums)
 
     def as_floats(self) -> tuple:
-        if self.exact:
-            # int / int rounds correctly, as float(Fraction) does
-            d = self._den
-            return tuple([a / d for a in self._nums])
-        return tuple(float(c) for c in self.coords)
+        # int / int rounds correctly, as float(Fraction) does
+        d = self._den
+        return tuple([a / d for a in self._nums])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return False
-        if self.exact and other.exact:
-            return self._den == other._den and self._nums == other._nums
-        return self.coords == other.coords
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
         return hash(self.coords)
@@ -185,14 +155,13 @@ class Vector:
 
 _new_vector = object.__new__
 _set_coords = Vector.coords.__set__
-_set_exact = Vector.exact.__set__
 _set_dim = Vector.dim.__set__
 _set_nums = Vector._nums.__set__
 _set_den = Vector._den.__set__
 
 
 def _int_vector(nums: list, den: int) -> Vector:
-    """The exact vector nums / den for den > 0, in lowest terms."""
+    """The vector nums / den for den > 0, in lowest terms."""
     if den != 1:
         g = math.gcd(den, *nums)
         if g != 1:
@@ -201,54 +170,31 @@ def _int_vector(nums: list, den: int) -> Vector:
     v = _new_vector(Vector)
     _set_nums(v, tuple(nums))
     _set_den(v, den)
-    _set_exact(v, True)
     _set_dim(v, len(nums))
     return v
 
 
-def _exact_multiple(v: Vector) -> tuple:
-    """A positive multiple of v, exactly: an exact vector's integers, a float
-    vector's coords at their binary values.  Ranks, null spaces and LP
-    feasibility do not change when a row or a column is scaled by a
-    positive number."""
-    return v._nums if v.exact else tuple(map(Fraction, v.coords))
-
-
 class SymMatrix:
-    """Immutable symmetric matrix; symmetry checked on construction.
+    """Immutable exact symmetric matrix of positive dimension; symmetry is
+    checked on construction."""
 
-    Exact entries must be symmetric exactly, float entries by ``approx_eq``.
-    """
-
-    __slots__ = ("rows", "exact", "_nz", "_den")
+    __slots__ = ("rows", "_nz", "_den")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rs = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        rs = tuple(tuple(map(as_scalar, row)) for row in rows)
         n = len(rs)
+        if not n:
+            raise DimensionMismatch("matrices must have positive dimension")
         if any(len(r) != n for r in rs):
             raise DimensionMismatch("matrix must be square")
-        exact = n > 0 and is_exact(rs[0][0])
-        for i in range(n):
-            for j in range(n):
-                if is_exact(rs[i][j]) != exact:
-                    raise MixedBackend("mixed scalar backends in one matrix")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if exact:
-                    if rs[i][j] != rs[j][i]:
-                        raise DimensionMismatch("matrix is not symmetric")
-                elif not approx_eq(rs[i][j], rs[j][i]):
-                    raise DimensionMismatch("matrix is not symmetric within tolerance")
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "exact", exact)
-        # nonzero entries; forms are often diagonal, so quad skips the zeros.
-        # Exact entries are kept as integer numerators over one denominator.
+        if any(rs[i][j] != rs[j][i] for i in range(n) for j in range(i + 1, n)):
+            raise DimensionMismatch("matrix is not symmetric")
+        # nonzero entries as integer numerators over one denominator; forms
+        # are often diagonal, so quad skips the zeros
         nz = [(i, j, rs[i][j]) for i in range(n) for j in range(n) if rs[i][j] != 0]
-        den = 1
-        if exact:
-            ints, den = _integers([m for _, _, m in nz])
-            nz = [(i, j, m) for (i, j, _), m in zip(nz, ints)]
-        object.__setattr__(self, "_nz", tuple(nz))
+        ints, den = _integers([m for _, _, m in nz])
+        object.__setattr__(self, "rows", rs)
+        object.__setattr__(self, "_nz", tuple((i, j, m) for (i, j, _), m in zip(nz, ints)))
         object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *a):
@@ -261,24 +207,16 @@ class SymMatrix:
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:
             raise DimensionMismatch(f"{v.dim} != {self.dim}")
-        if not (self.exact and v.exact):
-            return Vector([sum(r[j] * v.coords[j] for j in range(self.dim)) for r in self.rows])
         vc = v._nums
         out = [0] * self.dim
         for i, j, m in self._nz:
             out[i] += m * vc[j]
         return _int_vector(out, self._den * v._den)
 
-    def quad(self, u: Vector, v: Vector) -> Scalar:
-        """u^T M v."""
+    def quad(self, u: Vector, v: Vector) -> Fraction:
+        """u^T M v, on the integers of both vectors and the matrix: one Fraction."""
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatch(f"{u.dim}, {v.dim} != {self.dim}")
-        if u.exact != v.exact or u.exact != self.exact:
-            raise MixedBackend("mixed scalar backends between vectors")
-        if not u.exact:
-            uc, vc = u.coords, v.coords
-            return sum((m * uc[i] * vc[j] for i, j, m in self._nz), 0.0)
-        # the integers of both vectors and the matrix: one Fraction
         uc, vc = u._nums, v._nums
         return Fraction(sum(m * uc[i] * vc[j] for i, j, m in self._nz), self._den * u._den * v._den)
 
@@ -418,15 +356,6 @@ def exact_null_space(rows: Sequence[Sequence], n: int) -> list:
             v[col] = Fraction(-row[j], d)
         basis.append(v)
     return basis
-
-
-def independent_rows(rows: Sequence[Sequence]) -> list[int]:
-    """Indices of the first maximal linearly independent subset of the rows.
-
-    Row i is kept when it is independent of rows 0..i-1: the pivot columns
-    of the transpose.
-    """
-    return _eliminate([list(c) for c in zip(*rows)])[1]
 
 
 def _exact_signature(m: SymMatrix) -> tuple[int, int, int]:

@@ -14,7 +14,7 @@ from typing import Callable
 from .cone import Cone, Orthant, contains
 from .errors import ConeMismatch, NotMember
 from .lorentz import LorentzFrame
-from .numerics import Vector, approx_eq, fraction_sqrt_bounds
+from .numerics import Vector, fraction_sqrt_bounds
 
 
 class FormalDifference:
@@ -54,18 +54,14 @@ class FormalDifference:
 
 def embed(x: Vector, c: Cone) -> FormalDifference:
     """The canonical map iota: F -> span(F), x |-> class of (x, 0)."""
-    return FormalDifference(c, x, Vector.zero(x.dim, exact=x.exact))
+    return FormalDifference(c, x, Vector.zero(x.dim))
 
 
 def equiv(a: FormalDifference, b: FormalDifference) -> bool:
     """(v1, w1) ~ (v2, w2) iff v1 + w2 = v2 + w1 (componentwise exact)."""
     if a.cone != b.cone:
         raise ConeMismatch("formal differences over different cones")
-    left = a.pos + b.neg
-    right = b.pos + a.neg
-    if left.exact:
-        return left == right
-    return all(approx_eq(x, y) for x, y in zip(left.coords, right.coords))
+    return a.pos + b.neg == b.pos + a.neg
 
 
 def canonicalize(d: FormalDifference) -> FormalDifference:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from conekit.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCN = os.path.join(ROOT, "scenarios")
+FUTURE = {"family": "future", "spatial_dim": 1}
 
 
 def run_cli(args):
@@ -89,6 +91,32 @@ class TestRun:
     def test_non_numeric_field_exits_2(self, task, message, tmp_path, capsys):
         f = tmp_path / "s.json"
         cone = {"family": "future", "spatial_dim": 1}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [task]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_json_decimal_membership_passes(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        cone = {"family": "pcone", "p": 2, "spatial_dim": 1}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [{"kind": "membership", "x": [1.5, 0]}]}))
+        assert run_cli(["run", str(f)]) == 0
+        assert "membership: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            ({"kind": "membership", "x": [math.inf, 0]}, "cannot parse scalar inf"),
+            ({"kind": "membership", "x": [1, math.nan]}, "cannot parse scalar nan"),
+            ({"kind": "membership", "x": [1, 0], "cone": {"family": "pcone", "p": math.inf, "spatial_dim": 1}}, "cannot parse scalar inf"),
+            ({"kind": "extend", "x": [0, 1], "cone": FUTURE, "expect": math.nan}, "cannot parse scalar nan"),
+            ({"kind": "extend", "x": [0, 1], "cone": FUTURE, "expect": 1, "tol": math.inf}, "cannot parse tol inf"),
+        ],
+        ids=["x-inf", "x-nan", "p-inf", "expect-nan", "tol-inf"],
+    )
+    def test_non_finite_number_exits_2(self, task, message, tmp_path, capsys):
+        # Python's json reads and writes NaN and Infinity
+        f = tmp_path / "s.json"
+        cone = {"family": "pcone", "p": 2, "spatial_dim": 1}
         f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [task]}))
         assert run_cli(["run", str(f)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -263,19 +291,17 @@ class TestGram:
         assert out["standard"] == [["1/1", "0/1"], ["0/1", "-1/1"]]
         assert out["signature"]["kind"] == "lorentzian"
 
-    def test_float_backend(self, capsys):
-        # std is rounded from the exact solve
-        basis = '[["3","1","0.3"],["2","1","0"],["5","2","3"]]'
-        code = run_cli(["gram", "--backend", "float", "--spatial-dim", "2", "--basis", basis])
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["signature"] == {"kind": "lorentzian", "plus": 1, "minus": 2, "zero": 0}
-        std = out["standard"]
-        for i in range(3):
-            for j in range(3):
-                want = 1.0 if i == j == 0 else (-1.0 if i == j else 0.0)
-                assert isinstance(std[i][j], float)
-                assert abs(std[i][j] - want) <= 1e-12
+    def test_json_decimals_are_exact(self, capsys):
+        outs = []
+        for basis in ("[[1.5, 0.5],[1,1]]", '[["3/2","1/2"],["1","1"]]'):
+            assert run_cli(["gram", "--spatial-dim", "1", "--basis", basis]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("basis", ["[[NaN, 0],[1,1]]", "[[1, Infinity],[1,1]]", "[[1, 0],[-Infinity,1]]"])
+    def test_non_finite_basis_exits_2(self, basis, capsys):
+        assert run_cli(["gram", "--spatial-dim", "1", "--basis", basis]) == 2
+        assert "error: cannot parse scalar" in capsys.readouterr().err
 
     def test_basis_not_a_list_exits_2(self, capsys):
         assert run_cli(["gram", "--spatial-dim", "1", "--basis", "5"]) == 2
@@ -290,7 +316,7 @@ class TestGram:
 
     def test_float_backend_large_entries(self, capsys):
         basis = '[["3000","1000","300.3"],["2000","1000","0"],["5000","2000","3000"]]'
-        code = run_cli(["gram", "--backend", "float", "--spatial-dim", "2", "--basis", basis])
+        code = run_cli(["gram", "--spatial-dim", "2", "--basis", basis])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["signature"] == {"kind": "lorentzian", "plus": 1, "minus": 2, "zero": 0}
@@ -344,6 +370,11 @@ class TestExtend:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("x", ["[NaN, 1]", "[0, Infinity]", "[-Infinity, 0]"])
+    def test_non_finite_target_exits_2(self, x, capsys):
+        assert run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", x]) == 2
+        assert "error: cannot parse scalar" in capsys.readouterr().err
+
     @pytest.mark.parametrize("x, norm", [("[1]", "l1"), ("[1]", "l2"), ("[1, 2, 3]", "linf")])
     def test_target_dimension_mismatch_exits_1(self, x, norm, capsys):
         cone = '{"family":"polyhedral","generators":[[1,0],[0,1]]}'
@@ -383,6 +414,7 @@ class TestOptions:
             ["report", "r.json", "--csv"],
             ["gram", "--spatial-dim", "1", "--basis", "[]", "--seed", "1"],
             ["proptest", "--tol", "0.1"],
+            ["gram", "--spatial-dim", "1", "--basis", "[]", "--backend", "float"],
         ],
     )
     def test_unread_options_exit_2(self, args, capsys):

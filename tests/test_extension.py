@@ -240,14 +240,9 @@ def _solve(x: Vector):
     return extended_norm(ExtensionProblem(CONES[x.dim], WICKS[x.dim], x))
 
 
-def _exact(x: Vector) -> Vector:
-    return x if x.exact else Vector([F(c) for c in x.coords])
-
-
 def _in_future(frame, u: Vector, tol: float) -> bool:
-    uq = _exact(u)
     scale = 1.0 + max(abs(c) for c in u.as_floats())
-    return frame.inner(uq, uq) >= -tol * scale**2 and frame.inner(uq, frame.t) >= -tol * scale
+    return frame.inner(u, u) >= -tol * scale**2 and frame.inner(u, frame.t) >= -tol * scale
 
 
 exact_targets = st.integers(2, 6).flatmap(
@@ -269,12 +264,11 @@ class TestClosedFormProperties:
     @given(st.one_of(exact_targets, float_targets))
     def test_value_witnesses_and_axioms(self, x):
         frame = FRAMES[x.dim]
-        xq = _exact(x)
         res = _solve(x)
-        if frame.inner(xq, xq) >= 0:
-            want = wick_norm(frame, xq)
+        if frame.inner(x, x) >= 0:
+            want = wick_norm(frame, x)
         else:
-            want = math.sqrt(2) * wick_norm(frame, decompose(frame, xq).w)
+            want = math.sqrt(2) * wick_norm(frame, decompose(frame, x).w)
         assert res.value == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert (res.u - res.v).coords == pytest.approx(x.as_floats(), abs=1e-9)
         assert _in_future(frame, res.u, 1e-12) and _in_future(frame, res.v, 1e-12)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conekit.cone import FutureCone, in_core, sample_future_causal
-from conekit.errors import DependentBasis, MixedBackend, NotFutureCausal, NotLorentzian, PreconditionFailed
+from conekit.errors import DependentBasis, NotFutureCausal, NotLorentzian, PreconditionFailed
 from conekit.hypnorm import PHyperbolic, norm_sq_eval
 from conekit.lorentz import (
     CausalClass,
@@ -30,10 +31,10 @@ from conekit.lorentz import (
 from conekit.numerics import (
     SymMatrix,
     Vector,
+    _eliminate,
     exact_det,
     exact_rank,
     fraction_sqrt_bounds,
-    independent_rows,
 )
 
 
@@ -91,8 +92,12 @@ class TestClassify:
         assert (sig.plus, sig.minus, sig.zero) == (1, 1, 0)
 
     def test_float_mode(self):
+        # float entries are taken at their binary values and classified exactly
         sig = classify(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
         assert sig.kind is FormKind.LORENTZIAN
+        assert classify(SymMatrix([[1.0, 0.5], [0.5, 0.25]])).kind is FormKind.DEGENERATE
+        # det = 0.01 - 0.1^2 < 0 on the binary values of 0.1 and 0.01
+        assert classify(SymMatrix([[1.0, 0.1], [0.1, 0.01]])).kind is FormKind.LORENTZIAN
 
 
 scalars = st.one_of(st.just(F(0)), st.fractions(min_value=-8, max_value=8, max_denominator=6))
@@ -170,7 +175,6 @@ class TestGramFormStandard:
                 g[i][j] = g[j][i] = data.draw(scalars)
         basis = [Vector(r) for r in rows]
         form = GramForm(basis, SymMatrix(g))
-        assert form.std.exact
         assert [[form.inner(u, v) for v in basis] for u in basis] == g
 
 
@@ -249,7 +253,9 @@ def _eliminated_spatial_basis(frame):
     """The first n - 1 independent projections, found by elimination."""
     n, t = frame.dim, frame.t
     cands = [e - t.scale(frame.inner(e, t)) for e in (Vector.unit(n, i) for i in range(n))]
-    return [cands[i] for i in independent_rows([w.coords for w in cands])[: n - 1]]
+    # the independent rows are the pivot columns of the transpose
+    rows = [w.coords for w in cands]
+    return [cands[i] for i in _eliminate([list(c) for c in zip(*rows)])[1][: n - 1]]
 
 
 def _fraction_spatial_basis(frame):
@@ -366,16 +372,19 @@ class TestIntegerSampler:
                 assert got.random() == want.random()
 
     def test_float_frame(self):
+        # a frame given in floats is the exact frame of their binary values
         basis = [Vector([1.0, 0.0, 0.0]), Vector([0.0, 1.0, 0.0]), Vector([0.0, 0.0, 1.0])]
         form = GramForm(basis, SymMatrix([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]))
         frame = LorentzFrame(form, Vector([1.0, 0.0, 0.0]))
+        assert frame.wick == minkowski_frame(2).wick
         got, want = random.Random(3), random.Random(3)
         for radius in (F(10), F(1, 3)):
-            x = sample_future_causal(frame, got, radius)
-            assert not x.exact and x.coords == _fraction_sample(frame, want, radius).coords
+            assert sample_future_causal(frame, got, radius) == _fraction_sample(frame, want, radius)
+        assert got.random() == want.random()
 
 
 class TestSamplerRadius:
+    # a frame given in float entries
     FLOAT_FRAME = LorentzFrame(
         GramForm([Vector([1.0, 0.0]), Vector([0.0, 1.0])], SymMatrix([[1.0, 0.0], [0.0, -1.0]])), Vector([1.0, 0.0])
     )
@@ -389,11 +398,20 @@ class TestSamplerRadius:
             sample_future_causal(frame, rng, radius)
         assert rng.getstate() == state
 
-    def test_float_radius_on_exact_frame_raises_before_drawing(self):
+    def test_float_radius_is_exact(self):
+        # a float radius makes the draws and the sample of its binary value
+        got, want = random.Random(1), random.Random(1)
+        frame = minkowski_frame(2)
+        for _ in range(5):
+            assert sample_future_causal(frame, got, 2.5) == sample_future_causal(frame, want, F(5, 2))
+        assert got.random() == want.random()
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_raises_before_drawing(self, radius):
         rng = random.Random(1)
         state = rng.getstate()
-        with pytest.raises(MixedBackend):
-            sample_future_causal(minkowski_frame(2), rng, 2.5)
+        with pytest.raises(PreconditionFailed):
+            sample_future_causal(minkowski_frame(2), rng, radius)
         assert rng.getstate() == state
 
     def test_zero_radius(self):

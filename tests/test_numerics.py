@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conekit.errors import DimensionMismatch, ExactBackend, MixedBackend, PreconditionFailed
+from conekit.cone import PCone, contains
+from conekit.errors import DimensionMismatch, ExactBackend, PreconditionFailed
 from conekit.numerics import (
     SymMatrix,
     Vector,
+    _eliminate,
     _int_vector,
     approx_eq,
     exact_det,
@@ -19,7 +21,6 @@ from conekit.numerics import (
     exact_solve,
     fraction_sqrt,
     fraction_sqrt_bounds,
-    independent_rows,
     lp_nonneg_solve,
 )
 
@@ -63,13 +64,40 @@ class TestVector:
         assert (v - w).coords == (F(-2), F(3))
         assert v.scale(F(2)).coords == (F(2), F(4))
 
-    def test_mixed_coords_rejected(self):
-        with pytest.raises(MixedBackend):
-            Vector([F(1), 2.0])
+    def test_float_coords_are_exact(self):
+        assert Vector([F(1), 2.0]) == Vector([F(1), F(2)])
+        assert Vector([0.1, 1.5]).coords == (F(0.1), F(3, 2))
+        assert Vector([0.1]) != Vector([F(1, 10)])
 
-    def test_mixed_vectors_rejected(self):
-        with pytest.raises(MixedBackend):
-            Vector([F(1)]) + Vector([1.0])
+    def test_float_vectors_add_exactly(self):
+        assert Vector([F(1)]) + Vector([1.0]) == Vector([F(2)])
+        assert Vector([0.1]) + Vector([0.2]) == Vector([F(0.1) + F(0.2)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coords_rejected(self, bad):
+        with pytest.raises(PreconditionFailed):
+            Vector([1.0, bad])
+        with pytest.raises(PreconditionFailed):
+            contains(PCone(2, 1), Vector([bad, 0.0]))
+        with pytest.raises(PreconditionFailed):
+            SymMatrix([[bad, 0.0], [0.0, 1.0]])
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+                st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_floats_round_trip(self, fs):
+        # a float enters at its binary value and reads back bit for bit
+        v = Vector(fs)
+        assert [f.hex() for f in v.as_floats()] == [(f + 0.0).hex() for f in fs]
+        assert v == Vector([F(f) for f in fs])
 
 
 def assert_normal(v: Vector):
@@ -135,12 +163,12 @@ class TestIntegerVector:
             assert_normal(w)
             assert w == v and v == w and hash(w) == hash(v)
             assert w != v + Vector.unit(n, 0)
-        # exact and float vectors of the same values compare equal, as Fraction and float do
+        # the coordinates rounded to floats give v back iff each is a binary value
         assert (v == Vector([float(x) for x in xs])) == all(F(float(x)) == x for x in xs)
 
-    def test_mixed_scale_rejected(self):
-        with pytest.raises(MixedBackend):
-            Vector([F(1), F(2)]).scale(0.5)
+    def test_float_scale_is_exact(self):
+        assert Vector([F(1), F(2)]).scale(0.5) == Vector([F(1, 2), F(1)])
+        assert Vector([F(3)]).scale(0.1) == Vector([3 * F(0.1)])
 
 
 class TestSymMatrix:
@@ -152,6 +180,10 @@ class TestSymMatrix:
         m = SymMatrix([[F(1), F(0)], [F(0), F(-1)]])
         v = Vector([F(2), F(1)])
         assert m.quad(v, v) == 3
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            SymMatrix([])
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -166,9 +198,9 @@ class TestSymMatrix:
         q = SymMatrix(m).quad(Vector(u), Vector(v))
         assert isinstance(q, F)
         assert q == sum(m[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
-        # the float backend sums the nonzero entries' terms in row-major order
+        # float entries are taken at their binary values
         mf, uf, vf = [[float(x) for x in r] for r in m], [float(x) for x in u], [float(x) for x in v]
-        want = sum((mf[i][j] * uf[i] * vf[j] for i in range(n) for j in range(n) if mf[i][j] != 0), 0.0)
+        want = sum(F(mf[i][j]) * F(uf[i]) * F(vf[j]) for i in range(n) for j in range(n))
         assert SymMatrix(mf).quad(Vector(uf), Vector(vf)) == want
 
 
@@ -240,6 +272,12 @@ def rational_matrices(draw, square=False):
             scale = draw(row_scales)
             rows.append([scale * x for x in draw(st.lists(entries, min_size=n, max_size=n))])
     return rows
+
+
+def independent_rows(rows):
+    """Indices of the first maximal linearly independent subset of the rows:
+    the pivot columns of the transpose."""
+    return _eliminate([list(c) for c in zip(*rows)])[1]
 
 
 def matmul(a, b):
