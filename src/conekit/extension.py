@@ -14,6 +14,7 @@ solver iterates.  The grid oracle certifies accuracy independently.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .lorentz import LorentzFrame
-from .numerics import Vector, lp_nonneg_solve
+from .numerics import Vector, _int_vector, lp_nonneg_solve
 from .span import future_decompose
 
 
@@ -123,11 +124,20 @@ class ExtensionResult:
     converged: bool
 
 
+def _combine(z, cols) -> Vector:
+    """sum_j z_j cols_j for Fractions z_j and integer columns: one integer vector."""
+    den = math.lcm(*(t.denominator for t in z))
+    ks = [t.numerator * (den // t.denominator) for t in z]
+    return _int_vector([sum(map(operator.mul, ks, row)) for row in zip(*cols)], den)
+
+
 def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
     """n~(x) for the l1 or linf base norm: one exact LP over theta, phi >= 0.
 
-    gens are the generator columns of G and xq the target, both exact.  With
-    u = G theta and v = G phi:
+    gens are the generators' integers, the columns of G, and xq the exact
+    target.  Each generator's positive denominator scales its column alone,
+    which leaves every pivot of ``lp_nonneg_solve`` unchanged: G theta is
+    the same vector.  With u = G theta and v = G phi:
       l1:   G theta - u+ + u- = 0, G phi - v+ + v- = 0, u+ - u- - v+ + v- = x,
             minimise sum(u+ + u- + v+ + v-);
       linf: G(theta - phi) = x, +-(G theta)_i <= tau_u, +-(G phi)_i <= tau_v
@@ -166,13 +176,10 @@ def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
     z = lp_nonneg_solve(rows, rhs, cost)
     if z is None:
         raise Infeasible("target is outside F - F (rank-deficient generators)")
-    u = [sum(z[j] * col[i] for j, col in enumerate(gens)) for i in range(n)]
-    v = [sum(z[m + j] * col[i] for j, col in enumerate(gens)) for i in range(n)]
-    if kind == "l1":
-        value = sum(abs(t) for t in u) + sum(abs(t) for t in v)
-    else:
-        value = max(abs(t) for t in u) + max(abs(t) for t in v)
-    return ExtensionResult(float(value), Vector(u), Vector(v), 0, True)
+    u, v = _combine(z[:m], gens), _combine(z[m : 2 * m], gens)
+    norm = sum if kind == "l1" else max
+    value = Fraction(norm(map(abs, u._nums)), u._den) + Fraction(norm(map(abs, v._nums)), v._den)
+    return ExtensionResult(float(value), u, v, 0, True)
 
 
 # Relative slack of the face solver's inequality check, in units of the
@@ -237,20 +244,14 @@ def _feasible_decomposition(c: Cone, x: Vector):
         fd = future_decompose(x, frame)
         return fd.v1, fd.v2
     if isinstance(c, Polyhedral):
-        m = len(c.generators)
-        a = [
-            [g.coords[i] for g in c.generators] + [-g.coords[i] for g in c.generators]
-            for i in range(c.ambient_dim)
-        ]
-        z = lp_nonneg_solve(a, list(x.coords))
+        # the generators' integers as columns: as in _lp_solve, their
+        # denominators change no pivot
+        gens = [g._nums for g in c.generators]
+        m = len(gens)
+        z = lp_nonneg_solve([list(row) + [-t for t in row] for row in zip(*gens)], list(x.coords))
         if z is None:
             raise Infeasible("target is outside F - F (rank-deficient generators)")
-        u = Vector.zero(c.ambient_dim)
-        v = Vector.zero(c.ambient_dim)
-        for j, g in enumerate(c.generators):
-            u = u + g.scale(z[j])
-            v = v + g.scale(z[m + j])
-        return u, v
+        return _combine(z[:m], gens), _combine(z[m:], gens)
     if isinstance(c, Orthant):
         pos = Vector([max(t, 0) for t in x.coords])
         return pos, pos - x
@@ -314,7 +315,7 @@ def extended_norm(p: ExtensionProblem) -> ExtensionResult:
         raise UnsupportedFamily("extended_norm expects Polyhedral or FutureCone")
     xq = p.target.coords
     if isinstance(norm, CoordBaseNorm) and norm.kind != "l2":
-        return _lp_solve([g.coords for g in c.generators], xq, norm.kind)
+        return _lp_solve([g._nums for g in c.generators], xq, norm.kind)
     desc = h_description(c)
     if any(sum(a * b for a, b in zip(e, xq)) for e in desc.equalities):
         raise Infeasible("target is outside F - F (rank-deficient generators)")

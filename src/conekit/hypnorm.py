@@ -8,6 +8,7 @@ null and boundary cases come out exactly.  Square roots force floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -150,11 +151,22 @@ def polarizability_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
 
 
 def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Fraction:
-    """Polarization pairing (||v+w||^2 - ||v||^2 - ||w||^2) / 2, exact."""
+    """Polarization pairing (||v+w||^2 - ||v||^2 - ||w||^2) / 2, exact.
+
+    On the quadratic families ||x||^2 = B(x, x) for a symmetric bilinear
+    form B, and the polarization identity B(v+w, v+w) - B(v, v) - B(w, w)
+    = 2 B(v, w) makes the pairing B itself: the form's ``inner(v, w)`` for a
+    form-induced norm, and (a0 b0 - sum a_i b_i) / (d_v d_w) on the vectors'
+    integers a / d_v and b / d_w for p = 2.  ``polarizability_residual``
+    still evaluates squared norms: it tests the identity.
+    """
     _require_quadratic(h, "polarization")
     _require_member(h, v)
     _require_member(h, w)
-    return (_norm_sq(h, v + w) - _norm_sq(h, v) - _norm_sq(h, w)) / 2
+    if isinstance(h, FormInduced):
+        return h.cone.form.inner(v, w)
+    (a0, *a), (b0, *b) = v._nums, w._nums
+    return Fraction(a0 * b0 - sum(map(operator.mul, a, b)), v._den * w._den)
 
 
 @dataclass(frozen=True)

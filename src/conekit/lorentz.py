@@ -2,14 +2,16 @@
 
 A ``GramForm`` stores a symmetric bilinear form through a basis of ambient
 vectors and the Gram matrix of that basis.  On construction the form is
-re-expressed in standard ambient coordinates by two exact block solves, so
-evaluating ``inner(u, v)`` on arbitrary vectors costs one quadratic form.
+re-expressed in standard ambient coordinates, on integers, from one exact
+elimination of the basis, so evaluating ``inner(u, v)`` on arbitrary
+vectors costs one quadratic form.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,9 +25,10 @@ from .errors import (
 from .numerics import (
     SymMatrix,
     Vector,
+    _eliminate,
     _exact_signature,
+    _int_symmatrix,
     _int_vector,
-    _solve,
     fraction_sqrt,
 )
 
@@ -45,11 +48,32 @@ class Signature:
     zero: int
 
 
+def _gram(us: list, nz) -> list:
+    """[u_i^T P u_j] for integer vectors us and the nonzero entries nz of a
+    symmetric integer matrix P: P u_j once per vector, each pair once."""
+    ps = []
+    for u in us:
+        pu = [0] * len(u)
+        for i, j, m in nz:
+            pu[i] += m * u[j]
+        ps.append(pu)
+    n = len(us)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = sum(map(operator.mul, us[i], ps[j]))
+    return g
+
+
 class GramForm:
     """Symmetric bilinear form given on a basis spanning the ambient space.
 
-    ``std`` is the form in standard coordinates, solved exactly on the
-    ``numerics`` kernel.
+    ``std`` is the form in standard coordinates, S = B^-T G B^-1 with the
+    basis as the columns of B, on integers: the basis's integer rows are
+    Bn = diag(den) B^T, and one fraction-free elimination of [Bn | I] on the
+    ``numerics`` kernel gives Bn^-1 = M / d.  With G = N / D,
+    S = M diag(den) N diag(den) M^T / (d^2 D), one integer matrix over one
+    denominator.
     """
 
     __slots__ = ("basis", "gram", "std")
@@ -61,16 +85,15 @@ class GramForm:
             raise DimensionMismatch("basis must consist of dim-many ambient vectors")
         if gram.dim != n:
             raise DimensionMismatch("gram matrix size must match basis size")
-        # S = B^-T G B^-1, B's columns being the basis, from two block solves
-        # with Bt: Bt Y = G^T gives Y^T = G B^-1, then Bt S = Y^T.
-        bt = [b.coords for b in basis]
-        y = _solve(bt, list(zip(*gram.rows)))
-        if y is None:
+        bn_i = [list(b._nums) + [int(i == j) for j in range(n)] for i, b in enumerate(basis)]
+        a, pivots, d, _ = _eliminate(bn_i, n)
+        if len(pivots) < n:
             raise DependentBasis("basis vectors are linearly dependent")
-        s = _solve(bt, list(zip(*y)))
+        dens = [b._den for b in basis]
+        s = _gram([row[n:] for row in a], [(i, j, m * dens[i] * dens[j]) for i, j, m in gram._nz])
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "std", SymMatrix(s))
+        object.__setattr__(self, "std", _int_symmatrix(s, d * d * gram._den))
 
     def __setattr__(self, *a):
         raise AttributeError("GramForm is immutable")
@@ -89,14 +112,15 @@ class GramForm:
         return f"GramForm(dim={self.dim})"
 
 
+def _minkowski_matrix(n: int) -> SymMatrix:
+    """diag(1, -1, ..., -1) of size n."""
+    return _int_symmatrix([[int(i == j) * (1 if i == 0 else -1) for j in range(n)] for i in range(n)], 1)
+
+
 def minkowski_form(spatial_dim: int) -> GramForm:
     """diag(1, -1, ..., -1) on the standard basis of R^{1+n}."""
     n = spatial_dim + 1
-    basis = [Vector.unit(n, i) for i in range(n)]
-    gram = SymMatrix(
-        [[Fraction(int(i == j)) * (1 if i == 0 else -1) for j in range(n)] for i in range(n)]
-    )
-    return GramForm(basis, gram)
+    return GramForm([Vector.unit(n, i) for i in range(n)], _minkowski_matrix(n))
 
 
 def classify(g: GramForm | SymMatrix) -> Signature:
@@ -144,7 +168,7 @@ class LorentzFrame:
         w = [[2 * den * x * y for y in a] for x in a]
         for i, j, m in s._nz:
             w[i][j] -= e * e * m
-        wick = SymMatrix([[Fraction(x, den * e * e) for x in r] for r in w])
+        wick = _int_symmatrix(w, den * e * e)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "wick", wick)
@@ -286,19 +310,25 @@ def _wick_kernel(frame: LorentzFrame) -> tuple[tuple, int]:
 def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:
     """Gram matrix of a cone basis under the polarization inner product.
 
-    Each pair is evaluated once, for i <= j, and mirrored: the pairing is
-    symmetric.  A linearly dependent basis raises ``DependentBasis`` from
-    ``GramForm``.
+    The norm family is checked once, then each basis vector's membership, in
+    basis order.  On the quadratic families the pairing is the bilinear form
+    N / D of the norm (``hypnorm.polar_inner``): diag(1, -1, ..., -1) for
+    p = 2, the form's ``std`` for a form-induced norm.  With the basis as
+    integers x_i over the lcm L of its denominators, entry (i, j) is
+    x_i^T N x_j / (D L^2), each pair once.  A linearly dependent basis
+    raises ``DependentBasis`` from ``GramForm``.
     """
-    from .hypnorm import polar_inner  # deferred: hypnorm depends on cone on us
+    # deferred: hypnorm depends on cone on us
+    from .hypnorm import FormInduced, _require_member, _require_quadratic
 
+    _require_quadratic(h, "polarization")
     basis = list(basis)
-    n = len(basis)
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entries[i][j] = entries[j][i] = polar_inner(h, basis[i], basis[j])
-    return GramForm(basis, SymMatrix(entries))
+    for b in basis:
+        _require_member(h, b)
+    form = h.cone.form.std if isinstance(h, FormInduced) else _minkowski_matrix(h.spatial_dim + 1)
+    lcm = math.lcm(*(b._den for b in basis))
+    xs = [[x * (lcm // b._den) for x in b._nums] for b in basis]
+    return GramForm(basis, _int_symmatrix(_gram(xs, form._nz), form._den * lcm * lcm))
 
 
 def frame_from_unit_vector(form: GramForm, candidate: Vector) -> LorentzFrame:

@@ -2,7 +2,8 @@
 
 Every scalar is an exact rational, a ``fractions.Fraction``.  Ints, numeric
 strings and finite floats are promoted to ``Fraction`` on entry, a float at
-its exact binary value; a nan or an infinity is rejected.  Only norm
+its exact binary value; a nan, an infinity and a string whose decimal
+exponent exceeds Python's int-string cap are rejected.  Only norm
 values that need a root (``hypnorm``) are floats, and ``approx_eq`` is
 their one tolerance rule.
 
@@ -11,27 +12,28 @@ Gauss-Jordan pivot step, ``_pivot``: the tableau holds d times the rational
 Gauss-Jordan tableau, d being the previous pivot, and each update divides
 by d without remainder (Edmonds 1967; Bareiss 1968).  ``_eliminate`` scales
 each row to integers and builds rank, determinant, null space and
-``_solve`` on it, the block solve behind ``exact_solve``,
-``exact_inverse`` and ``lorentz.GramForm``.  The two-phase simplex of
-``lp_nonneg_solve`` scales A and b by one lcm each, and
-``_exact_signature`` pivots symmetrically, on the same step, updating
-only the block it has left to classify.  Pivot choices are those of the
+``_solve`` on it, the block solve behind ``exact_solve`` and
+``exact_inverse``; ``lorentz.GramForm`` reads the inverse of its basis off
+one elimination.  The two-phase simplex of ``lp_nonneg_solve`` scales A
+and b by one lcm each, and ``_exact_signature`` pivots symmetrically, on
+the same step, updating only the block it has left to classify.  Pivot choices are those of the
 rational tableau, so every answer equals the rational one.  Phase 1 finds
 a feasible basis; given an objective, phase 2 minimises it with the same
 Bland's-rule loop on the same tableau.
 
 A ``Vector`` is integer numerators over one positive denominator, in
 lowest terms, and a ``SymMatrix`` keeps its nonzero entries the same way.
-Vector sums, differences, negation and scaling, ``apply`` and ``quad`` run
-on those integers; ``quad`` builds one ``Fraction`` for its result, and a
-vector's ``coords`` are built as ``Fraction``s only when read.  Boundary
-decisions in this domain (null vectors, cone facets) must not depend on
-float rounding.
+Vector sums, differences, negation and scaling, ``apply``, ``quad`` and
+equality run on those integers; ``quad`` builds one ``Fraction`` for its
+result, and ``coords`` and ``rows`` are built as ``Fraction``s only when
+read.  Boundary decisions in this domain (null vectors, cone facets) must
+not depend on float rounding.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 from typing import Sequence
@@ -40,12 +42,23 @@ from .errors import DimensionMismatch, ExactBackend, PreconditionFailed
 
 def as_scalar(x) -> Fraction:
     """Promote ints, strings like ``"3/4"`` and finite floats (at their exact
-    binary value) to Fraction; a nan or an infinity is PreconditionFailed."""
+    binary value) to Fraction; a nan or an infinity is PreconditionFailed.
+
+    ``Fraction`` expands a decimal exponent in full (``"1e10000000"`` takes
+    seconds), so an exponent beyond Python's cap on int strings,
+    ``sys.get_int_max_str_digits()``, in magnitude is PreconditionFailed too.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
+        # int raises ValueError on what Fraction would reject after an "e"
+        _, e, exp = x.lower().partition("e")
+        if e and abs(int(exp)) > sys.get_int_max_str_digits():
+            raise PreconditionFailed(f"the decimal exponent of {x!r} is beyond the int-string cap")
+        return Fraction(x)
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
@@ -175,34 +188,34 @@ def _int_vector(nums: list, den: int) -> Vector:
 
 
 class SymMatrix:
-    """Immutable exact symmetric matrix of positive dimension; symmetry is
-    checked on construction."""
+    """Immutable exact symmetric matrix of positive dimension; shape and
+    symmetry are checked on construction.  As in a ``Vector``, its nonzero
+    entries ``_nz`` are integers over one denominator ``_den`` in lowest
+    terms; ``rows``, the entries as ``Fraction``s, of a matrix built on
+    integers (``_int_symmatrix``) are built when first read."""
 
-    __slots__ = ("rows", "_nz", "_den")
+    __slots__ = ("rows", "dim", "_nz", "_den")
 
     def __init__(self, rows: Sequence[Sequence]):
         rs = tuple(tuple(map(as_scalar, row)) for row in rows)
-        n = len(rs)
-        if not n:
-            raise DimensionMismatch("matrices must have positive dimension")
-        if any(len(r) != n for r in rs):
-            raise DimensionMismatch("matrix must be square")
-        if any(rs[i][j] != rs[j][i] for i in range(n) for j in range(i + 1, n)):
-            raise DimensionMismatch("matrix is not symmetric")
-        # nonzero entries as integer numerators over one denominator; forms
-        # are often diagonal, so quad skips the zeros
-        nz = [(i, j, rs[i][j]) for i in range(n) for j in range(n) if rs[i][j] != 0]
-        ints, den = _integers([m for _, _, m in nz])
+        k = math.lcm(*(x.denominator for r in rs for x in r))
+        _set_ints(self, [[x.numerator * (k // x.denominator) for x in r] for r in rs], k)
         object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "_nz", tuple((i, j, m) for (i, j, _), m in zip(nz, ints)))
-        object.__setattr__(self, "_den", den)
+
+    def __getattr__(self, name):
+        # called only for an unset slot: rows not built yet
+        if name != "rows":
+            raise AttributeError(name)
+        n, d = self.dim, self._den
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i, j, m in self._nz:
+            rows[i][j] = Fraction(m, d)
+        rs = tuple(map(tuple, rows))
+        object.__setattr__(self, "rows", rs)
+        return rs
 
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:
@@ -221,13 +234,38 @@ class SymMatrix:
         return Fraction(sum(m * uc[i] * vc[j] for i, j, m in self._nz), self._den * u._den * v._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.rows == other.rows
+        # the integers are canonical: no Fraction is built
+        return isinstance(other, SymMatrix) and (self.dim, self._den, self._nz) == (other.dim, other._den, other._nz)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.dim, self._den, self._nz))
 
     def __repr__(self):
         return f"SymMatrix({[list(r) for r in self.rows]!r})"
+
+
+def _set_ints(m: SymMatrix, ints: list, den: int):
+    """Check that ints is square and symmetric and set m to ints / den, den > 0,
+    in lowest terms; nonzero entries only, as forms are often diagonal."""
+    n = len(ints)
+    if not n:
+        raise DimensionMismatch("matrices must have positive dimension")
+    if any(len(r) != n for r in ints):
+        raise DimensionMismatch("matrix must be square")
+    if any(ints[i][j] != ints[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise DimensionMismatch("matrix is not symmetric")
+    g = math.gcd(den, *(x for r in ints for x in r))
+    object.__setattr__(m, "dim", n)
+    object.__setattr__(m, "_nz", tuple((i, j, x // g) for i, r in enumerate(ints) for j, x in enumerate(r) if x))
+    object.__setattr__(m, "_den", den // g)
+
+
+def _int_symmatrix(ints: list, den: int) -> SymMatrix:
+    """The symmetric matrix ints / den for an n x n integer list and den > 0,
+    checked as ``SymMatrix(rows)`` checks it; ``rows`` is built on first read."""
+    m = object.__new__(SymMatrix)
+    _set_ints(m, ints, den)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,13 @@ class TestGram:
         assert run_cli(["gram", "--spatial-dim", "1", "--basis", basis]) == 2
         assert "error: cannot parse scalar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("big", ["1e10000000", "-1e-10000000"])
+    def test_huge_exponent_exits_2(self, big, capsys):
+        # Fraction would expand the exponent in full, for seconds
+        basis = json.dumps([[big, "0"], ["1", "1"]])
+        assert run_cli(["gram", "--spatial-dim", "1", "--basis", basis]) == 2
+        assert f"error: cannot parse scalar {big!r}" in capsys.readouterr().err
+
     def test_basis_not_a_list_exits_2(self, capsys):
         assert run_cli(["gram", "--spatial-dim", "1", "--basis", "5"]) == 2
         assert "error: expected a list of coordinate lists, got 5" in capsys.readouterr().err

@@ -1,14 +1,23 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conekit import hypnorm
 from conekit.cone import FutureCone, in_core, sample_future_causal
-from conekit.errors import DependentBasis, NotFutureCausal, NotLorentzian, PreconditionFailed
-from conekit.hypnorm import PHyperbolic, norm_sq_eval
+from conekit.errors import (
+    DependentBasis,
+    NotFutureCausal,
+    NotLorentzian,
+    OutsideCone,
+    PreconditionFailed,
+    UnsupportedFamily,
+)
+from conekit.hypnorm import FormInduced, PHyperbolic, norm_sq_eval, polar_inner
 from conekit.lorentz import (
     CausalClass,
     FormKind,
@@ -32,6 +41,7 @@ from conekit.numerics import (
     SymMatrix,
     Vector,
     _eliminate,
+    _solve,
     exact_det,
     exact_rank,
     fraction_sqrt_bounds,
@@ -66,6 +76,43 @@ class TestGramFromConeBasis:
     def test_dependent_basis(self):
         with pytest.raises(DependentBasis):
             gram_from_cone_basis(PHyperbolic(2, 1), [vec(1, 0), vec(2, 0)])
+        h = FormInduced(FutureCone(minkowski_form(1), vec(1, 0)))
+        with pytest.raises(DependentBasis):
+            gram_from_cone_basis(h, [vec(2, 1), vec(4, 2)])
+
+
+def _spy_membership(monkeypatch) -> list:
+    """Record every vector whose cone membership hypnorm checks."""
+    calls, real = [], hypnorm.contains
+
+    def spy(c, x):
+        calls.append(x)
+        return real(c, x)
+
+    monkeypatch.setattr(hypnorm, "contains", spy)
+    return calls
+
+
+class TestGramFromConeBasisChecks:
+    @pytest.mark.parametrize("h", [PHyperbolic(1, 1), PHyperbolic(3, 1)])
+    def test_family_before_membership(self, h, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        with pytest.raises(UnsupportedFamily):
+            gram_from_cone_basis(h, [vec(1, 0), vec(0, 5)])
+        assert calls == []
+
+    def test_first_non_member_named(self, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        basis = [vec(2, 1), vec(1, 3), vec(1, -2)]
+        with pytest.raises(OutsideCone, match=re.escape(repr(basis[1]))):
+            gram_from_cone_basis(PHyperbolic(2, 1), basis)
+        assert calls == basis[:2]
+
+    def test_each_member_checked_once(self, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        basis = [vec(1, 0, 0), vec(1, 1, 0), vec(1, 0, 1)]
+        gram_from_cone_basis(PHyperbolic(2, 2), basis)
+        assert calls == basis
 
 
 class TestClassify:
@@ -234,10 +281,10 @@ class TestWick:
 
 
 @st.composite
-def general_frames(draw):
+def general_frames(draw, max_dim=5):
     """The form with Gram matrix D = diag(1, -1, ..., -1) on a random exact
     basis B, and t = b_0: S = B^-T D B^-1 is any Lorentzian form, <t,t> = 1."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_dim))
     entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     assume(exact_det(rows) != 0)
@@ -317,6 +364,69 @@ class TestWickOnGeneralFrames:
         if causal_class(frame, u) is CausalClass.FUTURE_CAUSAL:
             d = decompose(frame, u)
             assert future_defect_exact(frame, u) == d.alpha**2 - wick_inner(frame, d.w, d.w)
+
+
+def _three_norm_polar_inner(h, v, w):
+    """Reference: the polarization identity on three squared norms."""
+    return (norm_sq_eval(h, v + w) - norm_sq_eval(h, v) - norm_sq_eval(h, w)) / 2
+
+
+def _two_solve_std(basis, gram):
+    """Reference: S = B^-T G B^-1 by two block solves with B^T on Fraction
+    coordinates: B^T Y = G^T gives Y^T = G B^-1, then B^T S = Y^T."""
+    bt = [b.coords for b in basis]
+    y = _solve(bt, list(zip(*gram.rows)))
+    return SymMatrix(_solve(bt, list(zip(*y))))
+
+
+@st.composite
+def p2_bases(draw):
+    """An independent basis of the p = 2 cone in dims 2-8: x0 >= sum |x_i|."""
+    n = draw(st.integers(2, 8))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    rows = []
+    for _ in range(n):
+        spatial = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        rows.append([sum(map(abs, spatial)) + draw(st.fractions(0, 2, max_denominator=4))] + spatial)
+    assume(exact_det(rows) != 0)
+    return [Vector(r) for r in rows]
+
+
+class TestGramOnIntegers:
+    """polar_inner, gram_from_cone_basis and GramForm.std against the
+    three-norm pairing, the pairwise Gram matrix and the two-solve std."""
+
+    @staticmethod
+    def check(h, basis):
+        for u in basis:
+            for v in basis:
+                assert polar_inner(h, u, v) == _three_norm_polar_inner(h, u, v)
+        g = gram_from_cone_basis(h, basis)
+        assert g.gram == SymMatrix([[_three_norm_polar_inner(h, u, v) for v in basis] for u in basis])
+        want = _two_solve_std(basis, g.gram)
+        assert g.std == want and g.std.rows == want.rows
+        return g
+
+    @settings(max_examples=40, deadline=None)
+    @given(p2_bases())
+    def test_p2(self, basis):
+        n = len(basis)
+        g = self.check(PHyperbolic(2, n - 1), basis)
+        assert g.std == minkowski_form(n - 1).std
+
+    # the two-solve reference takes most of the time on 8-D frames
+    @settings(max_examples=25, deadline=None)
+    @given(general_frames(max_dim=8), st.integers(0, 2**32))
+    def test_form_induced(self, frame, seed):
+        form = frame.form
+        assert form.std == _two_solve_std(form.basis, form.gram)
+        st_ = form.std.apply(frame.t).coords
+        assert frame.wick == SymMatrix([[2 * a * b - x for b, x in zip(st_, r)] for a, r in zip(st_, form.std.rows)])
+        rng = random.Random(seed)
+        basis = [sample_future_causal(frame, rng) for _ in range(frame.dim)]
+        assume(exact_rank([b.coords for b in basis]) == frame.dim)
+        g = self.check(FormInduced(FutureCone(form, frame.t)), basis)
+        assert g.std == form.std
 
 
 def _fraction_sample(frame, rng, radius):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +14,10 @@ from conekit.numerics import (
     SymMatrix,
     Vector,
     _eliminate,
+    _int_symmatrix,
     _int_vector,
     approx_eq,
+    as_scalar,
     exact_det,
     exact_inverse,
     exact_null_space,
@@ -40,6 +44,23 @@ class TestApproxEq:
     def test_exact_backend_rejected(self):
         with pytest.raises(ExactBackend):
             approx_eq(F(1), F(1))
+
+
+class TestAsScalar:
+    @pytest.mark.parametrize("s", ["1e10000000", "-1e-10000000", "1E+4301", "2.5e-4301", " 1e1_000_000 "])
+    def test_huge_decimal_exponent_rejected_fast(self, s):
+        # Fraction would expand 10**exponent in full: 11 s for 1e10000000
+        t0 = time.perf_counter()
+        with pytest.raises(PreconditionFailed):
+            as_scalar(s)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_exponents_up_to_the_cap_stay_exact(self):
+        cap = sys.get_int_max_str_digits()
+        assert as_scalar(f"1e{cap}") == 10**cap
+        assert as_scalar(f"-3e-{cap}") == F(-3, 10**cap)
+        assert as_scalar("3/4") == F(3, 4)
+        assert as_scalar("1.5E2") == 150
 
 
 @given(rationals, rationals, rationals)
@@ -184,6 +205,53 @@ class TestSymMatrix:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             SymMatrix([])
+
+    @pytest.mark.parametrize("ints", [[], [[1, 2]], [[1, 2], [3]], [[1, 2], [3, 4]]])
+    def test_int_constructor_checks_shape_and_symmetry(self, ints):
+        with pytest.raises(DimensionMismatch):
+            _int_symmatrix(ints, 1)
+
+    def test_zero_matrices_of_different_size_differ(self):
+        assert _int_symmatrix([[0]], 3) != _int_symmatrix([[0, 0], [0, 0]], 1)
+        assert SymMatrix([[0]]) == _int_symmatrix([[0]], 7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_construction_paths_agree(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = data.draw(entries)
+        k = data.draw(st.integers(1, 10**6))
+        den = math.lcm(*(x.denominator for r in m for x in r))
+        # the same matrix from Fractions, from unreduced integers, and from
+        # mixed ints, Fractions, floats and strings where they are exact
+        mixed = [[x.numerator if x.denominator == 1 else float(x) if F(float(x)) == x else str(x) for x in r] for r in m]
+        ints = _int_symmatrix([[k * x.numerator * (den // x.denominator) for x in r] for r in m], k * den)
+        paths = [SymMatrix(m), ints, SymMatrix(mixed), SymMatrix([[str(x) for x in r] for r in m])]
+        for got in paths:
+            assert got == paths[0] and hash(got) == hash(paths[0])
+        # equality and hashing do not build rows; a first read builds them
+        assert not _rows_built(ints)
+        assert ints.rows == tuple(map(tuple, m)) and _rows_built(ints)
+        assert (ints._nz, ints._den) == (paths[0]._nz, paths[0]._den)
+        assert math.gcd(ints._den, *(x for _, _, x in ints._nz)) == 1
+        u = data.draw(st.lists(entries, min_size=n, max_size=n))
+        assert ints.quad(Vector(u), Vector(u)) == paths[0].quad(Vector(u), Vector(u))
+        if any(x for r in m for x in r):
+            i, j, _ = paths[0]._nz[0]
+            m[i][j] += 1
+            m[j][i] = m[i][j]
+            assert SymMatrix(m) != paths[0]
+
+
+def _rows_built(m: SymMatrix) -> bool:
+    try:
+        SymMatrix.rows.__get__(m, SymMatrix)  # the slot itself, not __getattr__
+    except AttributeError:
+        return False
+    return True
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -376,6 +444,21 @@ class TestEliminationProperties:
             if s is not None and all(t >= 0 for t in s):
                 costs.append(sum(c[j] * t for j, t in zip(cols, s)))
         assert sum(ci * t for ci, t in zip(c, theta)) == min(costs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_lp_column_scaling_keeps_pivots(self, a, data):
+        """Scaling column j and its cost by s_j > 0 changes no pivot, so the
+        solution is theta_j / s_j: the same A theta, as extension relies on."""
+        n = len(a[0])
+        theta0 = data.draw(st.lists(st.integers(0, 3).map(F), min_size=n, max_size=n))
+        b = [sum(x * y for x, y in zip(r, theta0)) for r in a]
+        c = data.draw(st.one_of(st.none(), st.lists(st.integers(0, 4).map(F), min_size=n, max_size=n)))
+        s = data.draw(st.lists(st.one_of(st.integers(1, 10**6).map(F), small_rationals.filter(lambda x: x > 0)), min_size=n, max_size=n))
+        scaled = [[x * k for x, k in zip(r, s)] for r in a]
+        theta = lp_nonneg_solve(a, b, c)
+        got = lp_nonneg_solve(scaled, b, None if c is None else [x * k for x, k in zip(c, s)])
+        assert got == [t / k for t, k in zip(theta, s)]
 
     @pytest.mark.parametrize(
         "a, b, c, want",
