@@ -245,14 +245,6 @@ class TestSymMatrix:
             m[j][i] = m[i][j]
             assert SymMatrix(m) != paths[0]
 
-
-def _rows_built(m: SymMatrix) -> bool:
-    try:
-        SymMatrix.rows.__get__(m, SymMatrix)  # the slot itself, not __getattr__
-    except AttributeError:
-        return False
-    return True
-
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_quad_property(self, data):
@@ -270,6 +262,14 @@ def _rows_built(m: SymMatrix) -> bool:
         mf, uf, vf = [[float(x) for x in r] for r in m], [float(x) for x in u], [float(x) for x in v]
         want = sum(F(mf[i][j]) * F(uf[i]) * F(vf[j]) for i in range(n) for j in range(n))
         assert SymMatrix(mf).quad(Vector(uf), Vector(vf)) == want
+
+
+def _rows_built(m: SymMatrix) -> bool:
+    try:
+        SymMatrix.rows.__get__(m, SymMatrix)  # the slot itself, not __getattr__
+    except AttributeError:
+        return False
+    return True
 
 
 class TestExactLinearAlgebra:
