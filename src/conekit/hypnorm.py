@@ -8,14 +8,14 @@ null and boundary cases come out exactly.  Square roots force floats.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .cone import Cone, FutureCone, Orthant, PCone, contains
 from .errors import OutsideCone, UnsupportedFamily
-from .numerics import Vector, approx_eq, exact_rank
+from .lorentz import _minkowski_matrix
+from .numerics import SymMatrix, Vector, approx_eq, exact_rank
 
 # a Fraction, or the float value of a norm that needs a root
 Scalar = Union[Fraction, float]
@@ -123,6 +123,12 @@ def _require_quadratic(h: HyperbolicNorm, what: str):
         raise UnsupportedFamily(f"exact {what} needs p = 2 or a form-induced norm")
 
 
+def _bilinear_form(h: HyperbolicNorm) -> SymMatrix:
+    """The matrix B with ||x||^2 = x^T B x of a quadratic-family norm: the
+    form's ``std`` for a form-induced norm, diag(1, -1, ..., -1) for p = 2."""
+    return h.cone.form.std if isinstance(h, FormInduced) else _minkowski_matrix(h.spatial_dim + 1)
+
+
 def norm_sq_eval(h: HyperbolicNorm, x: Vector) -> Fraction:
     """Exact rational squared norm; only the quadratic families support it."""
     _require_quadratic(h, "squared norm")
@@ -153,20 +159,17 @@ def polarizability_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
 def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Fraction:
     """Polarization pairing (||v+w||^2 - ||v||^2 - ||w||^2) / 2, exact.
 
-    On the quadratic families ||x||^2 = B(x, x) for a symmetric bilinear
-    form B, and the polarization identity B(v+w, v+w) - B(v, v) - B(w, w)
-    = 2 B(v, w) makes the pairing B itself: the form's ``inner(v, w)`` for a
-    form-induced norm, and (a0 b0 - sum a_i b_i) / (d_v d_w) on the vectors'
-    integers a / d_v and b / d_w for p = 2.  ``polarizability_residual``
-    still evaluates squared norms: it tests the identity.
+    On the quadratic families ||x||^2 = x^T B x for a symmetric matrix B
+    (``_bilinear_form``), and the polarization identity
+    B(v+w, v+w) - B(v, v) - B(w, w) = 2 B(v, w) makes the pairing
+    v^T B w itself, one ``quad`` on the vectors' integers.
+    ``polarizability_residual`` still evaluates squared norms: it tests the
+    identity.
     """
     _require_quadratic(h, "polarization")
     _require_member(h, v)
     _require_member(h, w)
-    if isinstance(h, FormInduced):
-        return h.cone.form.inner(v, w)
-    (a0, *a), (b0, *b) = v._nums, w._nums
-    return Fraction(a0 * b0 - sum(map(operator.mul, a, b)), v._den * w._den)
+    return _bilinear_form(h).quad(v, w)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ vectors costs one quadratic form.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -112,8 +113,9 @@ class GramForm:
         return f"GramForm(dim={self.dim})"
 
 
+@functools.cache
 def _minkowski_matrix(n: int) -> SymMatrix:
-    """diag(1, -1, ..., -1) of size n."""
+    """diag(1, -1, ..., -1) of size n, built once per size: it is immutable."""
     return _int_symmatrix([[int(i == j) * (1 if i == 0 else -1) for j in range(n)] for i in range(n)], 1)
 
 
@@ -311,21 +313,20 @@ def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:
     """Gram matrix of a cone basis under the polarization inner product.
 
     The norm family is checked once, then each basis vector's membership, in
-    basis order.  On the quadratic families the pairing is the bilinear form
-    N / D of the norm (``hypnorm.polar_inner``): diag(1, -1, ..., -1) for
-    p = 2, the form's ``std`` for a form-induced norm.  With the basis as
+    basis order.  On the quadratic families the pairing is the norm's
+    bilinear form N / D (``hypnorm.polar_inner``).  With the basis as
     integers x_i over the lcm L of its denominators, entry (i, j) is
     x_i^T N x_j / (D L^2), each pair once.  A linearly dependent basis
     raises ``DependentBasis`` from ``GramForm``.
     """
     # deferred: hypnorm depends on cone on us
-    from .hypnorm import FormInduced, _require_member, _require_quadratic
+    from .hypnorm import _bilinear_form, _require_member, _require_quadratic
 
     _require_quadratic(h, "polarization")
     basis = list(basis)
     for b in basis:
         _require_member(h, b)
-    form = h.cone.form.std if isinstance(h, FormInduced) else _minkowski_matrix(h.spatial_dim + 1)
+    form = _bilinear_form(h)
     lcm = math.lcm(*(b._den for b in basis))
     xs = [[x * (lcm // b._den) for x in b._nums] for b in basis]
     return GramForm(basis, _int_symmatrix(_gram(xs, form._nz), form._den * lcm * lcm))

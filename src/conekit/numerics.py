@@ -25,7 +25,7 @@ A ``Vector`` is integer numerators over one positive denominator, in
 lowest terms, and a ``SymMatrix`` keeps its nonzero entries the same way.
 Vector sums, differences, negation and scaling, ``apply``, ``quad`` and
 equality run on those integers; ``quad`` builds one ``Fraction`` for its
-result, and ``coords`` and ``rows`` are built as ``Fraction``s only when
+result, and a vector's ``coords`` are built as ``Fraction``s only when
 read.  Boundary decisions in this domain (null vectors, cone facets) must
 not depend on float rounding.
 """
@@ -46,7 +46,8 @@ def as_scalar(x) -> Fraction:
 
     ``Fraction`` expands a decimal exponent in full (``"1e10000000"`` takes
     seconds), so an exponent beyond Python's cap on int strings,
-    ``sys.get_int_max_str_digits()``, in magnitude is PreconditionFailed too.
+    ``sys.get_int_max_str_digits()``, in magnitude is PreconditionFailed too;
+    a cap of 0 switches that limit off, here as in ``int``.
     """
     if isinstance(x, Fraction):
         return x
@@ -55,7 +56,8 @@ def as_scalar(x) -> Fraction:
     if isinstance(x, str):
         # int raises ValueError on what Fraction would reject after an "e"
         _, e, exp = x.lower().partition("e")
-        if e and abs(int(exp)) > sys.get_int_max_str_digits():
+        cap = sys.get_int_max_str_digits()
+        if e and cap and abs(int(exp)) > cap:
             raise PreconditionFailed(f"the decimal exponent of {x!r} is beyond the int-string cap")
         return Fraction(x)
     if isinstance(x, int):
@@ -191,10 +193,9 @@ class SymMatrix:
     """Immutable exact symmetric matrix of positive dimension; shape and
     symmetry are checked on construction.  As in a ``Vector``, its nonzero
     entries ``_nz`` are integers over one denominator ``_den`` in lowest
-    terms; ``rows``, the entries as ``Fraction``s, of a matrix built on
-    integers (``_int_symmatrix``) are built when first read."""
+    terms; ``rows`` holds the entries as ``Fraction``s."""
 
-    __slots__ = ("rows", "dim", "_nz", "_den")
+    __slots__ = ("rows", "_nz", "_den")
 
     def __init__(self, rows: Sequence[Sequence]):
         rs = tuple(tuple(map(as_scalar, row)) for row in rows)
@@ -202,20 +203,12 @@ class SymMatrix:
         _set_ints(self, [[x.numerator * (k // x.denominator) for x in r] for r in rs], k)
         object.__setattr__(self, "rows", rs)
 
-    def __getattr__(self, name):
-        # called only for an unset slot: rows not built yet
-        if name != "rows":
-            raise AttributeError(name)
-        n, d = self.dim, self._den
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, j, m in self._nz:
-            rows[i][j] = Fraction(m, d)
-        rs = tuple(map(tuple, rows))
-        object.__setattr__(self, "rows", rs)
-        return rs
-
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:
@@ -255,16 +248,21 @@ def _set_ints(m: SymMatrix, ints: list, den: int):
     if any(ints[i][j] != ints[j][i] for i in range(n) for j in range(i + 1, n)):
         raise DimensionMismatch("matrix is not symmetric")
     g = math.gcd(den, *(x for r in ints for x in r))
-    object.__setattr__(m, "dim", n)
     object.__setattr__(m, "_nz", tuple((i, j, x // g) for i, r in enumerate(ints) for j, x in enumerate(r) if x))
     object.__setattr__(m, "_den", den // g)
 
 
 def _int_symmatrix(ints: list, den: int) -> SymMatrix:
     """The symmetric matrix ints / den for an n x n integer list and den > 0,
-    checked as ``SymMatrix(rows)`` checks it; ``rows`` is built on first read."""
+    checked as ``SymMatrix(rows)`` checks it."""
     m = object.__new__(SymMatrix)
     _set_ints(m, ints, den)
+    n, d = len(ints), m._den
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, x in m._nz:
+        if i <= j:
+            rows[i][j] = rows[j][i] = Fraction(x, d)
+    object.__setattr__(m, "rows", tuple(map(tuple, rows)))
     return m
 
 
