@@ -3,7 +3,9 @@
 Polyhedral membership and properness are decided by exact rational LP,
 because boundary points (null vectors, facets) are routine inputs here and
 float LP misclassifies them.  PCone membership is exact for p in {1, 2, inf}
-via squared comparisons; FutureCone membership is exact through the form.
+via squared comparisons.  FutureCone membership, core and dual membership,
+and the self-duality probe are signs of the form, read off the integer
+``SymMatrix._int_quad`` without building a Fraction.
 """
 
 from __future__ import annotations
@@ -250,7 +252,8 @@ def contains(c: Cone, x: Vector) -> bool:
     if isinstance(c, PCone):
         return _pcone_holds(c.p, x)
     if isinstance(c, FutureCone):
-        return c.form.inner(x, x) >= 0 and c.form.inner(x, c.t) >= 0
+        s = c.form.std
+        return s._int_quad(x, x) >= 0 and s._int_quad(x, c.t) >= 0
     return _polyhedral_member(c, x)
 
 
@@ -308,7 +311,8 @@ def in_core(c: Cone, x: Vector) -> bool:
     if isinstance(c, PCone):
         return _pcone_holds(c.p, x, strict=True)
     if isinstance(c, FutureCone):
-        return c.form.inner(x, x) > 0 and c.form.inner(x, c.t) > 0
+        s = c.form.std
+        return s._int_quad(x, x) > 0 and s._int_quad(x, c.t) > 0
     gens = [g._nums for g in c.generators]
     if exact_rank(gens) < c.ambient_dim:
         return False
@@ -327,12 +331,13 @@ def dual_contains(c: Cone, g: GramForm, v: Vector) -> bool:
     future cone is itself, so this is future-cone membership.
     """
     _check_dim(c, v)
-    if g.inner(v, v) < 0:
+    s = g.std
+    if s._int_quad(v, v) < 0:
         raise NotCausal("dual cone membership is only defined for causal vectors")
     if isinstance(c, Polyhedral):
-        return all(g.inner(v, gen) >= 0 for gen in c.generators)
+        return all(s._int_quad(v, gen) >= 0 for gen in c.generators)
     if isinstance(c, FutureCone):
-        return g.inner(v, c.t) >= 0
+        return s._int_quad(v, c.t) >= 0
     raise UnsupportedFamily("dual_contains expects Polyhedral or FutureCone")
 
 
@@ -341,7 +346,7 @@ def _sampling_frame(c: Cone, g: GramForm) -> LorentzFrame:
         return LorentzFrame(g, c.t)
     if isinstance(c, Polyhedral):
         for gen in c.generators:
-            if g.inner(gen, gen) > 0:
+            if g.std._int_quad(gen, gen) > 0:
                 return frame_from_unit_vector(g, gen)
     raise NotLorentzian("no timelike generator available for causal sampling")
 
@@ -360,28 +365,30 @@ def sample_future_causal(
     gives, to Wick norm <= u / 1000.
 
     It runs on integers: with the b_k as integers over their lcm L
-    (``lorentz._wick_kernel``), w's integers are sum_k c_k b_k over 1000 L,
-    s's numerator is sum m w_i w_j over the Wick matrix's numerators m, and
-    s = that / (W_den (1000 L)^2) is reduced by one gcd, since the bound on
-    sqrt(s) depends on s in lowest terms.  The sample
-    alpha (t + (u / 1000) / hi w) is one integer vector.  A float radius is
-    taken at its binary value; a negative radius raises before any draw.
+    (``lorentz._wick_kernel``), w's integers are sum_k c_k b_k over 1000 L.
+    The b_k are exactly Wick-orthogonal, so s's numerator w^T N w on the
+    Wick matrix's numerators N is sum_k c_k^2 q_k, with q_k = b_k^T N b_k on
+    the same integers, built once per frame; s = that / (W_den (1000 L)^2)
+    is reduced by one gcd, since the bound on sqrt(s) depends on s in lowest
+    terms.  The sample alpha (t + (u / 1000) / hi w) is one integer vector.
+    A float radius is taken at its binary value; a negative radius raises
+    before any draw.
     """
     radius = as_scalar(radius)
     if radius < 0:
         raise PreconditionFailed(f"sampling radius must be >= 0, got {radius!r}")
     t = frame.t
-    cols, lcm = _wick_kernel(frame)
+    cols, qs, lcm = _wick_kernel(frame)
     a = rng.randint(0, 1000) * radius.numerator  # alpha = a / (1000 r_d)
-    cs = [rng.randint(-1000, 1000) for _ in cols[0]]
-    w = [sum(c * b for c, b in zip(cs, col)) for col in cols]
+    cs = [rng.randint(-1000, 1000) for _ in qs]
     den = 1000 * radius.denominator * t._den
-    sn = sum(m * w[i] * w[j] for i, j, m in frame.wick._nz)
+    sn = sum(c * c * q for c, q in zip(cs, qs))
     if sn == 0:
         return _int_vector([a * x for x in t._nums], den)
     sd = frame.wick._den * (1000 * lcm) ** 2
     g = math.gcd(sn, sd)
     u = rng.randint(0, 1000)
+    w = [sum(map(operator.mul, cs, col)) for col in cols]
     _, hn, hd = _sqrt_bounds(sn // g, sd // g)
     # t + (u hd / (1000 hn)) w / (1000 L), over t_d 10^6 hn L
     kt, kw = 1_000_000 * hn * lcm, t._den * u * hd
@@ -406,13 +413,14 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
     """
     rng = random.Random(seed)
     frame = _sampling_frame(c, g)
+    s = g.std
     # F subset F*: pairwise nonnegativity of the form on F
     if isinstance(c, Polyhedral):
         for a in c.generators:
-            if g.inner(a, a) < 0:
+            if s._int_quad(a, a) < 0:
                 return SelfDualityReport(False, a, 0, "F_not_causal")
             for b in c.generators:
-                if g.inner(a, b) < 0:
+                if s._int_quad(a, b) < 0:
                     return SelfDualityReport(False, a, 0, "F_not_subset_dual")
     checked = 0
     for _ in range(samples):
@@ -420,7 +428,7 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
         checked += 1
         if isinstance(c, FutureCone):
             u = sample_future_causal(frame, rng)
-            if g.inner(u, v) < 0:
+            if s._int_quad(u, v) < 0:
                 return SelfDualityReport(False, v, checked, "F_not_subset_dual")
         try:
             in_dual = dual_contains(c, g, v)

@@ -1,8 +1,11 @@
 """Hyperbolic norm families, polarization, reverse Cauchy-Schwarz.
 
 Checks work on squared norms: every check expressible in squares
-(polarizability, reverse CS, equality cases) is decided over Fraction, so
-null and boundary cases come out exactly.  Square roots force floats.
+(polarizability, reverse CS, equality cases) is decided exactly, so null
+and boundary cases come out exactly.  On the quadratic families the reverse
+Cauchy-Schwarz and reverse triangle signs and the equality case are read
+off three integers of the bilinear form (``_cs_triple``), with no Fraction
+built for a sign.  Square roots force floats.
 """
 
 from __future__ import annotations
@@ -166,10 +169,23 @@ def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Fraction:
     ``polarizability_residual`` still evaluates squared norms: it tests the
     identity.
     """
+    _require_polar_pair(h, v, w)
+    return _bilinear_form(h).quad(v, w)
+
+
+def _require_polar_pair(h: HyperbolicNorm, v: Vector, w: Vector):
+    """The checks of an exact pairing: the family, then v's and w's membership."""
     _require_quadratic(h, "polarization")
     _require_member(h, v)
     _require_member(h, w)
-    return _bilinear_form(h).quad(v, w)
+
+
+def _cs_triple(b: SymMatrix, v: Vector, w: Vector) -> tuple[int, int, int]:
+    """(b_vw, b_vv, b_ww) = ``_int_quad`` of (v, w), (v, v) and (w, w) under
+    a bilinear form B = N / D.  On the one scale k = D d_v d_w,
+    <v, w> = b_vw / k and ||v||^2 ||w||^2 = b_vv b_ww / k^2, so
+    <v, w>^2 - ||v||^2 ||w||^2 = (b_vw^2 - b_vv b_ww) / k^2."""
+    return b._int_quad(v, w), b._int_quad(v, v), b._int_quad(w, w)
 
 
 @dataclass(frozen=True)
@@ -181,18 +197,25 @@ class ReverseCSResult:
 
 
 def reverse_cs_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> ReverseCSResult:
-    """Reverse Cauchy-Schwarz check <v,w> >= ||v|| ||w|| on cone members."""
-    inner = polar_inner(h, v, w)
-    nv, nw = _norm_sq(h, v), _norm_sq(h, w)
-    gap = inner * inner - nv * nw
-    holds = inner >= 0 and gap >= 0
-    residual = float(inner) - math.sqrt(max(float(nv), 0.0) * max(float(nw), 0.0))
-    return ReverseCSResult(residual, inner, gap, holds)
+    """Reverse Cauchy-Schwarz check <v,w> >= ||v|| ||w|| on cone members,
+    decided on the integers of ``_cs_triple``."""
+    _require_polar_pair(h, v, w)
+    b = _bilinear_form(h)
+    bvw, bvv, bww = _cs_triple(b, v, w)
+    k = b._den * v._den * w._den
+    gap = bvw * bvw - bvv * bww
+    # int / int rounds as float(Fraction) does: ||v||^2 = b_vv / (D d_v^2)
+    nv, nw = bvv / (b._den * v._den * v._den), bww / (b._den * w._den * w._den)
+    residual = bvw / k - math.sqrt(max(nv, 0.0) * max(nw, 0.0))
+    return ReverseCSResult(residual, Fraction(bvw, k), Fraction(gap, k * k), bvw >= 0 and gap >= 0)
 
 
 def reverse_triangle_holds_exact(h: HyperbolicNorm, u: Vector, v: Vector) -> bool:
-    """||u+v|| >= ||u|| + ||v|| via squared comparison (no square roots)."""
-    return reverse_cs_residual(h, u, v).holds
+    """||u+v|| >= ||u|| + ||v|| via squared comparison (no square roots):
+    <u,v> >= 0 and <u,v>^2 >= ||u||^2 ||v||^2, on integers."""
+    _require_polar_pair(h, u, v)
+    buv, buu, bvv = _cs_triple(_bilinear_form(h), u, v)
+    return buv >= 0 and buv * buv >= buu * bvv
 
 
 @dataclass(frozen=True)
@@ -215,11 +238,13 @@ def _collinear_nonneg(v: Vector, w: Vector) -> bool:
 def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCollinearity:
     """Detect ||v+w|| = ||v|| + ||w|| and whether v, w are nonneg-collinear.
 
-    On exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2 (both
-    sides rational); collinearity is an exact rank check plus sign of the
-    ratio.  The other families, whose norm values are irrational floats,
-    compare n(v+w) with n(v) + n(w), and the cross products v_i w_j with
-    v_j w_i of the rounded coordinates, by the float rule ``approx_eq``.
+    Each argument's membership is checked once, in argument order.  On
+    exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2, decided
+    on the integers of ``_cs_triple`` (the 1-hyperbolic norm is rational
+    and compared directly); collinearity is an exact rank check plus sign
+    of the ratio.  The other families, whose norm values are irrational
+    floats, compare n(v+w) with n(v) + n(w), and the cross products v_i w_j
+    with v_j w_i of the rounded coordinates, by the float rule ``approx_eq``.
     """
     _require_member(h, v)
     _require_member(h, w)
@@ -232,7 +257,8 @@ def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCo
             eq = n1(v + w) == n1(v) + n1(w)
         else:
             # equality iff <v,w> = ||v|| ||w||, decided in squares
-            eq = reverse_cs_residual(h, v, w).inner_sq_minus_prod == 0
+            bvw, bvv, bww = _cs_triple(_bilinear_form(h), v, w)
+            eq = bvw * bvw == bvv * bww
         return EqualityCollinearity(eq, _collinear_nonneg(v, w))
     eq = approx_eq(norm_eval(h, v + w), norm_eval(h, v) + norm_eval(h, w))
     vf, wf = v.as_floats(), w.as_floats()

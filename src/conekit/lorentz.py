@@ -152,8 +152,8 @@ class LorentzFrame:
     W is built on integers: with St = a / e and S = N / D in lowest terms,
     W = (2 D a a^T - e^2 N) / (D e^2).  St is kept for ``spatial_basis``.
     The Wick-orthogonal basis is built on first use and kept, with its
-    integers per coordinate over their lcm (``_wick_kernel``), which the
-    causal sampler sums on.
+    integers per coordinate over their lcm and their Wick norms on those
+    integers (``_wick_kernel``), which the causal sampler sums on.
     """
 
     __slots__ = ("form", "t", "wick", "_st", "_wick_basis", "_wick_cols")
@@ -228,10 +228,10 @@ class CausalClass(enum.Enum):
 def causal_class(frame: LorentzFrame, v: Vector) -> CausalClass:
     if v.is_zero():
         return CausalClass.ZERO
-    q = frame.inner(v, v)
-    if q < 0:
+    s = frame.form.std
+    if s._int_quad(v, v) < 0:
         return CausalClass.SPACELIKE
-    return CausalClass.FUTURE_CAUSAL if frame.inner(v, frame.t) >= 0 else CausalClass.PAST_CAUSAL
+    return CausalClass.FUTURE_CAUSAL if s._int_quad(v, frame.t) >= 0 else CausalClass.PAST_CAUSAL
 
 
 def future_defect(frame: LorentzFrame, x: Vector) -> float:
@@ -293,17 +293,21 @@ def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
             un = w._nums
             qs.append((sum(m * un[i] * un[j] for i, j, m in nz), un))
             out.append(w)
-        # the basis's integers per coordinate over their lcm, for the sampler
+        # the basis's integers per coordinate over their lcm, and their
+        # Wick numerators q_j scaled alike, for the sampler
         lcm = math.lcm(*(u._den for u in out))
         cols = tuple(zip(*(tuple(x * (lcm // u._den) for x in u._nums) for u in out)))
-        object.__setattr__(frame, "_wick_cols", (cols, lcm))
+        scaled_qs = tuple(q * (lcm // u._den) ** 2 for (q, _), u in zip(qs, out))
+        object.__setattr__(frame, "_wick_cols", (cols, scaled_qs, lcm))
         object.__setattr__(frame, "_wick_basis", tuple(out))
     return list(frame._wick_basis)
 
 
-def _wick_kernel(frame: LorentzFrame) -> tuple[tuple, int]:
-    """(cols, L) of a frame: cols[i][k] / L is coordinate i of the
-    k-th Wick-orthogonal basis vector, L the lcm of their denominators."""
+def _wick_kernel(frame: LorentzFrame) -> tuple[tuple, tuple, int]:
+    """(cols, qs, L) of a frame: cols[i][k] / L is coordinate i of the
+    k-th Wick-orthogonal basis vector b_k, L the lcm of their denominators,
+    and qs[k] = b_k^T N b_k on those integers and the Wick matrix's
+    numerators N."""
     if frame._wick_cols is None:
         wick_orthogonal_basis(frame)
     return frame._wick_cols

@@ -23,11 +23,14 @@ Bland's-rule loop on the same tableau.
 
 A ``Vector`` is integer numerators over one positive denominator, in
 lowest terms, and a ``SymMatrix`` keeps its nonzero entries the same way.
-Vector sums, differences, negation and scaling, ``apply``, ``quad`` and
-equality run on those integers; ``quad`` builds one ``Fraction`` for its
-result, and a vector's ``coords`` are built as ``Fraction``s only when
-read.  Boundary decisions in this domain (null vectors, cone facets) must
-not depend on float rounding.
+Vector sums, differences, negation and scaling, ``apply``, ``quad``,
+equality and hashing run on those integers, and a vector's ``coords`` are
+built as ``Fraction``s only when read.  ``SymMatrix._int_quad`` is u^T M v
+times the positive product of the three denominators, an integer with the
+sign of u^T M v: sign tests (cone membership, causal class, reverse
+Cauchy-Schwarz) read it and build no ``Fraction``, and ``quad`` is that
+integer over its denominator.  Boundary decisions in this domain (null
+vectors, cone facets) must not depend on float rounding.
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ class Vector:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self.coords)
+        # the integers __eq__ compares: no Fraction is built
+        return hash((self._den, self._nums))
 
     def __repr__(self):
         return f"Vector({list(self.coords)!r})"
@@ -219,12 +223,18 @@ class SymMatrix:
             out[i] += m * vc[j]
         return _int_vector(out, self._den * v._den)
 
-    def quad(self, u: Vector, v: Vector) -> Fraction:
-        """u^T M v, on the integers of both vectors and the matrix: one Fraction."""
+    def _int_quad(self, u: Vector, v: Vector) -> int:
+        """sum m u_i v_j over the nonzero entries m / _den and the vectors'
+        numerators: u^T M v times _den u._den v._den > 0, so it has the sign
+        of u^T M v and decides it without a Fraction."""
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatch(f"{u.dim}, {v.dim} != {self.dim}")
         uc, vc = u._nums, v._nums
-        return Fraction(sum(m * uc[i] * vc[j] for i, j, m in self._nz), self._den * u._den * v._den)
+        return sum(m * uc[i] * vc[j] for i, j, m in self._nz)
+
+    def quad(self, u: Vector, v: Vector) -> Fraction:
+        """u^T M v: ``_int_quad`` over its denominator, one Fraction."""
+        return Fraction(self._int_quad(u, v), self._den * u._den * v._den)
 
     def __eq__(self, other) -> bool:
         # the integers are canonical: no Fraction is built

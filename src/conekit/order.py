@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .cone import Cone, contains, leq
 from .errors import PreconditionFailed
-from .lorentz import LorentzFrame, wick_inner, wick_norm
+from .lorentz import LorentzFrame, wick_norm
 from .numerics import Vector
 
 LIMIT_RESIDUAL = 1e-9
@@ -116,7 +116,8 @@ def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCerti
         alphas[k] <= alphas[k + 1] for k in range(len(alphas) - 1)
     ) and all(a <= alpha_y for a in alphas)
     steps = zip(s.terms, s.terms[1:], alphas, alphas[1:])
-    cauchy_ok = all(b >= a and frame.inner(v - u, v - u) >= 0 for u, v, a, b in steps)
+    std = frame.form.std
+    cauchy_ok = all(b >= a and std._int_quad(v - u, v - u) >= 0 for u, v, a, b in steps)
     limit = None
     converged = False
     max_residual = float("inf")
@@ -133,7 +134,10 @@ def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCerti
 
 
 def monotone_wick_check(frame: LorentzFrame, cone: Cone, x: Vector, y: Vector) -> bool:
-    """Wick norm monotonicity along the cone order, in exact squares."""
+    """Wick norm monotonicity along the cone order, in exact squares: with
+    n_x = ``_int_quad`` of (x, x) under W, n_W(x)^2 = n_x / (W_den d_x^2),
+    so n_W(x) <= n_W(y) iff n_x d_y^2 <= n_y d_x^2, on integers."""
     if not (contains(cone, x) and contains(cone, y) and leq(x, y, cone)):
         raise PreconditionFailed("need x, y in F with x <= y")
-    return wick_inner(frame, x, x) <= wick_inner(frame, y, y)
+    w = frame.wick
+    return w._int_quad(x, x) * y._den**2 <= w._int_quad(y, y) * x._den**2

@@ -8,11 +8,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conekit import hypnorm
-from conekit.cone import FutureCone, in_core, sample_future_causal
+from conekit.cone import (
+    FutureCone,
+    Polyhedral,
+    SelfDualityReport,
+    contains,
+    dual_contains,
+    in_core,
+    leq,
+    sample_future_causal,
+    self_duality_report,
+)
 from conekit.errors import (
     DependentBasis,
+    NotCausal,
     NotFutureCausal,
     NotLorentzian,
+    NotMember,
     OutsideCone,
     PreconditionFailed,
     UnsupportedFamily,
@@ -23,6 +35,7 @@ from conekit.lorentz import (
     FormKind,
     GramForm,
     LorentzFrame,
+    _wick_kernel,
     causal_class,
     classify,
     decompose,
@@ -46,6 +59,7 @@ from conekit.numerics import (
     exact_rank,
     fraction_sqrt_bounds,
 )
+from conekit.order import OrderedSequence, completeness_certificate, monotone_wick_check
 
 
 def vec(*xs):
@@ -575,3 +589,242 @@ class TestCoreImpliesPositive:
                 assert norm_sq_eval(h, v) > 0
                 hits += 1
         assert hits > 0
+
+
+# References: the sign decisions as they were made on Fractions, one form
+# value (``GramForm.inner``, ``wick_inner``, squared norms) at a time.
+
+
+def _ref_future_contains(c, x):
+    return c.form.inner(x, x) >= 0 and c.form.inner(x, c.t) >= 0
+
+
+def _ref_future_in_core(c, x):
+    if not _ref_future_contains(c, x):
+        raise NotMember(f"{x!r} is not in the cone")
+    return c.form.inner(x, x) > 0 and c.form.inner(x, c.t) > 0
+
+
+def _ref_dual_contains(c, g, v):
+    if g.inner(v, v) < 0:
+        raise NotCausal("dual cone membership is only defined for causal vectors")
+    if isinstance(c, Polyhedral):
+        return all(g.inner(v, gen) >= 0 for gen in c.generators)
+    return g.inner(v, c.t) >= 0
+
+
+def _ref_contains(c, x):
+    return _ref_future_contains(c, x) if isinstance(c, FutureCone) else contains(c, x)
+
+
+def _ref_causal_class(frame, v):
+    if v.is_zero():
+        return CausalClass.ZERO
+    if frame.inner(v, v) < 0:
+        return CausalClass.SPACELIKE
+    return CausalClass.FUTURE_CAUSAL if frame.inner(v, frame.t) >= 0 else CausalClass.PAST_CAUSAL
+
+
+def _ref_reverse_cs(h, v, w):
+    inner = polar_inner(h, v, w)
+    nv, nw = hypnorm._norm_sq(h, v), hypnorm._norm_sq(h, w)
+    gap = inner * inner - nv * nw
+    residual = float(inner) - math.sqrt(max(float(nv), 0.0) * max(float(nw), 0.0))
+    return hypnorm.ReverseCSResult(residual, inner, gap, inner >= 0 and gap >= 0)
+
+
+def _ref_equality_is_collinear(h, v, w):
+    """The exact families' branch."""
+    hypnorm._require_member(h, v)
+    hypnorm._require_member(h, w)
+    if isinstance(h, PHyperbolic) and h.p == 1:
+        def n1(u):
+            return u.coords[0] - sum(abs(c) for c in u.coords[1:])
+
+        eq = n1(v + w) == n1(v) + n1(w)
+    else:
+        eq = _ref_reverse_cs(h, v, w).inner_sq_minus_prod == 0
+    return hypnorm.EqualityCollinearity(eq, hypnorm._collinear_nonneg(v, w))
+
+
+def _ref_monotone_wick_check(frame, c, x, y):
+    if not (contains(c, x) and contains(c, y) and leq(x, y, c)):
+        raise PreconditionFailed("need x, y in F with x <= y")
+    return wick_inner(frame, x, x) <= wick_inner(frame, y, y)
+
+
+def _ref_sampling_frame(c, g):
+    if isinstance(c, FutureCone):
+        return LorentzFrame(g, c.t)
+    for gen in c.generators:
+        if g.inner(gen, gen) > 0:
+            return frame_from_unit_vector(g, gen)
+    raise NotLorentzian("no timelike generator available for causal sampling")
+
+
+def _ref_self_duality_report(c, g, samples, seed):
+    rng = random.Random(seed)
+    frame = _ref_sampling_frame(c, g)
+    if isinstance(c, Polyhedral):
+        for a in c.generators:
+            if g.inner(a, a) < 0:
+                return SelfDualityReport(False, a, 0, "F_not_causal")
+            for b in c.generators:
+                if g.inner(a, b) < 0:
+                    return SelfDualityReport(False, a, 0, "F_not_subset_dual")
+    checked = 0
+    for _ in range(samples):
+        v = sample_future_causal(frame, rng)
+        checked += 1
+        if isinstance(c, FutureCone):
+            u = sample_future_causal(frame, rng)
+            if g.inner(u, v) < 0:
+                return SelfDualityReport(False, v, checked, "F_not_subset_dual")
+        try:
+            in_dual = _ref_dual_contains(c, g, v)
+        except NotCausal:
+            continue
+        if in_dual and not _ref_contains(c, v):
+            return SelfDualityReport(False, v, checked, "dual_not_subset_F")
+    return SelfDualityReport(True, None, checked)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e)
+
+
+def _scaled_form(frame):
+    """A second form under which frame.t is also a unit vector: the same
+    Gram matrix on the basis with its spatial vectors doubled."""
+    b = frame.form.basis
+    return GramForm([b[0]] + [x.scale(2) for x in b[1:]], frame.form.gram)
+
+
+class TestSignsOnIntegers:
+    """Every sign decided on the integers of ``SymMatrix._int_quad`` equals
+    the Fraction decision it replaced, on general frames, on light-cone and
+    zero vectors, and on future cones whose form is not the pairing's."""
+
+    @staticmethod
+    def vectors(frame, data):
+        n, b = frame.dim, frame.form.basis
+        entry = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+        k = data.draw(st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        # b_0 = t and b_0 +- b_i are future null vectors: the Gram matrix is diag(1, -1, ...)
+        null = [b[0] + b[1], b[0] - b[1], b[0] + b[n - 1]]
+        vs = [Vector.zero(n), frame.t, frame.t.scale(k)] + null + [v.scale(k) for v in null]
+        vs += [-v for v in vs[1:]]
+        vs += [sample_future_causal(frame, rng, radius) for radius in (F(1, 3), F(10))]
+        vs += [Vector(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2)]
+        return vs
+
+    @settings(max_examples=30, deadline=None)
+    @given(general_frames(max_dim=8), st.data())
+    def test_cone_and_causal_class(self, frame, data):
+        form, t = frame.form, frame.t
+        g2 = _scaled_form(frame)
+        assert g2.std != form.std and g2.inner(t, t) == 1
+        frame2 = LorentzFrame(g2, t)
+        vs = self.vectors(frame, data)
+        cones = [FutureCone(form, t), FutureCone(g2, t)]
+        # a null generator first: the sampling frame is built on the first timelike one
+        poly = Polyhedral([vs[3], t, vs[-3]])
+        for x in vs:
+            for c in cones:
+                assert contains(c, x) == _ref_future_contains(c, x)
+                assert _outcome(in_core, c, x) == _outcome(_ref_future_in_core, c, x)
+            for c in cones + [poly]:
+                for g in (form, g2):
+                    assert _outcome(dual_contains, c, g, x) == _outcome(_ref_dual_contains, c, g, x)
+            assert causal_class(frame, x) is _ref_causal_class(frame, x)
+            assert causal_class(frame2, x) is _ref_causal_class(frame2, x)
+        seed = data.draw(st.integers(0, 2**32))
+        for c, g in [(cones[0], form), (cones[0], g2), (cones[1], form), (poly, form), (poly, g2)]:
+            got = _outcome(self_duality_report, c, g, 20, seed)
+            assert got == _outcome(_ref_self_duality_report, c, g, 20, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(general_frames(max_dim=8), st.data())
+    def test_hypnorm_and_order(self, frame, data):
+        vs = self.vectors(frame, data)
+        g2 = _scaled_form(frame)
+        for c in [FutureCone(frame.form, frame.t), FutureCone(g2, frame.t)]:
+            h = FormInduced(c)
+            members = [x for x in vs if contains(c, x)]
+            outside = [x for x in vs if not contains(c, x)][:2]
+            for v in members + outside[:1]:
+                for w in members + outside:
+                    assert _outcome(hypnorm.reverse_cs_residual, h, v, w) == _outcome(_ref_reverse_cs, h, v, w)
+                    want = _outcome(lambda: _ref_reverse_cs(h, v, w).holds)
+                    assert _outcome(hypnorm.reverse_triangle_holds_exact, h, v, w) == want
+                    want = _outcome(_ref_equality_is_collinear, h, v, w)
+                    assert _outcome(hypnorm.equality_is_collinear, h, v, w) == want
+            if c.form is frame.form:
+                for x in members[:4]:
+                    for z in members:
+                        y = x + z
+                        assert monotone_wick_check(frame, c, x, y) == _ref_monotone_wick_check(frame, c, x, y)
+                        want = _outcome(_ref_monotone_wick_check, frame, c, y, x)
+                        assert _outcome(monotone_wick_check, frame, c, y, x) == want
+                # steps along the null vector b_0 + b_1: the bound holds with equality
+                seq = OrderedSequence.affine(c, frame, members[-1], vs[3], 4)
+                steps = zip(seq.terms, seq.terms[1:])
+                want = all(frame.inner(v - u, v - u) >= 0 and frame.inner(v - u, frame.t) >= 0 for u, v in steps)
+                assert completeness_certificate(seq, seq.terms[-1]).cauchy_bound_ok == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 8), st.data())
+    def test_p_families(self, n, data):
+        frame = minkowski_frame(n - 1)
+        vs = self.vectors(frame, data)
+        for h in (PHyperbolic(2, n - 1), PHyperbolic(1, n - 1)):
+            members = [x for x in vs if hypnorm.contains(hypnorm.cone_of(h), x)]
+            outside = [x for x in vs if not hypnorm.contains(hypnorm.cone_of(h), x)][:2]
+            for v in members + outside[:1]:
+                for w in members + outside:
+                    if h.p == 2:
+                        want = _outcome(_ref_reverse_cs, h, v, w)
+                        assert _outcome(hypnorm.reverse_cs_residual, h, v, w) == want
+                        want = _outcome(lambda: _ref_reverse_cs(h, v, w).holds)
+                        assert _outcome(hypnorm.reverse_triangle_holds_exact, h, v, w) == want
+                    want = _outcome(_ref_equality_is_collinear, h, v, w)
+                    assert _outcome(hypnorm.equality_is_collinear, h, v, w) == want
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_wick_kernel_norms(self, n):
+        rng = random.Random(n)
+        frames = [minkowski_frame(n - 1)] + [_random_frame(rng, n) for _ in range(3)]
+        for frame in frames:
+            cols, qs, lcm = _wick_kernel(frame)
+            basis = list(zip(*cols))
+            assert len(qs) == len(basis) == n - 1
+            assert lcm == math.lcm(*(b._den for b in wick_orthogonal_basis(frame)))
+            nz = frame.wick._nz
+            for k, bk in enumerate(basis):
+                for j, bj in enumerate(basis):
+                    q = sum(m * bk[r] * bj[s] for r, s, m in nz)
+                    assert q == (qs[k] if j == k else 0)
+            assert all(q > 0 for q in qs)
+
+
+class TestMembershipCheckedOnce:
+    """The exact families' checks test each argument's membership once, in argument order."""
+
+    V, W = vec(2, 1), vec(3, -1)
+
+    @pytest.mark.parametrize("h", [PHyperbolic(2, 1), PHyperbolic(1, 1), FormInduced(FutureCone(minkowski_form(1), vec(1, 0)))])
+    def test_equality_is_collinear(self, h, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        hypnorm.equality_is_collinear(h, self.V, self.W)
+        assert calls == [self.V, self.W]
+
+    @pytest.mark.parametrize("fn", [hypnorm.reverse_cs_residual, hypnorm.reverse_triangle_holds_exact, polar_inner])
+    def test_pairings(self, fn, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        fn(PHyperbolic(2, 1), self.V, self.W)
+        assert calls == [self.V, self.W]

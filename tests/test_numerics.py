@@ -198,6 +198,39 @@ class TestIntegerVector:
         assert Vector([F(1), F(2)]).scale(0.5) == Vector([F(1, 2), F(1)])
         assert Vector([F(3)]).scale(0.1) == Vector([3 * F(0.1)])
 
+    def test_hash_builds_no_coords(self):
+        v = Vector([1, 2]) + Vector([1, 1])
+        hash(v)
+        # the slot itself, without the __getattr__ fallback that fills it
+        with pytest.raises(AttributeError):
+            Vector.coords.__get__(v)
+        assert hash(v) == hash(Vector([2, 3]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equal_vectors_hash_equal(self, data):
+        n = data.draw(st.integers(1, 6))
+        xs = data.draw(st.lists(entries, min_size=n, max_size=n))
+        k = data.draw(st.integers(1, 10**6))
+        den = math.lcm(*(x.denominator for x in xs))
+        nums = [x.numerator * (den // x.denominator) for x in xs]
+        # each vector is hashed before its coords or integers are read
+        paths = [
+            lambda: Vector(xs),
+            lambda: Vector([str(x) for x in xs]),
+            lambda: Vector([x.numerator if x.denominator == 1 else float(x) if F(float(x)) == x else x for x in xs]),
+            lambda: _int_vector([k * a for a in nums], k * den),
+            lambda: -(-Vector(xs)),
+            lambda: Vector(xs) + Vector.zero(n),
+            lambda: Vector(xs).scale(k).scale(F(1, k)),
+            lambda: (Vector(xs) + Vector.unit(n, 0)) - Vector.unit(n, 0),
+        ]
+        want = hash(Vector(xs))
+        for make in paths:
+            w = make()
+            assert hash(w) == want
+            assert w == Vector(xs)
+
 
 class TestSymMatrix:
     def test_asymmetric_rejected(self):
@@ -267,6 +300,44 @@ class TestSymMatrix:
         mf, uf, vf = [[float(x) for x in r] for r in m], [float(x) for x in u], [float(x) for x in v]
         want = sum(F(mf[i][j]) * F(uf[i]) * F(vf[j]) for i in range(n) for j in range(n))
         assert SymMatrix(mf).quad(Vector(uf), Vector(vf)) == want
+
+
+class TestIntQuad:
+    """``_int_quad`` is u^T M v times the positive product of the three
+    denominators: it has the sign of ``quad``, and ``quad`` is it over them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sign_and_value_of_quad(self, data):
+        n = data.draw(st.integers(1, 6))
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = data.draw(entries)
+        vectors = st.lists(entries, min_size=n, max_size=n)
+        u = data.draw(st.one_of(st.just([F(0)] * n), vectors))
+        if u[0] and data.draw(st.booleans()):
+            # make u null for m: solve u^T m u = 0 for m[0][0]
+            rest = sum(m[i][j] * u[i] * u[j] for i in range(n) for j in range(n) if i or j)
+            m[0][0] = -rest / (u[0] * u[0])
+        v = data.draw(st.one_of(st.just(u), st.just([F(0)] * n), vectors))
+        mat, uu, vv = SymMatrix(m), Vector(u), Vector(v)
+        want = sum(m[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
+        got = mat._int_quad(uu, vv)
+        assert type(got) is int
+        assert (got > 0) - (got < 0) == (want > 0) - (want < 0)
+        assert mat.quad(uu, vv) == F(got, mat._den * uu._den * vv._den) == want
+
+    def test_null_and_zero(self):
+        mink = SymMatrix([[1, 0], [0, -1]])
+        null, zero = Vector([F(3, 2), F(-3, 2)]), Vector.zero(2)
+        assert mink._int_quad(null, null) == 0 and mink.quad(null, null) == 0
+        assert mink._int_quad(null, zero) == 0 and mink._int_quad(zero, zero) == 0
+        assert mink._int_quad(null, Vector([1, 1])) > 0
+
+    def test_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            SymMatrix([[1, 0], [0, -1]])._int_quad(Vector([1, 0]), Vector([1, 0, 0]))
 
 
 class TestExactLinearAlgebra:
