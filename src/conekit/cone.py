@@ -409,7 +409,10 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
     F subset F* is checked exactly on generators (Polyhedral) resp. on
     sampled pairs via the reverse Cauchy-Schwarz sign (FutureCone);
     F* subset F is probed on `samples` future-causal vectors drawn by
-    ``sample_future_causal`` with its default radius.
+    ``sample_future_causal`` with its default radius.  That probe is skipped
+    for a FutureCone whose form's ``std`` is g's: v in F* and v in F are then
+    the same two integer signs.  Both vectors of each trial are still drawn,
+    so the draws, ``samples_checked`` and any witness stay those of the probe.
     """
     rng = random.Random(seed)
     frame = _sampling_frame(c, g)
@@ -422,6 +425,7 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
             for b in c.generators:
                 if s._int_quad(a, b) < 0:
                     return SelfDualityReport(False, a, 0, "F_not_subset_dual")
+    same_signs = isinstance(c, FutureCone) and c.form.std == s
     checked = 0
     for _ in range(samples):
         v = sample_future_causal(frame, rng)
@@ -430,6 +434,8 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
             u = sample_future_causal(frame, rng)
             if s._int_quad(u, v) < 0:
                 return SelfDualityReport(False, v, checked, "F_not_subset_dual")
+        if same_signs:
+            continue
         try:
             in_dual = dual_contains(c, g, v)
         except NotCausal:

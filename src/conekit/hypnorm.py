@@ -18,7 +18,7 @@ from typing import Union
 from .cone import Cone, FutureCone, Orthant, PCone, contains
 from .errors import OutsideCone, UnsupportedFamily
 from .lorentz import _minkowski_matrix
-from .numerics import SymMatrix, Vector, approx_eq, exact_rank
+from .numerics import SymMatrix, Vector, approx_eq
 
 # a Fraction, or the float value of a norm that needs a root
 Scalar = Union[Fraction, float]
@@ -112,6 +112,11 @@ def _pnorm_value(p, xs: tuple) -> float:
 def norm_eval(h: HyperbolicNorm, x: Vector) -> float:
     """Norm value as a float (the codomain is [0, inf]; these families are finite)."""
     _require_member(h, x)
+    return _norm_value(h, x)
+
+
+def _norm_value(h: HyperbolicNorm, x: Vector) -> float:
+    """``norm_eval`` on a vector already known to be in the cone."""
     if isinstance(h, FormInduced):
         return math.sqrt(max(float(h.cone.form.inner(x, x)), 0.0))
     if isinstance(h, PHyperbolic):
@@ -227,22 +232,21 @@ class EqualityCollinearity:
 def _collinear_nonneg(v: Vector, w: Vector) -> bool:
     if v.is_zero() or w.is_zero():
         return True
-    # on the integers of v and w: their denominators are positive
+    # on the integers (positive denominators): v = (v_i / w_i) w iff v_j w_i = v_i w_j for all j
     vn, wn = v._nums, w._nums
-    if exact_rank([vn, wn]) > 1:
-        return False
     i = next(i for i, c in enumerate(wn) if c != 0)
-    return vn[i] * wn[i] >= 0
+    return vn[i] * wn[i] >= 0 and all(x * wn[i] == vn[i] * y for x, y in zip(vn, wn))
 
 
 def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCollinearity:
     """Detect ||v+w|| = ||v|| + ||w|| and whether v, w are nonneg-collinear.
 
-    Each argument's membership is checked once, in argument order.  On
-    exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2, decided
-    on the integers of ``_cs_triple`` (the 1-hyperbolic norm is rational
-    and compared directly); collinearity is an exact rank check plus sign
-    of the ratio.  The other families, whose norm values are irrational
+    Each argument's membership is checked once, in argument order, on every
+    family.  On exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2,
+    decided on the integers of ``_cs_triple`` (the 1-hyperbolic norm is
+    rational and compared directly); collinearity is exact: the cross
+    products of the integers against w's first nonzero coordinate, plus the
+    sign of the ratio.  The other families, whose norm values are irrational
     floats, compare n(v+w) with n(v) + n(w), and the cross products v_i w_j
     with v_j w_i of the rounded coordinates, by the float rule ``approx_eq``.
     """
@@ -260,7 +264,8 @@ def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCo
             bvw, bvv, bww = _cs_triple(_bilinear_form(h), v, w)
             eq = bvw * bvw == bvv * bww
         return EqualityCollinearity(eq, _collinear_nonneg(v, w))
-    eq = approx_eq(norm_eval(h, v + w), norm_eval(h, v) + norm_eval(h, w))
+    # v + w is in the cone by convexity: no third membership check
+    eq = approx_eq(_norm_value(h, v + w), _norm_value(h, v) + _norm_value(h, w))
     vf, wf = v.as_floats(), w.as_floats()
     cross = all(
         approx_eq(vf[i] * wf[j], vf[j] * wf[i]) for i in range(len(vf)) for j in range(i + 1, len(wf))

@@ -74,10 +74,10 @@ class GramForm:
     Bn = diag(den) B^T, and one fraction-free elimination of [Bn | I] on the
     ``numerics`` kernel gives Bn^-1 = M / d.  With G = N / D,
     S = M diag(den) N diag(den) M^T / (d^2 D), one integer matrix over one
-    denominator.
+    denominator.  ``_sig`` keeps the signature the first ``classify(form)`` finds.
     """
 
-    __slots__ = ("basis", "gram", "std")
+    __slots__ = ("basis", "gram", "std", "_sig")
 
     def __init__(self, basis: Sequence[Vector], gram: SymMatrix):
         basis = tuple(basis)
@@ -95,6 +95,7 @@ class GramForm:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "std", _int_symmatrix(s, d * d * gram._den))
+        object.__setattr__(self, "_sig", None)
 
     def __setattr__(self, *a):
         raise AttributeError("GramForm is immutable")
@@ -129,11 +130,15 @@ def classify(g: GramForm | SymMatrix) -> Signature:
     """Classify a symmetric form by its signature.
 
     The signature is exact, by symmetric fraction-free pivots on the
-    ``numerics`` kernel (Sylvester inertia is a congruence invariant).
+    ``numerics`` kernel (Sylvester inertia is a congruence invariant); a
+    ``GramForm`` keeps its signature, a ``SymMatrix`` is classified anew.
     """
-    m = g.gram if isinstance(g, GramForm) else g
-    pos, neg, zero = _exact_signature(m)
-    n = m.dim
+    if isinstance(g, GramForm):
+        if g._sig is None:
+            object.__setattr__(g, "_sig", classify(g.gram))
+        return g._sig
+    pos, neg, zero = _exact_signature(g)
+    n = g.dim
     if zero > 0:
         kind = FormKind.DEGENERATE
     elif pos == n:

@@ -122,11 +122,13 @@ class Vector:
 
     @staticmethod
     def zero(dim: int) -> "Vector":
-        return Vector([0] * dim)
+        return Vector.unit(dim, None)  # no coordinate is 1
 
     @staticmethod
     def unit(dim: int, i: int) -> "Vector":
-        return Vector([int(j == i) for j in range(dim)])
+        if dim < 1:
+            raise DimensionMismatch("vectors must have positive dimension")
+        return _int_vector([int(j == i) for j in range(dim)], 1)
 
     def __add__(self, other: "Vector") -> "Vector":
         return self._plus(other, 1)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conekit import hypnorm
+import conekit.cone as cone_module
+import conekit.lorentz as lorentz_module
+from conekit import hypnorm, span
 from conekit.cone import (
     FutureCone,
     Polyhedral,
@@ -15,6 +17,7 @@ from conekit.cone import (
     contains,
     dual_contains,
     in_core,
+    is_proper,
     leq,
     sample_future_causal,
     self_duality_report,
@@ -60,6 +63,7 @@ from conekit.numerics import (
     fraction_sqrt_bounds,
 )
 from conekit.order import OrderedSequence, completeness_certificate, monotone_wick_check
+from conekit.span import MINIMALITY_SLACK, FutureDecomposition, future_decompose, future_decompose_is_minimal
 
 
 def vec(*xs):
@@ -644,7 +648,17 @@ def _ref_equality_is_collinear(h, v, w):
         eq = n1(v + w) == n1(v) + n1(w)
     else:
         eq = _ref_reverse_cs(h, v, w).inner_sq_minus_prod == 0
-    return hypnorm.EqualityCollinearity(eq, hypnorm._collinear_nonneg(v, w))
+    return hypnorm.EqualityCollinearity(eq, _ref_collinear_nonneg(v, w))
+
+
+def _ref_collinear_nonneg(v, w):
+    """Nonnegative collinearity by an exact rank test, then the ratio's sign."""
+    if v.is_zero() or w.is_zero():
+        return True
+    if exact_rank([v.coords, w.coords]) > 1:
+        return False
+    i = next(i for i, c in enumerate(w.coords) if c != 0)
+    return v.coords[i] * w.coords[i] >= 0
 
 
 def _ref_monotone_wick_check(frame, c, x, y):
@@ -813,18 +827,145 @@ class TestSignsOnIntegers:
 
 
 class TestMembershipCheckedOnce:
-    """The exact families' checks test each argument's membership once, in argument order."""
+    """The exact families' checks, and ``equality_is_collinear`` on every
+    family, test each argument's membership once, in argument order."""
 
     V, W = vec(2, 1), vec(3, -1)
 
-    @pytest.mark.parametrize("h", [PHyperbolic(2, 1), PHyperbolic(1, 1), FormInduced(FutureCone(minkowski_form(1), vec(1, 0)))])
-    def test_equality_is_collinear(self, h, monkeypatch):
+    @pytest.mark.parametrize(
+        "h, v, w",
+        [
+            (PHyperbolic(2, 1), V, W),
+            (PHyperbolic(1, 1), V, W),
+            (FormInduced(FutureCone(minkowski_form(1), vec(1, 0))), V, W),
+            (PHyperbolic(3, 1), V, W),
+            (hypnorm.DiscreteLq(F(1, 2), [1, 2]), vec(2, 1), vec(1, 3)),
+        ],
+        ids=[f"h{i}" for i in range(5)],
+    )
+    def test_equality_is_collinear(self, h, v, w, monkeypatch):
         calls = _spy_membership(monkeypatch)
-        hypnorm.equality_is_collinear(h, self.V, self.W)
-        assert calls == [self.V, self.W]
+        hypnorm.equality_is_collinear(h, v, w)
+        assert calls == [v, w]
 
     @pytest.mark.parametrize("fn", [hypnorm.reverse_cs_residual, hypnorm.reverse_triangle_holds_exact, polar_inner])
     def test_pairings(self, fn, monkeypatch):
         calls = _spy_membership(monkeypatch)
         fn(PHyperbolic(2, 1), self.V, self.W)
         assert calls == [self.V, self.W]
+
+
+def _ref_decomposition_inequalities(frame, x, lam):
+    """The four decomposition constraints on Fractions, as span evaluated them before."""
+    alpha = frame.inner(x, frame.t)
+    q = frame.inner(x, x)
+    return [
+        lam * lam + lam * alpha + q / 4 >= 0,
+        lam * lam - lam * alpha + q / 4 >= 0,
+        lam >= -alpha / 2,
+        lam >= alpha / 2,
+    ]
+
+
+def _ref_future_decompose(x, frame):
+    alpha = frame.inner(x, frame.t)
+    lo, hi = fraction_sqrt_bounds(alpha * alpha - frame.inner(x, x))
+    lam = (abs(alpha) + hi) / 2
+    if not all(_ref_decomposition_inequalities(frame, x, lam)):
+        raise AssertionError("minimal lambda failed its defining inequalities")
+    half_x = x.scale(F(1, 2))
+    return FutureDecomposition(frame.t.scale(lam) + half_x, frame.t.scale(lam) - half_x, lam, lo == hi)
+
+
+def _ref_future_decompose_is_minimal(frame, x, lam):
+    if lam == 0:
+        return True
+    return not all(_ref_decomposition_inequalities(frame, x, lam - MINIMALITY_SLACK))
+
+
+class TestFutureDecomposeOnIntegers:
+    """``future_decompose`` and ``future_decompose_is_minimal`` on integers
+    return, and raise, what the Fraction code did."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(general_frames(max_dim=8), st.data())
+    def test_matches_fraction_code(self, frame, data):
+        n, b, t = frame.dim, frame.form.basis, frame.t
+        k = data.draw(st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7))
+        entry = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+        # the Gram matrix on b is diag(1, -1, ...): b_0 +- b_i are null, and
+        # n(w) is rational for t + k b_1 and irrational for b_1 + b_2
+        xs = [Vector.zero(n), t.scale(k), t.scale(-k), b[0] + b[1], -(b[0] - b[n - 1]), t + b[1].scale(k)]
+        xs += [b[1] + b[n - 1], Vector(data.draw(st.lists(entry, min_size=n, max_size=n))), Vector.zero(n + 1)]
+        exact = set()
+        for fr in (frame, LorentzFrame(_scaled_form(frame), t)):
+            for x in xs:
+                got = _outcome(future_decompose, x, fr)
+                assert got == _outcome(_ref_future_decompose, x, fr)
+                if not isinstance(got, FutureDecomposition):
+                    continue
+                exact.add(got.exact_lambda)
+                lam = got.lambda_star
+                for m in (lam, lam - MINIMALITY_SLACK, lam - F(1, 10**9), lam + F(1, 10**9)):
+                    assert future_decompose_is_minimal(fr, x, m) == _ref_future_decompose_is_minimal(fr, x, m)
+                    holds = span._lambda_holds(*span._decomposition_ints(fr, x), m)
+                    assert holds == all(_ref_decomposition_inequalities(fr, x, m))
+        assert exact == ({True, False} if n > 2 else {True})
+
+
+class TestCollinearCrossProducts:
+    """``hypnorm._collinear_nonneg`` by cross products agrees with an exact rank test."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_matches_rank_reference(self, n, data):
+        entry = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+        u = Vector(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        other = Vector(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        i = data.draw(st.integers(0, n - 1))
+        bumped = u + Vector.unit(n, i)
+        vs = [Vector.zero(n), u, -u, u.scale(c), u.scale(abs(c) + 1), u.scale(-abs(c) - 1), bumped, other]
+        for v in vs:
+            for w in vs:
+                assert hypnorm._collinear_nonneg(v, w) == _ref_collinear_nonneg(v, w)
+
+
+class TestSelfDualityProbe:
+    """The F* subset F probe is skipped only where it cannot fail."""
+
+    T = vec(1, 0)
+    # std = diag(1, -4): the future cone |x_1| <= x_0 / 2, inside Minkowski's
+    NARROW = GramForm([vec(1, 0), vec(0, F(1, 2))], SymMatrix([[1, 0], [0, -1]]))
+
+    def test_narrower_cone_reports_dual_not_subset(self):
+        c, g = FutureCone(self.NARROW, self.T), minkowski_form(1)
+        rep = self_duality_report(c, g, 50, 3)
+        assert rep == _ref_self_duality_report(c, g, 50, 3)
+        assert not rep.holds and rep.direction == "dual_not_subset_F"
+        assert dual_contains(c, g, rep.witness) and not contains(c, rep.witness)
+
+    def test_skipped_only_for_the_same_form(self, monkeypatch):
+        calls, real = [], cone_module.dual_contains
+        monkeypatch.setattr(cone_module, "dual_contains", lambda *a: calls.append(a[2]) or real(*a))
+        # two GramForm objects with one std
+        rep = self_duality_report(FutureCone(minkowski_form(1), self.T), minkowski_form(1), 30, 5)
+        assert rep == SelfDualityReport(True, None, 30) and calls == []
+        wide = FutureCone(_scaled_form(FRAME2), self.T)
+        rep = self_duality_report(wide, minkowski_form(1), 30, 5)
+        assert rep == _ref_self_duality_report(wide, minkowski_form(1), 30, 5) and len(calls) == 30
+
+
+class TestSignatureKeptOnForm:
+    def test_one_elimination_per_form(self, monkeypatch):
+        calls, real = [], lorentz_module._exact_signature
+        monkeypatch.setattr(lorentz_module, "_exact_signature", lambda m: calls.append(m) or real(m))
+        form = GramForm([vec(1, 0, 0), vec(1, 1, 0), vec(0, 1, 1)], lorentz_module._minkowski_matrix(3))
+        t = vec(1, 0, 0)
+        LorentzFrame(form, t)
+        c = FutureCone(form, t)
+        assert all(is_proper(c) for _ in range(3))
+        assert calls == [form.gram]
+        # a SymMatrix is classified anew on every call
+        assert classify(form) == classify(form.gram) == classify(form.gram)
+        assert calls == [form.gram] * 3

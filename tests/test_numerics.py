@@ -206,6 +206,24 @@ class TestIntegerVector:
             Vector.coords.__get__(v)
         assert hash(v) == hash(Vector([2, 3]))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_and_unit_on_integers(self, n):
+        for got, want in [(Vector.zero(n), Vector([0] * n))] + [
+            (Vector.unit(n, i), Vector([int(j == i) for j in range(n)])) for i in range(n)
+        ]:
+            # built on integers: no Fraction coordinates until read
+            with pytest.raises(AttributeError):
+                Vector.coords.__get__(got)
+            assert_normal(got)
+            assert got == want and hash(got) == hash(want) and got.dim == n
+            assert got.coords == want.coords
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_zero_and_unit_need_positive_dim(self, n):
+        for make in (lambda: Vector.zero(n), lambda: Vector.unit(n, 0)):
+            with pytest.raises(DimensionMismatch):
+                make()
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_equal_vectors_hash_equal(self, data):
