@@ -57,15 +57,25 @@ def parse_vector(obj) -> Vector:
 
 
 def _number(value, kind, what: str):
-    """kind(value) for kind int or float; a value without one, or a float
-    that is not finite, is a ParseError."""
+    """kind(value) for kind int or float; a bool, a value without one, a
+    float that is not finite and an int with a fractional part are ParseErrors."""
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"cannot parse {what} {value!r}") from e
-    if kind is float and not math.isfinite(x):
+    if isinstance(value, bool) or (kind is float and not math.isfinite(x)) or (isinstance(value, float) and x != value):
         raise ParseError(f"cannot parse {what} {value!r}")
     return x
+
+
+def _trials(value) -> int | None:
+    """A property suite's trial count: None (the suite's default) or an int >= 0."""
+    if value is None:
+        return None
+    n = _number(value, int, "trials")
+    if n < 0:
+        raise ParseError(f"trials must be >= 0, got {value!r}")
+    return n
 
 
 def _parse_basis(obj) -> list:
@@ -133,10 +143,10 @@ def encode(value):
 
 
 def _parse_p(value, what: str):
-    """The exponent p of a p-cone or p-norm: "inf" is math.inf, else a scalar > 0."""
+    """The exponent p of a p-cone or p-norm: "inf" is math.inf, else a scalar >= 1."""
     p = math.inf if value == "inf" else parse_scalar(value)
-    if p <= 0:
-        raise ParseError(f"{what} needs p > 0, got {value!r}")
+    if p < 1:
+        raise ParseError(f"{what} needs p >= 1, got {value!r}")
     return p
 
 
@@ -211,9 +221,7 @@ def run_task(task, scenario, flags) -> dict:
     kind = task.get("kind")
     seed = _task_seed(task, flags)
     if kind in SUITES:
-        trials = task.get("trials")
-        trials = None if trials is None else _number(trials, int, "trials")
-        return _encode_suite(run_suite(kind, trials=trials, seed=seed))
+        return _encode_suite(run_suite(kind, trials=_trials(task.get("trials")), seed=seed))
     if kind == "polarizability_check":
         h = parse_norm(task.get("norm") or scenario.get("norm"))
         v = parse_vector(_field(task, "v"))
@@ -384,10 +392,11 @@ def main(argv=None) -> int:
         if args.command == "proptest":
             names = [args.suite] if args.suite else sorted(SUITES)
             seed = _env_seed() if args.seed is None else args.seed
+            trials = _trials(args.trials)
             ok = True
             results = []
             for name in names:
-                res = run_suite(name, trials=args.trials, seed=seed)
+                res = run_suite(name, trials=trials, seed=seed)
                 ok &= res.passed
                 results.append(res)
                 print(f"{name}: {'pass' if res.passed else 'fail'} ({res.trials} trials)")

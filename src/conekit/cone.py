@@ -68,10 +68,15 @@ class Polyhedral:
 
 @dataclass(frozen=True)
 class PCone:
-    """{(x0, x) : x0 >= |x|_p} in R^{1+n}; p = math.inf is allowed."""
+    """{(x0, x) : x0 >= |x|_p} in R^{1+n}; p = math.inf is allowed.  Only
+    p >= 1 makes it convex: any other p, a nan among them, is unsupported."""
 
     p: object
     spatial_dim: int
+
+    def __post_init__(self):
+        if not self.p >= 1:
+            raise UnsupportedFamily(f"p-cone needs p >= 1, got {self.p!r}")
 
     @property
     def ambient_dim(self) -> int:

@@ -5,7 +5,9 @@ Checks work on squared norms: every check expressible in squares
 and boundary cases come out exactly.  On the quadratic families the reverse
 Cauchy-Schwarz and reverse triangle signs and the equality case are read
 off three integers of the bilinear form (``_cs_triple``), with no Fraction
-built for a sign.  Square roots force floats.
+built for a sign.  Square roots force floats.  Each argument's membership
+is checked once: the cones are convex (p >= 1), so sums of members such as
+v + w and v + 2w are members, evaluated unchecked.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ class PHyperbolic:
 
     p: object
     spatial_dim: int
+
+    def __post_init__(self):
+        PCone(self.p, self.spatial_dim)  # raises UnsupportedFamily for p < 1
 
 
 @dataclass(frozen=True)
@@ -76,37 +81,33 @@ def _require_member(h: HyperbolicNorm, x: Vector):
         raise OutsideCone(f"{x!r} is outside the cone of {h!r}")
 
 
-def _norm_sq_exactable(h: HyperbolicNorm) -> bool:
-    """Families whose squared norm is a rational function of rational input."""
-    if isinstance(h, FormInduced):
-        return True
-    return isinstance(h, PHyperbolic) and h.p in (1, 2)
+def _quadratic_form(h: HyperbolicNorm, what: str, *members: Vector) -> SymMatrix:
+    """The checks of an exact quadratic-family call: the family, then each
+    member's membership, in order.  Returns ``_bilinear_form(h)``."""
+    b = _bilinear_form(h)
+    if b is None:
+        raise UnsupportedFamily(f"exact {what} needs p = 2 or a form-induced norm")
+    for x in members:
+        _require_member(h, x)
+    return b
 
 
 def _norm_sq(h: HyperbolicNorm, x: Vector) -> Scalar:
-    """Squared norm; Fraction for p in {1,2} and FormInduced, float otherwise."""
-    if isinstance(h, FormInduced):
-        return h.cone.form.inner(x, x)
-    if isinstance(h, PHyperbolic):
-        if h.p not in (1, 2):
-            v = _pnorm_value(h.p, x.as_floats())
-            return v * v
-        # x on its integers over d, then one Fraction over d^2
-        x0, *spatial = x._nums
-        if h.p == 2:
-            r = x0 * x0 - sum(s * s for s in spatial)
-        else:
-            r = x0 - sum(abs(s) for s in spatial)
-            r = r * r
-        return Fraction(r, x._den * x._den)
-    return norm_eval(h, x) ** 2
+    """Squared norm of a cone member, unchecked: a Fraction on the quadratic
+    families and for p = 1, a float otherwise."""
+    b = _bilinear_form(h)
+    if b is not None:
+        return b.quad(x, x)
+    if isinstance(h, PHyperbolic) and h.p == 1:
+        return _norm1(x) ** 2
+    v = _norm_value(h, x)
+    return v * v
 
 
-def _pnorm_value(p, xs: tuple) -> float:
-    if p == math.inf:
-        return xs[0] if xs[0] > max((abs(s) for s in xs[1:]), default=0.0) else 0.0
-    inner = abs(xs[0]) ** float(p) - sum(abs(s) ** float(p) for s in xs[1:])
-    return max(inner, 0.0) ** (1.0 / float(p))
+def _norm1(x: Vector) -> Fraction:
+    """The 1-hyperbolic norm x0 - sum |x_j| of a member, on x's integers over its denominator."""
+    x0, *spatial = x._nums
+    return Fraction(x0 - sum(abs(s) for s in spatial), x._den)
 
 
 def norm_eval(h: HyperbolicNorm, x: Vector) -> float:
@@ -120,35 +121,34 @@ def _norm_value(h: HyperbolicNorm, x: Vector) -> float:
     if isinstance(h, FormInduced):
         return math.sqrt(max(float(h.cone.form.inner(x, x)), 0.0))
     if isinstance(h, PHyperbolic):
-        return _pnorm_value(h.p, x.as_floats())
+        x0, *spatial = x.as_floats()
+        if h.p == math.inf:
+            return x0 if x0 > max((abs(s) for s in spatial), default=0.0) else 0.0
+        inner = abs(x0) ** float(h.p) - sum(abs(s) ** float(h.p) for s in spatial)
+        return max(inner, 0.0) ** (1.0 / float(h.p))
     acc = sum(float(w) * float(f) ** float(h.q) for w, f in zip(h.weights, x.coords))
     return acc ** (1.0 / float(h.q)) if acc > 0 else 0.0
 
 
-def _require_quadratic(h: HyperbolicNorm, what: str):
-    """Only p = 2 and form-induced norms are squares of a quadratic form."""
-    if not (isinstance(h, FormInduced) or (isinstance(h, PHyperbolic) and h.p == 2)):
-        raise UnsupportedFamily(f"exact {what} needs p = 2 or a form-induced norm")
-
-
-def _bilinear_form(h: HyperbolicNorm) -> SymMatrix:
-    """The matrix B with ||x||^2 = x^T B x of a quadratic-family norm: the
-    form's ``std`` for a form-induced norm, diag(1, -1, ..., -1) for p = 2."""
-    return h.cone.form.std if isinstance(h, FormInduced) else _minkowski_matrix(h.spatial_dim + 1)
+def _bilinear_form(h: HyperbolicNorm) -> SymMatrix | None:
+    """The matrix B with ||x||^2 = x^T B x of the quadratic families: the
+    form's ``std`` for a form-induced norm, diag(1, -1, ..., -1) for p = 2.
+    None for every other family."""
+    if isinstance(h, FormInduced):
+        return h.cone.form.std
+    return _minkowski_matrix(h.spatial_dim + 1) if isinstance(h, PHyperbolic) and h.p == 2 else None
 
 
 def norm_sq_eval(h: HyperbolicNorm, x: Vector) -> Fraction:
     """Exact rational squared norm; only the quadratic families support it."""
-    _require_quadratic(h, "squared norm")
-    _require_member(h, x)
-    return _norm_sq(h, x)
+    return _quadratic_form(h, "squared norm", x).quad(x, x)
 
 
 def reverse_triangle_residual(h: HyperbolicNorm, u: Vector, v: Vector) -> float:
     """||u + v|| - ||u|| - ||v||; >= 0 for a valid hyperbolic norm."""
     _require_member(h, u)
     _require_member(h, v)
-    return norm_eval(h, u + v) - norm_eval(h, u) - norm_eval(h, v)
+    return _norm_value(h, u + v) - _norm_value(h, u) - _norm_value(h, v)
 
 
 def polarizability_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
@@ -174,15 +174,7 @@ def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Fraction:
     ``polarizability_residual`` still evaluates squared norms: it tests the
     identity.
     """
-    _require_polar_pair(h, v, w)
-    return _bilinear_form(h).quad(v, w)
-
-
-def _require_polar_pair(h: HyperbolicNorm, v: Vector, w: Vector):
-    """The checks of an exact pairing: the family, then v's and w's membership."""
-    _require_quadratic(h, "polarization")
-    _require_member(h, v)
-    _require_member(h, w)
+    return _quadratic_form(h, "polarization", v, w).quad(v, w)
 
 
 def _cs_triple(b: SymMatrix, v: Vector, w: Vector) -> tuple[int, int, int]:
@@ -204,8 +196,7 @@ class ReverseCSResult:
 def reverse_cs_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> ReverseCSResult:
     """Reverse Cauchy-Schwarz check <v,w> >= ||v|| ||w|| on cone members,
     decided on the integers of ``_cs_triple``."""
-    _require_polar_pair(h, v, w)
-    b = _bilinear_form(h)
+    b = _quadratic_form(h, "polarization", v, w)
     bvw, bvv, bww = _cs_triple(b, v, w)
     k = b._den * v._den * w._den
     gap = bvw * bvw - bvv * bww
@@ -218,8 +209,7 @@ def reverse_cs_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> ReverseCSRes
 def reverse_triangle_holds_exact(h: HyperbolicNorm, u: Vector, v: Vector) -> bool:
     """||u+v|| >= ||u|| + ||v|| via squared comparison (no square roots):
     <u,v> >= 0 and <u,v>^2 >= ||u||^2 ||v||^2, on integers."""
-    _require_polar_pair(h, u, v)
-    buv, buu, bvv = _cs_triple(_bilinear_form(h), u, v)
+    buv, buu, bvv = _cs_triple(_quadratic_form(h, "polarization", u, v), u, v)
     return buv >= 0 and buv * buv >= buu * bvv
 
 
@@ -241,30 +231,24 @@ def _collinear_nonneg(v: Vector, w: Vector) -> bool:
 def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCollinearity:
     """Detect ||v+w|| = ||v|| + ||w|| and whether v, w are nonneg-collinear.
 
-    Each argument's membership is checked once, in argument order, on every
-    family.  On exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2,
-    decided on the integers of ``_cs_triple`` (the 1-hyperbolic norm is
-    rational and compared directly); collinearity is exact: the cross
-    products of the integers against w's first nonzero coordinate, plus the
-    sign of the ratio.  The other families, whose norm values are irrational
+    On exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2, decided
+    on the integers of ``_cs_triple`` (the 1-hyperbolic norm is rational and
+    compared directly); collinearity is exact: the cross products of the
+    integers against w's first nonzero coordinate, plus the sign of the
+    ratio.  The other families, whose norm values are irrational
     floats, compare n(v+w) with n(v) + n(w), and the cross products v_i w_j
     with v_j w_i of the rounded coordinates, by the float rule ``approx_eq``.
     """
     _require_member(h, v)
     _require_member(h, w)
-    if _norm_sq_exactable(h):
-        if isinstance(h, PHyperbolic) and h.p == 1:
-            # the 1-hyperbolic norm itself is rational: compare values directly
-            def n1(u):
-                return u.coords[0] - sum(abs(c) for c in u.coords[1:])
-
-            eq = n1(v + w) == n1(v) + n1(w)
-        else:
-            # equality iff <v,w> = ||v|| ||w||, decided in squares
-            bvw, bvv, bww = _cs_triple(_bilinear_form(h), v, w)
-            eq = bvw * bvw == bvv * bww
-        return EqualityCollinearity(eq, _collinear_nonneg(v, w))
-    # v + w is in the cone by convexity: no third membership check
+    b = _bilinear_form(h)
+    if b is not None:
+        # equality iff <v,w> = ||v|| ||w||, decided in squares
+        bvw, bvv, bww = _cs_triple(b, v, w)
+        return EqualityCollinearity(bvw * bvw == bvv * bww, _collinear_nonneg(v, w))
+    if isinstance(h, PHyperbolic) and h.p == 1:
+        # the 1-hyperbolic norm itself is rational: compare values directly
+        return EqualityCollinearity(_norm1(v + w) == _norm1(v) + _norm1(w), _collinear_nonneg(v, w))
     eq = approx_eq(_norm_value(h, v + w), _norm_value(h, v) + _norm_value(h, w))
     vf, wf = v.as_floats(), w.as_floats()
     cross = all(

@@ -329,13 +329,10 @@ def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:
     raises ``DependentBasis`` from ``GramForm``.
     """
     # deferred: hypnorm depends on cone on us
-    from .hypnorm import _bilinear_form, _require_member, _require_quadratic
+    from .hypnorm import _quadratic_form
 
-    _require_quadratic(h, "polarization")
     basis = list(basis)
-    for b in basis:
-        _require_member(h, b)
-    form = _bilinear_form(h)
+    form = _quadratic_form(h, "polarization", *basis)
     lcm = math.lcm(*(b._den for b in basis))
     xs = [[x * (lcm // b._den) for x in b._nums] for b in basis]
     return GramForm(basis, _int_symmatrix(_gram(xs, form._nz), form._den * lcm * lcm))

@@ -103,12 +103,13 @@ def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCerti
         drops below LIMIT_RESIDUAL, with the max Wick distance of the
         TAIL_TERMS terms before it reported.
     """
-    if not is_nondecreasing(s):
-        raise PreconditionFailed("sequence is not nondecreasing")
-    if not is_bounded_above(s, y):
-        raise PreconditionFailed("sequence is not bounded above by y")
     if not s.terms:
         raise PreconditionFailed("empty sequence")
+    if not is_nondecreasing(s):
+        raise PreconditionFailed("sequence is not nondecreasing")
+    # with the steps in F, y - v_k = (y - v_last) + (v_last - v_k) is in F by convexity
+    if not leq(s.terms[-1], y, s.cone):
+        raise PreconditionFailed("sequence is not bounded above by y")
     frame = s.frame
     alphas = [frame.inner(v, frame.t) for v in s.terms]
     alpha_y = frame.inner(y, frame.t)
@@ -137,7 +138,8 @@ def monotone_wick_check(frame: LorentzFrame, cone: Cone, x: Vector, y: Vector) -
     """Wick norm monotonicity along the cone order, in exact squares: with
     n_x = ``_int_quad`` of (x, x) under W, n_W(x)^2 = n_x / (W_den d_x^2),
     so n_W(x) <= n_W(y) iff n_x d_y^2 <= n_y d_x^2, on integers."""
-    if not (contains(cone, x) and contains(cone, y) and leq(x, y, cone)):
+    # y = x + (y - x) is in F by convexity: no check of its own
+    if not (contains(cone, x) and leq(x, y, cone)):
         raise PreconditionFailed("need x, y in F with x <= y")
     w = frame.wick
     return w._int_quad(x, x) * y._den**2 <= w._int_quad(y, y) * x._den**2

@@ -121,6 +121,30 @@ class TestRun:
         assert run_cli(["run", str(f)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            ({"kind": "membership", "x": [1, 0], "cone": {"family": "pcone", "p": 2, "spatial_dim": 1.9}}, "cannot parse spatial_dim 1.9"),
+            ({"kind": "membership", "x": [1, 0], "cone": {"family": "orthant", "dim": True}}, "cannot parse dim True"),
+            ({"kind": "wick", "trials": 2.5}, "cannot parse trials 2.5"),
+            ({"kind": "wick", "trials": -5}, "trials must be >= 0, got -5"),
+            ({"kind": "wick", "trials": 2, "seed": True}, "cannot parse seed True"),
+        ],
+        ids=["spatial_dim-fraction", "dim-bool", "trials-fraction", "trials-negative", "seed-bool"],
+    )
+    def test_bad_integer_field_exits_2(self, task, message, tmp_path, capsys):
+        # an integer field is never truncated: 1.9 is not 1, true is not 1
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"schema": "conekit/1", "tasks": [task]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_integral_float_field_accepted(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        cone = {"family": "pcone", "p": 2, "spatial_dim": 1.0}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [{"kind": "membership", "x": [1, 0]}]}))
+        assert run_cli(["run", str(f)]) == 0
+
     def test_basis_not_a_list_exits_2(self, tmp_path, capsys):
         f = tmp_path / "s.json"
         norm = {"family": "p", "p": 2, "spatial_dim": 1}
@@ -153,8 +177,9 @@ class TestRun:
         [
             ("abc", "cannot parse scalar 'abc'"),
             ([2], "cannot parse scalar [2]"),
-            (0, "pcone needs p > 0, got 0"),
-            ("-1", "pcone needs p > 0, got '-1'"),
+            (0, "pcone needs p >= 1, got 0"),
+            ("-1", "pcone needs p >= 1, got '-1'"),
+            ("1/2", "pcone needs p >= 1, got '1/2'"),
         ],
     )
     def test_pcone_bad_p_exits_2(self, p, message, tmp_path, capsys):
@@ -179,7 +204,12 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "p, message",
-        [("abc", "cannot parse scalar 'abc'"), (0, "p norm needs p > 0, got 0"), ("-2", "p norm needs p > 0, got '-2'")],
+        [
+            ("abc", "cannot parse scalar 'abc'"),
+            (0, "p norm needs p >= 1, got 0"),
+            ("-2", "p norm needs p >= 1, got '-2'"),
+            ("1/2", "p norm needs p >= 1, got '1/2'"),
+        ],
     )
     def test_p_norm_bad_p_exits_2(self, p, message, tmp_path, capsys):
         f = tmp_path / "s.json"
@@ -241,6 +271,10 @@ class TestDeterminism:
     def test_env_seed_overridden_by_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("CONEKIT_SEED", "seven")
         assert run_cli(["proptest", "--suite", "span", "--trials", "5", "--seed", "3"]) == 0
+
+    def test_proptest_negative_trials_exits_2(self, capsys):
+        assert run_cli(["proptest", "--suite", "wick", "--trials", "-5"]) == 2
+        assert "error: trials must be >= 0, got -5" in capsys.readouterr().err
 
     def test_run_and_proptest_encode_suites_alike(self, tmp_path, capsys):
         f = tmp_path / "s.json"
@@ -315,7 +349,13 @@ class TestGram:
         assert "error: expected a list of coordinate lists, got 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "p, message", [("0", "--p needs p > 0, got '0'"), ("-1", "--p needs p > 0, got '-1'"), ("abc", "cannot parse scalar 'abc'")]
+        "p, message",
+        [
+            ("0", "--p needs p >= 1, got '0'"),
+            ("-1", "--p needs p >= 1, got '-1'"),
+            ("abc", "cannot parse scalar 'abc'"),
+            ("1/2", "--p needs p >= 1, got '1/2'"),
+        ],
     )
     def test_bad_p_exits_2(self, p, message, capsys):
         assert run_cli(["gram", "--p", p, "--spatial-dim", "1", "--basis", '[["1","0"],["1","1"]]']) == 2

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conekit.cone import FutureCone
+from conekit.cone import FutureCone, PCone
 from conekit.errors import OutsideCone, UnsupportedFamily
 from conekit.hypnorm import (
     DiscreteLq,
@@ -27,6 +27,22 @@ def vec(*xs):
 
 
 H2 = PHyperbolic(2, 1)
+
+
+class TestExponentAtLeastOne:
+    """{x0 >= |x|_p} is closed under addition only for p >= 1; the checks
+    that rely on it never meet another p."""
+
+    @pytest.mark.parametrize("p", [F(1, 2), F(99, 100), 0, -1, math.nan])
+    def test_below_one_rejected(self, p):
+        with pytest.raises(UnsupportedFamily):
+            PCone(p, 2)
+        with pytest.raises(UnsupportedFamily):
+            PHyperbolic(p, 2)
+
+    @pytest.mark.parametrize("p", [1, F(3, 2), 2, 3.0, math.inf])
+    def test_at_least_one_accepted(self, p):
+        assert PHyperbolic(p, 2).p == PCone(p, 2).p == p
 
 
 class TestNormEval:

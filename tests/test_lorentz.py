@@ -831,22 +831,41 @@ class TestMembershipCheckedOnce:
     family, test each argument's membership once, in argument order."""
 
     V, W = vec(2, 1), vec(3, -1)
+    FORM_NORM = FormInduced(FutureCone(minkowski_form(1), vec(1, 0)))
+    FAMILIES = [
+        (PHyperbolic(2, 1), V, W),
+        (PHyperbolic(1, 1), V, W),
+        (FORM_NORM, V, W),
+        (PHyperbolic(3, 1), V, W),
+        (hypnorm.DiscreteLq(F(1, 2), [1, 2]), vec(2, 1), vec(1, 3)),
+    ]
+    IDS = [f"h{i}" for i in range(5)]
 
-    @pytest.mark.parametrize(
-        "h, v, w",
-        [
-            (PHyperbolic(2, 1), V, W),
-            (PHyperbolic(1, 1), V, W),
-            (FormInduced(FutureCone(minkowski_form(1), vec(1, 0))), V, W),
-            (PHyperbolic(3, 1), V, W),
-            (hypnorm.DiscreteLq(F(1, 2), [1, 2]), vec(2, 1), vec(1, 3)),
-        ],
-        ids=[f"h{i}" for i in range(5)],
-    )
+    @pytest.mark.parametrize("h, v, w", FAMILIES, ids=IDS)
     def test_equality_is_collinear(self, h, v, w, monkeypatch):
         calls = _spy_membership(monkeypatch)
         hypnorm.equality_is_collinear(h, v, w)
         assert calls == [v, w]
+
+    @pytest.mark.parametrize("fn", [hypnorm.reverse_triangle_residual, hypnorm.polarizability_residual])
+    @pytest.mark.parametrize("h, v, w", FAMILIES, ids=IDS)
+    def test_sums_of_members_unchecked(self, fn, h, v, w, monkeypatch):
+        # v + w and v + 2w are members by convexity
+        calls = _spy_membership(monkeypatch)
+        fn(h, v, w)
+        assert calls == [v, w]
+
+    @pytest.mark.parametrize("h", [PHyperbolic(2, 1), FORM_NORM])
+    def test_norm_sq_eval(self, h, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        assert norm_sq_eval(h, self.V) == 3
+        assert calls == [self.V]
+
+    def test_gram_from_cone_basis_form_induced(self, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        basis = [self.V, self.W]
+        gram_from_cone_basis(self.FORM_NORM, basis)
+        assert calls == basis
 
     @pytest.mark.parametrize("fn", [hypnorm.reverse_cs_residual, hypnorm.reverse_triangle_holds_exact, polar_inner])
     def test_pairings(self, fn, monkeypatch):

@@ -1,14 +1,18 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conekit.cone import FutureCone, Polyhedral
+import conekit.order as order_module
+from conekit.cone import FutureCone, Orthant, PCone, Polyhedral, contains, leq
 from conekit.errors import PreconditionFailed
 from conekit.lorentz import decompose, minkowski_frame, wick_inner
 from conekit.numerics import Vector
 from conekit.order import (
+    CompletenessCertificate,
     OrderedSequence,
     completeness_certificate,
     is_bounded_above,
@@ -131,3 +135,93 @@ class TestMonotoneWick:
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):
             monotone_wick_check(FRAME, CONE, vec(3, 1), vec(1, 0))
+
+
+def _ref_certificate_checks(s, y):
+    """The certificate's preconditions as checked term by term: every step,
+    every term's bound, then emptiness."""
+    if not is_nondecreasing(s):
+        raise PreconditionFailed("sequence is not nondecreasing")
+    if not is_bounded_above(s, y):
+        raise PreconditionFailed("sequence is not bounded above by y")
+    if not s.terms:
+        raise PreconditionFailed("empty sequence")
+
+
+def _ref_monotone_wick_check(frame, cone, x, y):
+    if not (contains(cone, x) and contains(cone, y) and leq(x, y, cone)):
+        raise PreconditionFailed("need x, y in F with x <= y")
+    return wick_inner(frame, x, x) <= wick_inner(frame, y, y)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the message of the PreconditionFailed it raised."""
+    try:
+        return fn(*args)
+    except PreconditionFailed as e:
+        return str(e)
+
+
+CONES = [CONE, Polyhedral([vec(1, 2), vec(1, -1)]), PCone(1, 1), PCone(math.inf, 1), Orthant(2)]
+# members and non-members of every cone in CONES
+POINTS = [vec(*x) for x in [(0, 0), (1, 0), (1, 1), (1, -1), (2, 1), (1, 2), (0, 1), (-1, 0), (1, -2)]]
+
+
+class TestConvexityChecks:
+    """One ``leq`` on the last term, and no check of y of its own, give what
+    checking every term and y did: the cones are convex."""
+
+    def _assert_certificate_matches(self, cone, terms, y):
+        s = OrderedSequence(cone, FRAME, terms)
+        want = _outcome(_ref_certificate_checks, s, y)
+        got = _outcome(completeness_certificate, s, y)
+        if want is None:
+            assert isinstance(got, CompletenessCertificate)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "terms, y",
+        [
+            ([T, vec(0, 0)], T),  # a decreasing step
+            ([vec(0, 0), T, T.scale(3)], T.scale(2)),  # a term above y
+            ([vec(-2, 0), vec(-1, 0)], vec(F(-1, 2), 0)),  # y outside F, above every term
+            ([vec(0, 0), T], vec(0, 1)),  # y outside F and not above the terms
+            ([], T),
+        ],
+        ids=["decreasing", "above-y", "y-outside-bounded", "y-outside-unbounded", "empty"],
+    )
+    def test_certificate_cases(self, terms, y):
+        self._assert_certificate_matches(CONE, terms, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(CONES),
+        st.lists(st.tuples(st.sampled_from(POINTS), st.fractions(0, 2, max_denominator=3)), max_size=6),
+        st.sampled_from(POINTS),
+        st.sampled_from(POINTS),
+    )
+    def test_certificate_matches_full_checks(self, cone, steps, start, offset):
+        # start, then one term per step; no steps is the empty sequence
+        terms = list(itertools.accumulate((p.scale(k) for p, k in steps), initial=start)) if steps else []
+        y = (terms[-1] if terms else start) + offset
+        self._assert_certificate_matches(cone, terms, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CONES), st.sampled_from(POINTS), st.sampled_from(POINTS), st.sampled_from(POINTS))
+    def test_monotone_wick_matches_full_checks(self, cone, x, step, y):
+        for b in (y, x + step):
+            want = _outcome(_ref_monotone_wick_check, FRAME, cone, x, b)
+            assert _outcome(monotone_wick_check, FRAME, cone, x, b) == want
+
+    def test_one_leq_per_certificate(self, monkeypatch):
+        calls = []
+
+        def spy(x, y, c):
+            calls.append(x)
+            return leq(x, y, c)
+
+        monkeypatch.setattr(order_module, "leq", spy)
+        s = OrderedSequence.geometric(CONE, FRAME, T, n=40)
+        completeness_certificate(s, T)
+        assert calls == [s.terms[-1]]
