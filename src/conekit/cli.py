@@ -68,6 +68,14 @@ def _number(value, kind, what: str):
     return x
 
 
+def _dim(value, what: str, least: int) -> int:
+    """A dimension field: an int >= least, else a ParseError."""
+    n = _number(value, int, what)
+    if n < least:
+        raise ParseError(f"{what} must be >= {least}, got {value!r}")
+    return n
+
+
 def _trials(value) -> int | None:
     """A property suite's trial count: None (the suite's default) or an int >= 0."""
     if value is None:
@@ -157,13 +165,13 @@ def parse_cone(spec) -> Cone:
     try:
         if fam == "pcone":
             p = _parse_p(spec["p"], "pcone")
-            return PCone(p=p, spatial_dim=_number(spec["spatial_dim"], int, "spatial_dim"))
+            return PCone(p=p, spatial_dim=_dim(spec["spatial_dim"], "spatial_dim", 0))
         if fam == "orthant":
-            return Orthant(dim=_number(spec["dim"], int, "dim"))
+            return Orthant(dim=_dim(spec["dim"], "dim", 1))
         if fam == "polyhedral":
             return Polyhedral([parse_vector(g) for g in spec["generators"]])
         if fam == "future":
-            n = _number(spec["spatial_dim"], int, "spatial_dim")
+            n = _dim(spec["spatial_dim"], "spatial_dim", 0)
             frame = minkowski_frame(n)
             t = parse_vector(spec["t"]) if "t" in spec else frame.t
             return FutureCone(frame.form, t)
@@ -179,7 +187,7 @@ def parse_norm(spec, cone: Cone | None = None):
     try:
         if fam == "p":
             p = _parse_p(spec["p"], "p norm")
-            return PHyperbolic(p=p, spatial_dim=_number(spec["spatial_dim"], int, "spatial_dim"))
+            return PHyperbolic(p=p, spatial_dim=_dim(spec["spatial_dim"], "spatial_dim", 0))
         if fam == "form":
             if not isinstance(cone, FutureCone):
                 raise ParseError("form-induced norm needs a future cone")
@@ -412,7 +420,7 @@ def main(argv=None) -> int:
                     fh.write("\n")
             return 0 if ok else 1
         if args.command == "gram":
-            h = PHyperbolic(_parse_p(args.p, "--p"), args.spatial_dim)
+            h = PHyperbolic(_parse_p(args.p, "--p"), _dim(args.spatial_dim, "--spatial-dim", 0))
             basis = _parse_basis(_parse_json(args.basis, "--basis"))
             g = gram_from_cone_basis(h, basis)
             sig = classify(g)

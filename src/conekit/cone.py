@@ -2,10 +2,13 @@
 
 Polyhedral membership and properness are decided by exact rational LP,
 because boundary points (null vectors, facets) are routine inputs here and
-float LP misclassifies them.  PCone membership is exact for p in {1, 2, inf}
-via squared comparisons.  FutureCone membership, core and dual membership,
-and the self-duality probe are signs of the form, read off the integer
-``SymMatrix._int_quad`` without building a Fraction.
+float LP misclassifies them.  PCone membership and core are decided on the
+vector's integers for every integer p and for p = inf, by comparing powers;
+a non-integer p decides only points with at most one nonzero spatial
+coordinate.  FutureCone checks its form and t once, at construction;
+its membership, core and dual membership, and the self-duality probe are
+signs of the form, read off the integer ``SymMatrix._int_quad`` without
+building a Fraction.
 """
 
 from __future__ import annotations
@@ -85,12 +88,20 @@ class PCone:
 
 @dataclass(frozen=True)
 class FutureCone:
-    """Causal future of t under a Lorentzian Gram form."""
+    """Causal future of t under a Lorentzian Gram form: {x : <x, x> >= 0,
+    <x, t> >= 0}.  Construction raises NotLorentzian unless the form
+    classifies as Lorentzian, and NotCausal unless <t, t> > 0: the set is
+    then a proper convex cone."""
 
     form: GramForm
     t: Vector
 
     def __post_init__(self):
+        sig = classify(self.form)
+        if sig.kind is not FormKind.LORENTZIAN:
+            raise NotLorentzian(f"future cone over a form of signature {sig}")
+        if self.form.std._int_quad(self.t, self.t) <= 0:
+            raise NotCausal(f"future cone needs a timelike t, <t, t> > 0: {self.t!r}")
         object.__setattr__(self, "_rays", None)  # null_rays_2d, built on first use
 
     @property
@@ -202,9 +213,6 @@ def null_rays_2d(c: FutureCone) -> Polyhedral:
     """
     if c._rays is None:
         s = c.form.std
-        (s00, s01), (_, s11) = s.rows
-        if s00 * s11 - s01 * s01 >= 0:
-            raise NotLorentzian("2-D future cone needs a form with det < 0")
         if c.form.inner(c.t, c.t) != 1:
             raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
         st = s.apply(c.t).coords
@@ -232,22 +240,26 @@ def _polyhedral_member(c: Polyhedral, x: Vector) -> bool:
 
 
 def _pcone_holds(p, x: Vector, strict: bool = False) -> bool:
-    """x0 >= |spatial|_p, or x0 > |spatial|_p when strict; exact where possible.
+    """x0 >= |spatial|_p, or x0 > |spatial|_p when strict, on x's integers:
+    both sides scale with its positive denominator.
 
-    For p in {1, 2, inf} x is compared on its integers: both sides scale
-    with its positive denominator.  Other p compare floats.
+    For p = inf, and for every p when at most one spatial coordinate is
+    nonzero (|x|_p = max |x_i| there), x0 is compared with max |x_i|.  An
+    integer p = k compares x0^k with sum |x_i|^k.  A non-integer p with two
+    or more nonzero spatial coordinates raises UnsupportedFamily: no float
+    decides an exact input.
     """
-    x0, *spatial = x._nums if p in (1, 2, math.inf) else x.as_floats()
+    x0, *spatial = x._nums
     if x0 < 0:
         return False
     cmp = operator.gt if strict else operator.ge
-    if p == 1:
-        return cmp(x0, sum(abs(s) for s in spatial))
-    if p == 2:
-        return cmp(x0 * x0, sum(s * s for s in spatial))
-    if p == math.inf:
-        return cmp(x0, max((abs(s) for s in spatial), default=0))
-    return cmp(x0, sum(abs(s) ** float(p) for s in spatial) ** (1.0 / float(p)))
+    nonzero = [abs(s) for s in spatial if s]
+    if p == math.inf or len(nonzero) <= 1:
+        return cmp(x0, max(nonzero, default=0))
+    k = int(p)
+    if k != p:
+        raise UnsupportedFamily(f"p-cone membership is exact only for integer p or p = inf, got {p!r}")
+    return cmp(x0**k, sum(s**k for s in nonzero))
 
 
 def contains(c: Cone, x: Vector) -> bool:
@@ -276,15 +288,11 @@ def is_proper(c: Cone) -> Properness:
 
     Polyhedral: the lineality space is nontrivial iff -g in F for some
     nonzero generator g (if v = sum theta_i g_i is in F cap (-F), then
-    -theta_i g_i = -v + sum_{j != i} theta_j g_j lies in F).  FutureCone and
-    PCone are proper by construction, FutureCone provided its form
-    classifies as Lorentzian.
+    -theta_i g_i = -v + sum_{j != i} theta_j g_j lies in F).  Orthant,
+    PCone and FutureCone are proper by construction: a FutureCone checks its
+    Lorentzian form and timelike t when it is built.
     """
-    if isinstance(c, (Orthant, PCone)):
-        return Properness(True)
-    if isinstance(c, FutureCone):
-        if classify(c.form).kind is not FormKind.LORENTZIAN:
-            raise NotLorentzian("future cone over a non-Lorentzian form")
+    if isinstance(c, (Orthant, PCone, FutureCone)):
         return Properness(True)
     for g in c.generators:
         if not g.is_zero() and contains(c, -g):

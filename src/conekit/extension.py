@@ -1,14 +1,16 @@
 """The extended norm on span(F) and its brute-force oracle.
 
-n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  On the future cone
-with the Wick norm it has a closed form: n_W(x) on causal x and
-sqrt(2) n(w_x) on spacelike x.  Polyhedral cones, and the 2-D future cone
-as the polyhedral cone on its two null rays, are solved by finite methods:
-l1 and linf by one exact two-phase simplex LP on the generators and the
-target; l2 and Wick norms by enumerating the faces of F cap (x + F), cut
-out by the cone's exact H-description (see ``cone.h_description``), which
-covers overcomplete, lower-dimensional and non-pointed cones alike.  No
-solver iterates.  The grid oracle certifies accuracy independently.
+n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  On the Wick norm's
+own future cone (the frame's form, and a t in the frame's time
+orientation) it has a closed form: n_W(x) on causal x and sqrt(2) n(w_x)
+on spacelike x, with exact witnesses u, v built on integers.  Polyhedral
+cones, and any other 2-D future cone as the polyhedral cone on its two
+null rays, are solved by finite methods: l1 and linf by one exact
+two-phase simplex LP on the generators and the target; l2 and Wick norms
+by enumerating the faces of F cap (x + F), cut out by the cone's exact
+H-description (see ``cone.h_description``), which covers overcomplete,
+lower-dimensional and non-pointed cones alike.  No solver iterates.  The
+grid oracle certifies accuracy independently.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .lorentz import LorentzFrame
 from .numerics import Vector, _int_vector, lp_nonneg_solve
-from .span import future_decompose
+from .span import _decomposition_ints, _spatial_norm_bounds, future_decompose
 
 
 class WickBaseNorm:
@@ -264,51 +266,65 @@ def _future_wick_closed_form(norm: WickBaseNorm, target: Vector) -> ExtensionRes
     With x = alpha t + w, the null coordinates of the plane through t and w
     turn the cone into an orthant and the Wick norm into the Euclidean norm,
     so n~(x) = n_W(x) when x is causal and sqrt(2) n(w) when it is spacelike.
-    Both squares are rational in alpha and <x, x>: the causal/spacelike
-    decision is exact.
+    Both squares are rational in alpha and <x, x>, read on integers from
+    ``span._decomposition_ints``: the causal/spacelike decision is exact, and
+    so are the witnesses.  A causal x splits as x - 0 (alpha >= 0) or
+    0 - (-x).  A spacelike x has n(w) > |alpha|; with a rational r >= n(w)
+    from ``span._spatial_norm_bounds``, u = ((r^2 - alpha^2) t +
+    (r + alpha) x) / (2r) = (alpha + r) / 2 (t + w / r) and v = u - x =
+    (r - alpha) / 2 (t - w / r) are future-causal, as
+    <t +- w/r, t +- w/r> = 1 - n(w)^2 / r^2 >= 0.
     """
-    frame = norm.frame
-    x = np.array(target.as_floats())
-    # scale by 2^-e so that |x| < 1: the squares neither underflow nor overflow
-    e = math.frexp(float(np.max(np.abs(x))))[1]
-    xq = target.scale(Fraction(2) ** -e)
-    alpha = frame.inner(xq, frame.t)
-    xx = frame.inner(xq, xq)
+    # <x, t> = a / k and <x, x> = xx / k^2
+    a, xx, k = _decomposition_ints(norm.frame, target)
+    # the value on x / 2^e with |x| < 2^e: the squares neither underflow nor overflow
+    e = math.frexp(max(map(abs, target.as_floats())))[1]
     if xx >= 0:
         # causal: the target itself (or its negative) is the cheapest split
-        q = 2 * alpha * alpha - xx
-        u = x if alpha >= 0 else np.zeros_like(x)
+        q = 2 * a * a - xx
+        u = target if a >= 0 else Vector.zero(target.dim)
     else:
-        # spacelike: u on the null ray t + w_hat, v = u - x on t - w_hat
-        q = 2 * (alpha * alpha - xx)
-        nw = math.sqrt(float(alpha * alpha - xx))
-        a = float(alpha)
-        tf = np.array(frame.t.as_floats())
-        y = np.array(xq.as_floats())
-        u = np.ldexp((0.5 * (a + nw)) * (tf + (y - a * tf) / nw), e)
-    value = math.ldexp(math.sqrt(float(q)), e)
-    return ExtensionResult(value, Vector(u.tolist()), Vector((u - x).tolist()), 0, True)
+        # spacelike: u on the null ray t + w/r, v = u - x on t - w/r
+        q = 2 * (a * a - xx)
+        _, rn, rd = _spatial_norm_bounds(a, xx, k)
+        # with r = rn / rd and alpha = a / k: r + alpha = p / (rd k) and
+        # r^2 - alpha^2 = p m / (rd k)^2, for p = rn k + a rd, m = rn k - a rd
+        p, m = rn * k + a * rd, rn * k - a * rd
+        t, xd = norm.frame.t, target._den
+        c = rd * k * t._den
+        u = _int_vector([p * (m * xd * y + c * z) for y, z in zip(t._nums, target._nums)], 2 * rn * c * k * xd)
+    # n~(x / 2^e)^2 = q / (k^2 4^e), rounded once: int / int rounds as float(Fraction) does
+    sq = (q << max(-2 * e, 0)) / (k * k << max(2 * e, 0))
+    return ExtensionResult(math.ldexp(math.sqrt(sq), e), u, u - target, 0, True)
+
+
+def _own_future_cone(c: FutureCone, frame: LorentzFrame) -> bool:
+    """True iff c is the frame's future cone: the same form, and a t in the
+    frame's time orientation, <c.t, frame.t> > 0."""
+    s = frame.form.std
+    return c.form.std == s and s._int_quad(c.t, frame.t) > 0
 
 
 def extended_norm(p: ExtensionProblem) -> ExtensionResult:
     """Minimize n(u) + n(u - x) over u in F intersect (x + F).
 
-    The future cone with the Wick norm is solved in closed form.  A
-    polyhedral cone, or the 2-D future cone as the polyhedral cone on its
-    null rays, is solved by one exact LP for l1 / linf and by enumerating
+    The Wick norm's own future cone is solved in closed form.  A polyhedral
+    cone, or any other 2-D future cone as the polyhedral cone on its null
+    rays, is solved by one exact LP for l1 / linf and by enumerating
     the faces of F cap (x + F) for l2 and Wick norms: every result has
     iterations = 0 and converged = True.  Raises Infeasible when x is not in
     F - F, and DimTooLarge when the cone's H-description would enumerate
-    more than cone.MAX_SUBSETS subsets.
+    more than cone.MAX_SUBSETS subsets, and UnsupportedFamily for a future
+    cone above dimension 2 that is not the Wick norm's own.
     """
     c = p.cone
     norm = p.base_norm
-    if isinstance(c, FutureCone) and isinstance(norm, WickBaseNorm):
-        return _future_wick_closed_form(norm, p.target)
     if isinstance(c, FutureCone):
+        if isinstance(norm, WickBaseNorm) and _own_future_cone(c, norm.frame):
+            return _future_wick_closed_form(norm, p.target)
         if c.ambient_dim != 2:
             raise UnsupportedFamily(
-                "future-cone solver needs the Wick base norm above ambient dimension 2"
+                "future-cone solver needs the Wick norm of the cone's own frame above ambient dimension 2"
             )
         c = null_rays_2d(c)
     elif not isinstance(c, Polyhedral):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .cone import Cone, FutureCone, Orthant, PCone, contains
+from .cone import Cone, FutureCone, Orthant, PCone, _pcone_holds, contains
 from .errors import OutsideCone, UnsupportedFamily
 from .lorentz import _minkowski_matrix
 from .numerics import SymMatrix, Vector, approx_eq
@@ -123,7 +123,7 @@ def _norm_value(h: HyperbolicNorm, x: Vector) -> float:
     if isinstance(h, PHyperbolic):
         x0, *spatial = x.as_floats()
         if h.p == math.inf:
-            return x0 if x0 > max((abs(s) for s in spatial), default=0.0) else 0.0
+            return x0 if _pcone_holds(math.inf, x, strict=True) else 0.0
         inner = abs(x0) ** float(h.p) - sum(abs(s) ** float(h.p) for s in spatial)
         return max(inner, 0.0) ** (1.0 / float(h.p))
     acc = sum(float(w) * float(f) ** float(h.q) for w, f in zip(h.weights, x.coords))

@@ -3,7 +3,7 @@
 Sequential completeness is not finitely decidable, so the certificate
 verifies the proof mechanism on a finite prefix: monotone time components,
 the telescoping Cauchy bound on the spatial parts (exact), and a declared
-limit once the tail residual drops below 1e-9.
+limit once the tail residual drops below 1e-9 (exact, in squares).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .lorentz import LorentzFrame, wick_norm
 from .numerics import Vector
 
 LIMIT_RESIDUAL = 1e-9
+_LIMIT_SQ = Fraction(LIMIT_RESIDUAL) ** 2
 # terms before the declared limit whose Wick distance to it is reported
 TAIL_TERMS = 5
 
@@ -100,8 +101,9 @@ def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCerti
         and n(dw)^2 = dalpha^2 - <dv, dv>, a step holds iff dalpha >= 0 and
         <dv, dv> >= 0;
     (c) limit declared as the last term once consecutive Wick distance
-        drops below LIMIT_RESIDUAL, with the max Wick distance of the
-        TAIL_TERMS terms before it reported.
+        drops below LIMIT_RESIDUAL, decided exactly on the step's squared
+        Wick norm against LIMIT_RESIDUAL^2, with the max (float) Wick
+        distance of the TAIL_TERMS terms before it reported.
     """
     if not s.terms:
         raise PreconditionFailed("empty sequence")
@@ -123,8 +125,10 @@ def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCerti
     converged = False
     max_residual = float("inf")
     if len(s.terms) >= 2:
-        last_gap = wick_norm(frame, s.terms[-1] - s.terms[-2])
-        if last_gap < LIMIT_RESIDUAL:
+        # n_W(d) < LIMIT_RESIDUAL iff d^T W d < LIMIT_RESIDUAL^2, on integers:
+        # d^T W d = _int_quad / (W_den d_den^2)
+        d, w = s.terms[-1] - s.terms[-2], frame.wick
+        if w._int_quad(d, d) * _LIMIT_SQ.denominator < _LIMIT_SQ.numerator * w._den * d._den**2:
             limit = s.terms[-1]
             converged = True
             tail_terms = s.terms[-(TAIL_TERMS + 1) : -1]

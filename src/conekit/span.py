@@ -97,6 +97,14 @@ def _decomposition_ints(frame: LorentzFrame, x: Vector) -> tuple[int, int, int]:
     return s._int_quad(x, t), s._int_quad(x, x) * s._den * t._den**2, s._den * x._den * t._den
 
 
+def _spatial_norm_bounds(a: int, q: int, k: int) -> tuple[int, int, int]:
+    """``_sqrt_bounds`` of n(w_x)^2 = (a^2 - q) / k^2 on ``_decomposition_ints``,
+    reduced by one gcd: the bounds on a root depend on lowest terms."""
+    r, kk = a * a - q, k * k
+    g = math.gcd(r, kk)
+    return _sqrt_bounds(r // g, kk // g)
+
+
 def _lambda_holds(a: int, q: int, k: int, lam: Fraction) -> bool:
     """The four constraints making v1,2 = lam t +- x/2 future-causal,
     lam^2 +- lam alpha + <x, x> / 4 >= 0 and lam >= +-alpha / 2, times
@@ -112,15 +120,12 @@ def future_decompose(x: Vector, frame: LorentzFrame) -> FutureDecomposition:
     Uses the minimal lam = (|alpha_x| + n(w_x)) / 2 solving the four
     constraints, with alpha_x = <x, t> and n(w_x)^2 = alpha_x^2 - <x, x>;
     when n(w_x) is irrational, a rational upper bound within 1e-15 is used
-    instead, keeping v1 - v2 = x exact.  On ``_decomposition_ints``'s (a, q, k),
-    n(w_x)^2 = (a^2 - q) / k^2 is reduced by one gcd (its root's bound depends
-    on lowest terms); v1, v2 are integer vectors over 2 lam_d d_t d_x.  The
-    constraints are re-checked exactly on every call.
+    instead, keeping v1 - v2 = x exact.  The bounds on n(w_x) come from
+    ``_spatial_norm_bounds``; v1, v2 are integer vectors over
+    2 lam_d d_t d_x.  The constraints are re-checked exactly on every call.
     """
     a, q, k = _decomposition_ints(frame, x)
-    r, kk = a * a - q, k * k
-    g = math.gcd(r, kk)
-    lo, hi, den = _sqrt_bounds(r // g, kk // g)
+    lo, hi, den = _spatial_norm_bounds(a, q, k)
     lam = Fraction(abs(a) * den + hi * k, 2 * k * den)
     if not _lambda_holds(a, q, k, lam):
         raise AssertionError("minimal lambda failed its defining inequalities")

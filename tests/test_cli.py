@@ -129,8 +129,27 @@ class TestRun:
             ({"kind": "wick", "trials": 2.5}, "cannot parse trials 2.5"),
             ({"kind": "wick", "trials": -5}, "trials must be >= 0, got -5"),
             ({"kind": "wick", "trials": 2, "seed": True}, "cannot parse seed True"),
+            ({"kind": "membership", "x": [1, 0], "cone": {"family": "pcone", "p": 2, "spatial_dim": -1}}, "spatial_dim must be >= 0, got -1"),
+            ({"kind": "membership", "x": [1, 0], "cone": {"family": "future", "spatial_dim": -2}}, "spatial_dim must be >= 0, got -2"),
+            ({"kind": "membership", "x": [1, 0], "cone": {"family": "orthant", "dim": 0}}, "dim must be >= 1, got 0"),
+            ({"kind": "membership", "x": [1, 0], "cone": {"family": "orthant", "dim": -2}}, "dim must be >= 1, got -2"),
+            (
+                {"kind": "polarizability_check", "v": [1, 0], "w": [1, 0], "norm": {"family": "p", "p": 2, "spatial_dim": -1}},
+                "spatial_dim must be >= 0, got -1",
+            ),
         ],
-        ids=["spatial_dim-fraction", "dim-bool", "trials-fraction", "trials-negative", "seed-bool"],
+        ids=[
+            "spatial_dim-fraction",
+            "dim-bool",
+            "trials-fraction",
+            "trials-negative",
+            "seed-bool",
+            "pcone-spatial_dim-negative",
+            "future-spatial_dim-negative",
+            "orthant-dim-zero",
+            "orthant-dim-negative",
+            "p-norm-spatial_dim-negative",
+        ],
     )
     def test_bad_integer_field_exits_2(self, task, message, tmp_path, capsys):
         # an integer field is never truncated: 1.9 is not 1, true is not 1
@@ -360,6 +379,10 @@ class TestGram:
     def test_bad_p_exits_2(self, p, message, capsys):
         assert run_cli(["gram", "--p", p, "--spatial-dim", "1", "--basis", '[["1","0"],["1","1"]]']) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_negative_spatial_dim_exits_2(self, capsys):
+        assert run_cli(["gram", "--spatial-dim", "-1", "--basis", '[["1","0"],["1","1"]]']) == 2
+        assert "error: --spatial-dim must be >= 0, got -1" in capsys.readouterr().err
 
     def test_float_backend_large_entries(self, capsys):
         basis = '[["3000","1000","300.3"],["2000","1000","0"],["5000","2000","3000"]]'

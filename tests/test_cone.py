@@ -21,9 +21,9 @@ from conekit.cone import (
     sample_future_causal,
     self_duality_report,
 )
-from conekit.errors import DimensionMismatch, NotCausal, NotMember
-from conekit.lorentz import minkowski_form, minkowski_frame
-from conekit.numerics import Vector, exact_solve
+from conekit.errors import DimensionMismatch, NotCausal, NotLorentzian, NotMember, UnsupportedFamily
+from conekit.lorentz import GramForm, minkowski_form, minkowski_frame
+from conekit.numerics import SymMatrix, Vector, exact_solve
 
 
 def vec(*xs):
@@ -56,6 +56,61 @@ class TestContains:
 
         assert contains(PCone(math.inf, 2), vec(2, 2, -2))
         assert not contains(PCone(math.inf, 2), vec(2, 3, 0))
+
+    # the 16 integer solutions of d^3 = a^3 + b^3 + c^3, 0 < a <= b <= c < d < 40
+    CUBES = [
+        (d, a, b, c)
+        for a in range(1, 40)
+        for b in range(a, 40)
+        for c in range(b, 40)
+        for d in range(c + 1, 40)
+        if d**3 == a**3 + b**3 + c**3
+    ]
+
+    def test_pcone3_exact_boundary(self):
+        assert len(self.CUBES) == 16
+        c = PCone(3, 3)
+        for point in self.CUBES:
+            for scale in (1, 3, 7, 10):
+                x = Vector([F(t, scale) for t in point])
+                assert contains(c, x) and not in_core(c, x), x
+                # just outside along x0
+                assert not contains(c, x - Vector([F(1, 10**30), 0, 0, 0]))
+
+    def test_pcone_non_integer_p(self):
+        c = PCone(F(3, 2), 2)
+        with pytest.raises(UnsupportedFamily):
+            contains(c, vec(3, 1, 1))
+        with pytest.raises(UnsupportedFamily):
+            contains(PCone(2.5, 2), vec(3, 1, 1))
+        # at most one nonzero spatial coordinate: |x|_p = max |x_i| for every p
+        assert contains(c, vec(2, 0, -2)) and not in_core(c, vec(2, 0, -2))
+        assert in_core(c, vec(2, 1, 0)) and not contains(c, vec(1, 0, 2))
+        # a negative x0 is outside for every p
+        assert not contains(c, vec(-1, 1, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 4, 5, 6, 3.0]),
+        st.lists(st.just(F(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=8), min_size=1, max_size=4),
+        st.integers(-2, 2),
+    )
+    def test_pcone_integer_p_matches_fractions(self, p, spatial, shift):
+        """contains and in_core against x0^p vs sum |x_i|^p on Fractions, on
+        points at, just inside and just outside x0 = max |x_i|, and random x0."""
+        c = PCone(p, len(spatial))
+        k = int(p)
+        m = max(abs(s) for s in spatial)
+        for x0 in (m, m + F(shift, 64), F(shift, 3)):
+            x = Vector([x0] + spatial)
+            rhs = sum(abs(s) ** k for s in spatial)
+            inside = x0 >= 0 and x0**k >= rhs
+            assert contains(c, x) == inside
+            if inside:
+                assert in_core(c, x) == (x0 > 0 and x0**k > rhs)
+            else:
+                with pytest.raises(NotMember):
+                    in_core(c, x)
 
     def test_future_cone(self):
         assert contains(FUT2, vec(2, 1))
@@ -108,6 +163,22 @@ class TestHDescription:
                 sum(a * b for a, b in zip(h, x.coords)) >= 0 for h in d.normals
             )
             assert by_h == contains(c, x)
+
+
+class TestFutureConeConstruction:
+    def test_t_not_timelike(self):
+        for t in (vec(0, 1), vec(1, 1), vec(0, 0)):
+            with pytest.raises(NotCausal):
+                FutureCone(MINK2, t)
+
+    def test_form_not_lorentzian(self):
+        euclid = GramForm([vec(1, 0), vec(0, 1)], SymMatrix([[1, 0], [0, 1]]))
+        with pytest.raises(NotLorentzian):
+            FutureCone(euclid, vec(1, 0))
+
+    def test_t_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            FutureCone(MINK2, vec(1, 0, 0))
 
 
 class TestIsProper:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conekit import cone as cone_module
 from conekit import extension, lorentz
 from conekit.cone import FutureCone, PCone, Polyhedral, contains, sample_future_causal
-from conekit.errors import BallNotContained, DimensionMismatch, DimTooLarge, Infeasible, NotLorentzian
+from conekit.errors import BallNotContained, DimensionMismatch, DimTooLarge, Infeasible, NotLorentzian, UnsupportedFamily
 from conekit.errors import PreconditionFailed
 from conekit.extension import (
     CoordBaseNorm,
@@ -109,10 +109,14 @@ class TestExtendedNorm:
         assert builds == []
 
     def test_future2d_needs_lorentz_frame(self):
+        # a Euclidean form is rejected when the cone is built
         euclid = GramForm([vec(1, 0), vec(0, 1)], SymMatrix([[F(1), F(0)], [F(0), F(1)]]))
-        for cone in (FutureCone(euclid, vec(1, 0)), FutureCone(FRAME.form, vec(2, 0))):
-            with pytest.raises(NotLorentzian):
-                extended_norm(ExtensionProblem(cone, CoordBaseNorm("l2"), Vector([0.0, 1.0])))
+        with pytest.raises(NotLorentzian):
+            FutureCone(euclid, vec(1, 0))
+        # a timelike t that is not a unit vector has no exact null rays
+        cone = FutureCone(FRAME.form, vec(2, 0))
+        with pytest.raises(NotLorentzian):
+            extended_norm(ExtensionProblem(cone, CoordBaseNorm("l2"), Vector([0.0, 1.0])))
 
     @pytest.mark.parametrize("kind, want", [("l1", 1.5), ("l2", math.sqrt(1.25)), ("linf", 1.0)])
     def test_polyhedral_collinear_generators(self, kind, want):
@@ -240,11 +244,6 @@ def _solve(x: Vector):
     return extended_norm(ExtensionProblem(CONES[x.dim], WICKS[x.dim], x))
 
 
-def _in_future(frame, u: Vector, tol: float) -> bool:
-    scale = 1.0 + max(abs(c) for c in u.as_floats())
-    return frame.inner(u, u) >= -tol * scale**2 and frame.inner(u, frame.t) >= -tol * scale
-
-
 exact_targets = st.integers(2, 6).flatmap(
     lambda d: st.lists(
         st.fractions(min_value=-5, max_value=5, max_denominator=50), min_size=d, max_size=d
@@ -270,8 +269,8 @@ class TestClosedFormProperties:
         else:
             want = math.sqrt(2) * wick_norm(frame, decompose(frame, x).w)
         assert res.value == pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert (res.u - res.v).coords == pytest.approx(x.as_floats(), abs=1e-9)
-        assert _in_future(frame, res.u, 1e-12) and _in_future(frame, res.v, 1e-12)
+        assert res.u - res.v == x
+        assert contains(CONES[x.dim], res.u) and contains(CONES[x.dim], res.v)
         norm = WICKS[x.dim]
         nu_nv = norm.value(np.array(res.u.as_floats())) + norm.value(np.array(res.v.as_floats()))
         assert res.value == pytest.approx(nu_nv, rel=1e-12, abs=1e-12)
@@ -312,6 +311,45 @@ class TestClosedFormProperties:
         if d == 2:
             p = ExtensionProblem(CONES[2], WICKS[2], Vector([0.5, 1.0]))
             assert grid_oracle(p) == pytest.approx(res.value, abs=3e-3)
+
+
+class TestClosedFormPrecondition:
+    """The closed form is taken only on the Wick norm's own future cone: the
+    same form, and a t with <t, frame.t> > 0."""
+
+    # std = diag(1, -4): the future cone |x_1| <= x_0 / 2, inside Minkowski's
+    NARROW = FutureCone(GramForm([vec(1, 0), vec(0, F(1, 2))], SymMatrix([[1, 0], [0, -1]])), vec(1, 0))
+
+    def test_narrow_2d_cone_by_its_null_rays(self):
+        p = ExtensionProblem(self.NARROW, WICK, vec(0, 1))
+        res = extended_norm(p)
+        # u = (1, 1/2), v = (1, -1/2) on the cone's null rays: n~ = sqrt(5)
+        assert res.value == pytest.approx(math.sqrt(5), rel=1e-12)
+        assert res.value == pytest.approx(grid_oracle(p), abs=3e-3)
+
+    def test_past_2d_cone_by_its_null_rays(self):
+        past = FutureCone(FRAME.form, vec(-1, 0))
+        res = extended_norm(ExtensionProblem(past, WICK, vec(F(1, 2), 1)))
+        assert res.value == pytest.approx(math.sqrt(2), rel=1e-12)
+        assert res.u.as_floats()[0] <= 0 and res.v.as_floats()[0] <= 0
+
+    def test_other_cone_above_2d_unsupported(self):
+        form = minkowski_frame(2).form
+        # std = diag(1, -1/4, -1): another form
+        wide = GramForm([vec(1, 0, 0), vec(0, 2, 0), vec(0, 0, 1)], form.std)
+        for c in (FutureCone(form, vec(-1, 0, 0)), FutureCone(wide, vec(1, 0, 0))):
+            with pytest.raises(UnsupportedFamily):
+                extended_norm(ExtensionProblem(c, WickBaseNorm(minkowski_frame(2)), vec(0, 1, 0)))
+
+    def test_another_t_of_the_same_orientation(self):
+        # TILTED_WICK's frame has t = (3/2, 1, 1/2): the same future cone as t = e_0
+        c = FutureCone(minkowski_frame(2).form, vec(1, 0, 0))
+        x = vec(F(1, 2), 2, 0)
+        res = extended_norm(ExtensionProblem(c, TILTED_WICK, x))
+        frame = TILTED_WICK.frame
+        want = math.sqrt(2) * wick_norm(frame, decompose(frame, x).w)
+        assert res.value == pytest.approx(want, rel=1e-12)
+        assert res.u - res.v == x and contains(c, res.u) and contains(c, res.v)
 
 
 # Obtuse 2-D cones (1, a), (b, 1), whose generators meet at 151-179 degrees.

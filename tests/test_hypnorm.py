@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conekit.cone import FutureCone, PCone
+from conekit.cone import FutureCone, PCone, in_core
 from conekit.errors import OutsideCone, UnsupportedFamily
 from conekit.hypnorm import (
     DiscreteLq,
@@ -68,6 +68,14 @@ class TestNormEval:
         assert norm_eval(h, vec(5, 5, -1)) == 0.0
         assert norm_eval(PHyperbolic(math.inf, 0), vec(7)) == 7.0
         assert norm_eval(PHyperbolic(100, 2), vec(3, 1, -2)) == pytest.approx(3.0)
+
+    def test_p_inf_interior_below_float_resolution(self):
+        # x0 - x1 = 1e-20: both round to the same float, but x is interior
+        h = PHyperbolic(math.inf, 1)
+        x = Vector([F(1, 3) + F(1, 10**20), F(1, 3)])
+        assert in_core(PCone(math.inf, 1), x)
+        assert norm_eval(h, x) == 1 / 3
+        assert norm_eval(h, vec(F(1, 3), F(1, 3))) == 0.0
 
 
 class TestNormSqEval:

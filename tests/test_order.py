@@ -91,6 +91,23 @@ class TestCompletenessCertificate:
         cert = completeness_certificate(s, T)
         assert not cert.converged and cert.limit is None
 
+    @pytest.mark.parametrize(
+        "gap, converged",
+        [
+            (F(order_module.LIMIT_RESIDUAL) - F(1, 10**40), True),
+            (F(order_module.LIMIT_RESIDUAL) * (1 - F(1, 2**40)), True),
+            (F(order_module.LIMIT_RESIDUAL), False),
+            (F(order_module.LIMIT_RESIDUAL) + F(1, 10**40), False),
+        ],
+        ids=["below-by-1e-40", "below-by-2^-40", "equal", "above-by-1e-40"],
+    )
+    def test_limit_residual_is_exact(self, gap, converged):
+        # the last step's Wick norm is gap exactly: W = I for the Minkowski frame
+        s = OrderedSequence(CONE, FRAME, [vec(0, 0), vec(gap, 0)])
+        cert = completeness_certificate(s, vec(1, 0))
+        assert cert.converged is converged
+        assert cert.limit == (vec(gap, 0) if converged else None)
+
     def test_cauchy_bound_fails_outside_the_light_cone(self):
         # (1, 2) is spacelike: along (1 - 2^-k)(1, 2), n(w_j - w_k) = 2 (alpha_j - alpha_k)
         cone = Polyhedral([vec(1, 2), vec(1, -2)])
