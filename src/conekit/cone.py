@@ -3,9 +3,10 @@
 Polyhedral membership and properness are decided by exact rational LP,
 because boundary points (null vectors, facets) are routine inputs here and
 float LP misclassifies them.  PCone membership and core are decided on the
-vector's integers for every integer p and for p = inf, by comparing powers;
-a non-integer p decides only points with at most one nonzero spatial
-coordinate.  FutureCone checks its form and t once, at construction;
+vector's integers: max |x_i| <= |x|_p <= sum |x_i| settles every point
+outside the band between them, for any p, and inside it an integer
+p <= MAX_EXACT_P compares powers; any other p raises UnsupportedFamily
+there.  FutureCone checks its form and t once, at construction;
 its membership, core and dual membership, and the self-duality probe are
 signs of the form, read off the integer ``SymMatrix._int_quad`` without
 building a Fraction.
@@ -239,26 +240,43 @@ def _polyhedral_member(c: Polyhedral, x: Vector) -> bool:
     return lp_nonneg_solve(a, x._nums) is not None
 
 
+# The largest integer p whose powers x0^p and |x_i|^p are computed: they
+# hold p times the bit length of x0, so an unbounded p (a scenario's "1e300")
+# would never finish.  Every p of the tests and benchmark is at most 100.
+MAX_EXACT_P = 128
+
+
 def _pcone_holds(p, x: Vector, strict: bool = False) -> bool:
     """x0 >= |spatial|_p, or x0 > |spatial|_p when strict, on x's integers:
     both sides scale with its positive denominator.
 
-    For p = inf, and for every p when at most one spatial coordinate is
-    nonzero (|x|_p = max |x_i| there), x0 is compared with max |x_i|.  An
-    integer p = k compares x0^k with sum |x_i|^k.  A non-integer p with two
-    or more nonzero spatial coordinates raises UnsupportedFamily: no float
-    decides an exact input.
+    max |x_i| <= |x|_p <= sum |x_i| brackets the norm for every p >= 1;
+    once two x_i are nonzero, the lower bound is strict for finite p and the
+    upper one for p > 1.  It settles every x0 outside the band
+    max |x_i| < x0 < sum |x_i|, for any p.  For p = inf, and whenever at most one spatial coordinate is
+    nonzero, |x|_p = max |x_i|.  In the band an integer p = k <= MAX_EXACT_P
+    compares x0^k with sum |x_i|^k; any other p raises UnsupportedFamily:
+    no float decides an exact input, and a larger power costs without bound.
     """
     x0, *spatial = x._nums
     if x0 < 0:
         return False
     cmp = operator.gt if strict else operator.ge
     nonzero = [abs(s) for s in spatial if s]
+    top = max(nonzero, default=0)
     if p == math.inf or len(nonzero) <= 1:
-        return cmp(x0, max(nonzero, default=0))
-    k = int(p)
+        return cmp(x0, top)
+    if x0 <= top:
+        return False
+    total = sum(nonzero)
+    if x0 >= total:
+        return x0 > total or p > 1 or not strict
+    k = int(p) if p <= MAX_EXACT_P else 0
     if k != p:
-        raise UnsupportedFamily(f"p-cone membership is exact only for integer p or p = inf, got {p!r}")
+        raise UnsupportedFamily(
+            f"p-cone membership between max |x_i| and sum |x_i| is exact only for"
+            f" integer p <= MAX_EXACT_P = {MAX_EXACT_P} or p = inf, got {p!r}"
+        )
     return cmp(x0**k, sum(s**k for s in nonzero))
 
 

@@ -7,7 +7,8 @@ Cauchy-Schwarz and reverse triangle signs and the equality case are read
 off three integers of the bilinear form (``_cs_triple``), with no Fraction
 built for a sign.  Square roots force floats.  Each argument's membership
 is checked once: the cones are convex (p >= 1), so sums of members such as
-v + w and v + 2w are members, evaluated unchecked.
+v + w and v + 2w are members, evaluated unchecked.  That check is exact, so
+a p-hyperbolic call raises UnsupportedFamily where ``PCone`` membership does.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ class PHyperbolic:
     """(x0^p - sum |x_j|^p)^(1/p) on the p-cone in R^{1+n}.
 
     p = math.inf is the p -> inf limit: x0 inside the cone, 0 on its boundary.
+    Every call checks membership with ``PCone``'s exact rule: for a
+    non-integer p, or an integer p above ``cone.MAX_EXACT_P``, a point with
+    max |x_j| < x0 < sum |x_j| raises UnsupportedFamily.
     """
 
     p: object

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -190,6 +191,24 @@ class TestRun:
         assert run_cli(["run", str(f), "--out", str(out)]) == 0
         (task,) = json.loads(out.read_text())["tasks"]
         assert task["metrics"]["contains"] is inside
+
+    @pytest.mark.parametrize("x, inside", [([3, 2, 2], None), ([5, 2, 2], True), ([2, 2, 1], False)])
+    def test_pcone_huge_p_returns(self, x, inside, tmp_path, capsys):
+        """p = 1e300 never builds x0^p: the bracket max |x_i| <= |x|_p <=
+        sum |x_i| decides, and the band between them is a task error."""
+        f = tmp_path / "s.json"
+        cone = {"family": "pcone", "p": "1e300", "spatial_dim": 2}
+        task = {"kind": "membership", "x": x, "expect": bool(inside)}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": cone, "tasks": [task]}))
+        out = tmp_path / "rep.json"
+        t0 = time.perf_counter()
+        assert run_cli(["run", str(f), "--out", str(out)]) == (1 if inside is None else 0)
+        assert time.perf_counter() - t0 < 5
+        (task,) = json.loads(out.read_text())["tasks"]
+        if inside is None:
+            assert task["status"] == "error" and "MAX_EXACT_P" in task["metrics"]["error"]
+        else:
+            assert task["metrics"]["contains"] is inside
 
     @pytest.mark.parametrize(
         "p, message",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conekit.cone import (
+    MAX_EXACT_P,
     FutureCone,
     Orthant,
     PCone,
@@ -79,15 +80,35 @@ class TestContains:
 
     def test_pcone_non_integer_p(self):
         c = PCone(F(3, 2), 2)
+        # max |x_i| < x0 < sum |x_i|: only the p-th powers decide
         with pytest.raises(UnsupportedFamily):
-            contains(c, vec(3, 1, 1))
+            contains(c, vec(3, 2, 2))
         with pytest.raises(UnsupportedFamily):
-            contains(PCone(2.5, 2), vec(3, 1, 1))
+            contains(PCone(2.5, 2), vec(3, 2, 2))
+        # outside that band max |x_i| <= |x|_p <= sum |x_i| decides every p
+        assert in_core(c, vec(3, 1, 1)) and in_core(c, vec(4, 2, 2))
+        assert not contains(c, vec(2, 2, 1)) and not contains(c, vec(2, -2, 2))
         # at most one nonzero spatial coordinate: |x|_p = max |x_i| for every p
         assert contains(c, vec(2, 0, -2)) and not in_core(c, vec(2, 0, -2))
         assert in_core(c, vec(2, 1, 0)) and not contains(c, vec(1, 0, 2))
         # a negative x0 is outside for every p
         assert not contains(c, vec(-1, 1, 1))
+
+    @pytest.mark.parametrize("p", [MAX_EXACT_P + 1, 10**300, F(10**300 + 1, 2)])
+    def test_pcone_p_above_cap(self, p):
+        """x0^p is never built for p > MAX_EXACT_P: the brackets decide
+        what they can, and the band raises at once."""
+        c = PCone(p, 2)
+        with pytest.raises(UnsupportedFamily):
+            contains(c, vec(3, 2, 2))
+        assert in_core(c, vec(4, 2, 2)) and not contains(c, vec(2, 2, 1))
+        assert contains(c, vec(2, 2, 0)) and not in_core(c, vec(2, 2, 0))
+
+    def test_pcone_p_at_cap(self):
+        # |(1000, 1000)|_128 = 1000 * 2^(1/128), between 1005 and 1006
+        assert MAX_EXACT_P == 128
+        c = PCone(128, 2)
+        assert in_core(c, vec(1006, 1000, 1000)) and not contains(c, vec(1005, 1000, -1000))
 
     @settings(max_examples=200, deadline=None)
     @given(

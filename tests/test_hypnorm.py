@@ -69,6 +69,17 @@ class TestNormEval:
         assert norm_eval(PHyperbolic(math.inf, 0), vec(7)) == 7.0
         assert norm_eval(PHyperbolic(100, 2), vec(3, 1, -2)) == pytest.approx(3.0)
 
+    def test_non_integer_p_membership(self):
+        h = PHyperbolic(F(3, 2), 2)
+        # max |x_j| < x0 < sum |x_j|: membership needs the 3/2-th powers
+        with pytest.raises(UnsupportedFamily):
+            norm_eval(h, vec(3, 2, 2))
+        with pytest.raises(UnsupportedFamily):
+            reverse_triangle_residual(h, vec(3, 2, 2), vec(1, 0, 0))
+        # one nonzero spatial coordinate, or x0 >= sum |x_j|, still evaluates
+        assert norm_eval(h, vec(5, 0, 4)) == pytest.approx((5**1.5 - 4**1.5) ** (2 / 3))
+        assert norm_eval(h, vec(3, 1, 1)) == pytest.approx((3**1.5 - 2) ** (2 / 3))
+
     def test_p_inf_interior_below_float_resolution(self):
         # x0 - x1 = 1e-20: both round to the same float, but x is interior
         h = PHyperbolic(math.inf, 1)
