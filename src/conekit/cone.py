@@ -1,8 +1,9 @@
 """Proper linear cones: membership, properness, order, core, dual cones.
 
-Polyhedral membership and properness are decided by exact rational LP,
-because boundary points (null vectors, facets) are routine inputs here and
-float LP misclassifies them.  PCone membership and core are decided on the
+Polyhedral membership, properness and core are decided by exact rational
+LP, because boundary points (null vectors, facets) are routine inputs here
+and float LP misclassifies them; a pointed cone's properness and a core
+point each take one LP.  PCone membership and core are decided on the
 vector's integers: max |x_i| <= |x|_p <= sum |x_i| settles every point
 outside the band between them, for any p, and inside it an integer
 p <= MAX_EXACT_P compares powers; any other p raises UnsupportedFamily
@@ -283,7 +284,7 @@ def _pcone_holds(p, x: Vector, strict: bool = False) -> bool:
 def contains(c: Cone, x: Vector) -> bool:
     _check_dim(c, x)
     if isinstance(c, Orthant):
-        return all(v >= 0 for v in x.coords)
+        return all(v >= 0 for v in x._nums)  # signs of coords: _den > 0
     if isinstance(c, PCone):
         return _pcone_holds(c.p, x)
     if isinstance(c, FutureCone):
@@ -304,18 +305,32 @@ class Properness:
 def is_proper(c: Cone) -> Properness:
     """Decide F cap (-F) = {0}.
 
-    Polyhedral: the lineality space is nontrivial iff -g in F for some
-    nonzero generator g (if v = sum theta_i g_i is in F cap (-F), then
-    -theta_i g_i = -v + sum_{j != i} theta_j g_j lies in F).  Orthant,
-    PCone and FutureCone are proper by construction: a FutureCone checks its
+    Polyhedral: by Gordan's alternative (Gordan 1873; Schrijver 1986,
+    Sec. 7.8), either y . g > 0 for some y and every nonzero generator g,
+    and F is pointed, or G theta = 0, 1 . theta = 1, theta >= 0 is feasible
+    over the nonzero generators.  One phase-1 LP on their integers decides
+    which.  Zero generators are left out: one zero column alone makes that
+    LP feasible, and they add nothing to F.  When it is feasible, every g_i
+    with theta_i > 0 is in the lineality space (-theta_i g_i =
+    sum_{j != i} theta_j g_j lies in F), and the generators are walked in
+    order, with one membership LP ``contains(c, -g)`` for each one outside
+    theta's support.  So the witness is the first nonzero generator g, in
+    order, with -g in F, whatever theta the LP returns.  Orthant, PCone and
+    FutureCone are proper by construction: a FutureCone checks its
     Lorentzian form and timelike t when it is built.
     """
     if isinstance(c, (Orthant, PCone, FutureCone)):
         return Properness(True)
-    for g in c.generators:
-        if not g.is_zero() and contains(c, -g):
-            return Properness(False, g)
-    return Properness(True)
+    gens = [g for g in c.generators if not g.is_zero()]
+    if not gens:
+        return Properness(True)
+    # G theta = 0, 1 . theta = 1, theta >= 0
+    a = [*zip(*(g._nums for g in gens)), [1] * len(gens)]
+    theta = lp_nonneg_solve(a, [0] * c.ambient_dim + [1])
+    if theta is None:
+        return Properness(True)
+    # 1 . theta = 1: some theta_i > 0, so the walk stops
+    return next(Properness(False, g) for g, t in zip(gens, theta) if t > 0 or contains(c, -g))
 
 
 def leq(x: Vector, y: Vector, c: Cone) -> bool:
@@ -324,7 +339,8 @@ def leq(x: Vector, y: Vector, c: Cone) -> bool:
 
 
 def in_core(c: Cone, x: Vector) -> bool:
-    """Algebraic-interior membership (core in the ordered-cone sense).
+    """Algebraic-interior membership (core in the ordered-cone sense) of a
+    member x; a non-member raises NotMember.
 
     Core is taken as the algebraic interior; for FutureCone/PCone this
     coincides with strict inequalities.  A Polyhedral cone has a core only
@@ -333,17 +349,29 @@ def in_core(c: Cone, x: Vector) -> bool:
     Analysis, Thm 6.9); homogenised as G(theta + 1) = (1 + lam) x with
     theta, lam >= 0, this is decided exactly by one phase-1 LP, with no
     cutoff.  Positive multiples of the generators and of x have the same
-    strictly positive combinations, so the LP runs on their integers.
+    strictly positive combinations, so the LP runs on their integers.  That
+    core LP runs first: a point of the core is in F, so a "yes" needs no
+    membership LP, and only a "no" (or a rank below full) checks membership,
+    to tell a boundary point from a non-member.
     """
+    _check_dim(c, x)
+    if isinstance(c, Polyhedral) and _polyhedral_core(c, x):
+        return True
     if not contains(c, x):
         raise NotMember(f"{x!r} is not in the cone")
     if isinstance(c, Orthant):
-        return all(v > 0 for v in x.coords)
+        return all(v > 0 for v in x._nums)
     if isinstance(c, PCone):
         return _pcone_holds(c.p, x, strict=True)
     if isinstance(c, FutureCone):
         s = c.form.std
         return s._int_quad(x, x) > 0 and s._int_quad(x, c.t) > 0
+    return False  # a polyhedral member outside the core
+
+
+def _polyhedral_core(c: Polyhedral, x: Vector) -> bool:
+    """x = G mu for some mu > 0, with G of full rank: the core of a polyhedral
+    cone, which is empty below full rank."""
     gens = [g._nums for g in c.generators]
     if exact_rank(gens) < c.ambient_dim:
         return False

@@ -14,12 +14,13 @@ a p-hyperbolic call raises UnsupportedFamily where ``PCone`` membership does.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .cone import Cone, FutureCone, Orthant, PCone, _pcone_holds, contains
-from .errors import OutsideCone, UnsupportedFamily
+from .errors import OutsideCone, PreconditionFailed, UnsupportedFamily
 from .lorentz import _minkowski_matrix
 from .numerics import SymMatrix, Vector, approx_eq
 
@@ -121,17 +122,24 @@ def norm_eval(h: HyperbolicNorm, x: Vector) -> float:
 
 
 def _norm_value(h: HyperbolicNorm, x: Vector) -> float:
-    """``norm_eval`` on a vector already known to be in the cone."""
-    if isinstance(h, FormInduced):
-        return math.sqrt(max(float(h.cone.form.inner(x, x)), 0.0))
-    if isinstance(h, PHyperbolic):
-        x0, *spatial = x.as_floats()
-        if h.p == math.inf:
-            return x0 if _pcone_holds(math.inf, x, strict=True) else 0.0
-        inner = abs(x0) ** float(h.p) - sum(abs(s) ** float(h.p) for s in spatial)
-        return max(inner, 0.0) ** (1.0 / float(h.p))
-    acc = sum(float(w) * float(f) ** float(h.q) for w, f in zip(h.weights, x.coords))
-    return acc ** (1.0 / float(h.q)) if acc > 0 else 0.0
+    """``norm_eval`` on a vector already known to be in the cone.  A float
+    that overflows on the way (x0^p, a coordinate, <x, x>) raises
+    PreconditionFailed: the value is not representable as a float."""
+    try:
+        if isinstance(h, FormInduced):
+            return math.sqrt(max(float(h.cone.form.inner(x, x)), 0.0))
+        if isinstance(h, PHyperbolic):
+            x0, *spatial = x.as_floats()
+            if h.p == math.inf:
+                return x0 if _pcone_holds(math.inf, x, strict=True) else 0.0
+            inner = abs(x0) ** float(h.p) - sum(abs(s) ** float(h.p) for s in spatial)
+            return max(inner, 0.0) ** (1.0 / float(h.p))
+        acc = sum(float(w) * float(f) ** float(h.q) for w, f in zip(h.weights, x.coords))
+        return acc ** (1.0 / float(h.q)) if acc > 0 else 0.0
+    except OverflowError as e:
+        raise PreconditionFailed(
+            f"the norm of {x!r} under {h!r} leaves the float range (max {sys.float_info.max!r})"
+        ) from e
 
 
 def _bilinear_form(h: HyperbolicNorm) -> SymMatrix | None:

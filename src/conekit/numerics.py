@@ -286,7 +286,11 @@ def _integers(xs) -> tuple[list, int]:
     """(k * x for x in xs, k) with k the lcm of the denominators of xs.
 
     Entries may be ints, Fractions or floats (taken at their binary value).
+    All-int entries, a vector's ``_nums`` among them, are returned as they
+    are with k = 1; a bool takes the general path.
     """
+    if all(type(x) is int for x in xs):
+        return list(xs), 1
     xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
     k = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (k // x.denominator) for x in xs], k

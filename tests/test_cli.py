@@ -210,6 +210,17 @@ class TestRun:
         else:
             assert task["metrics"]["contains"] is inside
 
+    def test_norm_float_overflow_is_a_task_error(self, tmp_path, capsys):
+        """5^p overflows a float for p = 1e300: the task reports an error."""
+        f = tmp_path / "s.json"
+        norm = {"family": "p", "p": "1e300", "spatial_dim": 2}
+        task = {"kind": "polarizability_check", "v": ["5", "1", "1"], "w": ["5", "1", "1"]}
+        f.write_text(json.dumps({"schema": "conekit/1", "norm": norm, "tasks": [task]}))
+        out = tmp_path / "rep.json"
+        assert run_cli(["run", str(f), "--out", str(out)]) == 1
+        (task,) = json.loads(out.read_text())["tasks"]
+        assert task["status"] == "error" and "float range" in task["metrics"]["error"]
+
     @pytest.mark.parametrize(
         "p, message",
         [

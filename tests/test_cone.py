@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conekit.cone as cone_module
 from conekit.cone import (
     MAX_EXACT_P,
     FutureCone,
     Orthant,
     PCone,
     Polyhedral,
+    Properness,
     contains,
     dual_contains,
     h_description,
@@ -24,7 +26,7 @@ from conekit.cone import (
 )
 from conekit.errors import DimensionMismatch, NotCausal, NotLorentzian, NotMember, UnsupportedFamily
 from conekit.lorentz import GramForm, minkowski_form, minkowski_frame
-from conekit.numerics import SymMatrix, Vector, exact_solve
+from conekit.numerics import SymMatrix, Vector, exact_rank, exact_solve, lp_nonneg_solve
 
 
 def vec(*xs):
@@ -202,6 +204,29 @@ class TestFutureConeConstruction:
             FutureCone(MINK2, vec(1, 0, 0))
 
 
+def _proper_by_generator(c):
+    """``is_proper`` on a polyhedral cone by one membership LP per generator."""
+    for g in c.generators:
+        if not g.is_zero() and contains(c, -g):
+            return Properness(False, g)
+    return Properness(True)
+
+
+@st.composite
+def cones_for_properness(draw):
+    """Polyhedral cones of dimension 1 to 4, pointed or not, with zero,
+    duplicate and parallel generators and lineality pairs g, -g inserted
+    anywhere, the last position included."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.lists(eighths, min_size=d, max_size=d), min_size=1, max_size=5))
+    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "parallel", "opposite"]), max_size=4)):
+        g = draw(st.sampled_from(gens))
+        k = draw(st.sampled_from([F(1, 3), 2, 5]))
+        new = {"zero": [0] * d, "duplicate": g, "parallel": [k * a for a in g], "opposite": [-k * a for a in g]}[kind]
+        gens.insert(draw(st.integers(0, len(gens))), new)
+    return Polyhedral([Vector(g) for g in gens])
+
+
 class TestIsProper:
     def test_future_cone_proper(self):
         assert is_proper(FUT2)
@@ -219,6 +244,23 @@ class TestIsProper:
 
     def test_pcone_proper(self):
         assert is_proper(PCone(2, 3))
+
+    def test_all_zero_generators_proper(self):
+        assert is_proper(Polyhedral([vec(0, 0), vec(0, 0)])) == Properness(True)
+
+    def test_zero_generator_left_out(self):
+        # a zero generator alone would make the Gordan LP feasible
+        assert is_proper(Polyhedral([vec(0, 0), vec(1, 1), vec(1, -1)])) == Properness(True)
+
+    def test_lineality_plane_witness_first_in_order(self):
+        # lineality space span(e1, e2): e3 is not in it, e1 is the first that is
+        c = Polyhedral([vec(0, 0, 1), vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0), vec(-1, -1, 0)])
+        assert is_proper(c) == Properness(False, vec(1, 0, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cones_for_properness())
+    def test_matches_generator_loop(self, c):
+        assert is_proper(c) == _proper_by_generator(c)
 
 
 class TestLeq:
@@ -302,6 +344,71 @@ class TestInCore:
         sol = exact_solve(rows, list(x.coords))
         expected = sol is not None and all(t > 0 for t in sol)
         assert in_core(Polyhedral([Vector(g) for g in gens]), x) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(cones_and_points(), st.lists(eighths, min_size=1, max_size=4))
+    def test_matches_membership_first(self, problem, other):
+        """Non-members, boundary points, rank-deficient cones and a point of
+        any dimension: the same value, or the same exception type."""
+        c, points = problem
+        for x in points + [Vector(other)]:
+            assert _outcome(in_core, c, x) == _outcome(_core_after_membership, c, x)
+
+    @pytest.mark.parametrize("x", [vec(1, 2), vec(0, 1), vec(2, 2, 1), vec(-1, 0, 0)])
+    def test_orthant_matches_membership_first(self, x):
+        c = Orthant(3)
+        assert _outcome(in_core, c, x) == _outcome(_core_after_membership, c, x)
+
+
+def _core_after_membership(c, x):
+    """``in_core`` on a polyhedral cone or an orthant with membership
+    decided first, then the rank, then the core LP."""
+    if not contains(c, x):
+        raise NotMember(f"{x!r} is not in the cone")
+    if isinstance(c, Orthant):
+        return all(v > 0 for v in x.coords)
+    gens = [g._nums for g in c.generators]
+    if exact_rank(gens) < c.ambient_dim:
+        return False
+    xs = x._nums
+    a = [[g[i] for g in gens] + [-xs[i]] for i in range(c.ambient_dim)]
+    b = [xs[i] - sum(g[i] for g in gens) for i in range(c.ambient_dim)]
+    return lp_nonneg_solve(a, b) is not None
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e)
+
+
+class TestLPCount:
+    """One LP for a pointed cone's properness and for a core point."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lp_nonneg_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cone_module, "lp_nonneg_solve", spy)
+        return calls
+
+    # eight rays around the axis (4, 0, 0): a pointed, full cone in R^3
+    OCTAGON = Polyhedral(
+        [vec(4, a, b) for a, b in [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]]
+    )
+
+    def test_pointed_cone_properness_is_one_lp(self, lp_calls):
+        assert is_proper(self.OCTAGON)
+        assert len(lp_calls) == 1
+
+    def test_core_point_is_one_lp(self, lp_calls):
+        assert in_core(self.OCTAGON, vec(4, 0, 0))
+        assert len(lp_calls) == 1
 
 
 class TestDualContains:

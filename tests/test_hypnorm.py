@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conekit.cone import FutureCone, PCone, in_core
-from conekit.errors import OutsideCone, UnsupportedFamily
+from conekit.errors import OutsideCone, PreconditionFailed, UnsupportedFamily
 from conekit.hypnorm import (
     DiscreteLq,
     FormInduced,
@@ -88,6 +88,17 @@ class TestNormEval:
         assert norm_eval(h, x) == 1 / 3
         assert norm_eval(h, vec(F(1, 3), F(1, 3))) == 0.0
 
+
+    def test_float_overflow_is_a_conekit_error(self):
+        # 10^4 ** 100 and 5 ** 1e300 are beyond the largest float
+        with pytest.raises(PreconditionFailed, match="float range"):
+            norm_eval(PHyperbolic(100, 2), vec(10**4, 1, 1))
+        with pytest.raises(PreconditionFailed, match="float range"):
+            polarizability_residual(PHyperbolic(1e300, 2), vec(5, 1, 1), vec(5, 1, 1))
+        with pytest.raises(PreconditionFailed, match="float range"):
+            norm_eval(PHyperbolic(math.inf, 1), vec(10**400, 1))
+        # the largest powers below the range keep their float value
+        assert norm_eval(PHyperbolic(100, 2), vec(1000, 1, 1)) == (1000.0**100.0 - 2.0) ** 0.01
 
 class TestNormSqEval:
     def test_values(self):

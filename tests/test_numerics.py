@@ -15,6 +15,7 @@ from conekit.numerics import (
     Vector,
     _eliminate,
     _int_symmatrix,
+    _integers,
     _int_vector,
     approx_eq,
     as_scalar,
@@ -444,6 +445,43 @@ def transpose(a):
 
 def identity(n):
     return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _integers_by_lcm(xs):
+    """``_integers`` without its all-int fast path: every entry through the lcm."""
+    xs = [x if isinstance(x, (int, F)) else F(x) for x in xs]
+    k = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (k // x.denominator) for x in xs], k
+
+
+class TestIntegers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(10**30), 10**30), max_size=8))
+    def test_all_int_matches_lcm_path(self, xs):
+        got = _integers(xs)
+        assert got == _integers_by_lcm(xs) == (xs, 1)
+        assert all(type(v) is int for v in got[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.booleans(),
+                st.integers(-100, 100),
+                rationals,
+                st.floats(allow_nan=False, allow_infinity=False, width=32),
+            ),
+            max_size=8,
+        )
+    )
+    def test_bool_and_mixed_unchanged(self, xs):
+        got = _integers(xs)
+        assert got == _integers_by_lcm(xs)
+        assert all(type(v) is int for v in got[0])
+
+    def test_bools_become_ints(self):
+        assert _integers([True, False, 3]) == ([1, 0, 3], 1)
+        assert [type(v) for v in _integers([True, False])[0]] == [int, int]
 
 
 class TestEliminationProperties:
