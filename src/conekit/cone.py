@@ -10,7 +10,8 @@ p <= MAX_EXACT_P compares powers; any other p raises UnsupportedFamily
 there.  FutureCone checks its form and t once, at construction;
 its membership, core and dual membership, and the self-duality probe are
 signs of the form, read off the integer ``SymMatrix._int_quad`` without
-building a Fraction.
+building a Fraction.  A future cone is self-dual under its own form by
+reverse Cauchy-Schwarz, so that case of the probe draws no sample.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .lorentz import (
     FormKind,
     GramForm,
     LorentzFrame,
+    _require_unit,
     _wick_kernel,
     classify,
     frame_from_unit_vector,
@@ -465,17 +467,22 @@ class SelfDualityReport:
 def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDualityReport:
     """Sampled check of F = F* against the causal structure of g.
 
-    F subset F* is checked exactly on generators (Polyhedral) resp. on
-    sampled pairs via the reverse Cauchy-Schwarz sign (FutureCone);
-    F* subset F is probed on `samples` future-causal vectors drawn by
-    ``sample_future_causal`` with its default radius.  That probe is skipped
-    for a FutureCone whose form's ``std`` is g's: v in F* and v in F are then
-    the same two integer signs.  Both vectors of each trial are still drawn,
-    so the draws, ``samples_checked`` and any witness stay those of the probe.
+    A FutureCone whose form's ``std`` is g's is self-dual by reverse
+    Cauchy-Schwarz (O'Neill 1983, ch. 5): no sample is drawn, and the report
+    holds with ``samples_checked`` the requested count, len(range(samples)),
+    each sample passing by the theorem.  t must still be a unit vector
+    under g, as a sampling frame needs, and ``samples`` an integer.
+    Otherwise F subset F* is checked exactly on generators (Polyhedral)
+    resp. on sampled pairs via the reverse Cauchy-Schwarz sign (FutureCone),
+    and F* subset F is probed on ``samples`` future-causal vectors drawn by
+    ``sample_future_causal`` with its default radius.
     """
-    rng = random.Random(seed)
-    frame = _sampling_frame(c, g)
+    rng = random.Random(seed)  # first: a seed Random rejects raises before any other check
     s = g.std
+    if isinstance(c, FutureCone) and c.form.std == s:
+        _require_unit(g, c.t)
+        return SelfDualityReport(True, None, len(range(samples)))
+    frame = _sampling_frame(c, g)
     # F subset F*: pairwise nonnegativity of the form on F
     if isinstance(c, Polyhedral):
         for a in c.generators:
@@ -484,7 +491,6 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
             for b in c.generators:
                 if s._int_quad(a, b) < 0:
                     return SelfDualityReport(False, a, 0, "F_not_subset_dual")
-    same_signs = isinstance(c, FutureCone) and c.form.std == s
     checked = 0
     for _ in range(samples):
         v = sample_future_causal(frame, rng)
@@ -493,8 +499,6 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
             u = sample_future_causal(frame, rng)
             if s._int_quad(u, v) < 0:
                 return SelfDualityReport(False, v, checked, "F_not_subset_dual")
-        if same_signs:
-            continue
         try:
             in_dual = dual_contains(c, g, v)
         except NotCausal:

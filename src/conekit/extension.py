@@ -45,7 +45,7 @@ class WickBaseNorm:
 
     def __init__(self, frame: LorentzFrame):
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "matrix", np.array([[float(w) for w in row] for row in frame.wick.rows]))
+        object.__setattr__(self, "matrix", np.array(frame.wick.as_floats()))
 
     def __setattr__(self, *a):
         raise AttributeError("WickBaseNorm is immutable")
@@ -345,7 +345,7 @@ def _membership_test(c: Cone, tol: float):
     equalities) is built once, so one test serves many arrays.
     """
     if isinstance(c, FutureCone):
-        s = np.array([[float(v) for v in row] for row in c.form.std.rows])
+        s = np.array(c.form.std.as_floats())
         t = np.array(c.t.as_floats())
         return lambda pts: (np.einsum("ij,jk,ik->i", pts, s, pts) >= -tol) & (pts @ s @ t >= -tol)
     if isinstance(c, Polyhedral):

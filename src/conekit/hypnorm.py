@@ -168,12 +168,20 @@ def polarizability_residual(h: HyperbolicNorm, v: Vector, w: Vector) -> Scalar:
 
     Exactly zero (Fraction) on positively polarizable exact families;
     nonzero witnesses certify failure for p = 1 (exact) and p = 3 (float).
+    A float square or sum beyond the float range makes the residual inf or
+    nan, not a witness: that raises PreconditionFailed, as ``_norm_value``
+    does.
     """
     _require_member(h, v)
     _require_member(h, w)
     lhs = _norm_sq(h, v + w.scale(2)) + _norm_sq(h, v)
     rhs = 2 * _norm_sq(h, v + w) + 2 * _norm_sq(h, w)
-    return lhs - rhs
+    r = lhs - rhs
+    if isinstance(r, float) and not math.isfinite(r):
+        raise PreconditionFailed(
+            f"the squared norms of {v!r} and {w!r} under {h!r} leave the float range (max {sys.float_info.max!r})"
+        )
+    return r
 
 
 def polar_inner(h: HyperbolicNorm, v: Vector, w: Vector) -> Fraction:

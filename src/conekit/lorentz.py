@@ -167,8 +167,7 @@ class LorentzFrame:
         sig = classify(form)
         if sig.kind is not FormKind.LORENTZIAN:
             raise NotLorentzian(f"form has signature {sig}")
-        if form.inner(t, t) != 1:
-            raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
+        _require_unit(form, t)
         s = form.std
         st = s.apply(t)
         a, e, den = st._nums, st._den, s._den
@@ -192,6 +191,14 @@ class LorentzFrame:
 
     def inner(self, u: Vector, v: Vector) -> Fraction:
         return self.form.inner(u, v)
+
+
+def _require_unit(form: GramForm, t: Vector):
+    """NotLorentzian unless <t, t> = 1 exactly: ``_int_quad`` is <t, t>
+    times D t_d^2, for std = N / D and t's denominator t_d."""
+    s = form.std
+    if s._int_quad(t, t) != s._den * t._den * t._den:
+        raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
 
 
 def minkowski_frame(spatial_dim: int) -> LorentzFrame:

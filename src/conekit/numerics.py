@@ -24,13 +24,14 @@ Bland's-rule loop on the same tableau.
 A ``Vector`` is integer numerators over one positive denominator, in
 lowest terms, and a ``SymMatrix`` keeps its nonzero entries the same way.
 Vector sums, differences, negation and scaling, ``apply``, ``quad``,
-equality and hashing run on those integers, and a vector's ``coords`` are
-built as ``Fraction``s only when read.  ``SymMatrix._int_quad`` is u^T M v
-times the positive product of the three denominators, an integer with the
-sign of u^T M v: sign tests (cone membership, causal class, reverse
-Cauchy-Schwarz) read it and build no ``Fraction``, and ``quad`` is that
-integer over its denominator.  Boundary decisions in this domain (null
-vectors, cone facets) must not depend on float rounding.
+equality and hashing run on those integers; a vector's ``coords`` and a
+matrix's ``rows`` built on integers are made ``Fraction``s only when
+read.  ``SymMatrix._int_quad`` is u^T M v times the positive product of
+the three denominators, an integer with the sign of u^T M v: sign tests
+(cone membership, causal class, reverse Cauchy-Schwarz) read it and build
+no ``Fraction``, and ``quad`` is that integer over its denominator.
+Boundary decisions in this domain (null vectors, cone facets) must not
+depend on float rounding.
 """
 
 from __future__ import annotations
@@ -199,9 +200,12 @@ class SymMatrix:
     """Immutable exact symmetric matrix of positive dimension; shape and
     symmetry are checked on construction.  As in a ``Vector``, its nonzero
     entries ``_nz`` are integers over one denominator ``_den`` in lowest
-    terms; ``rows`` holds the entries as ``Fraction``s."""
+    terms, and ``apply``, ``quad``, equality and hashing run on them.
+    ``rows`` holds the entries as ``Fraction``s: a matrix built from rows
+    has them from the start, one built on integers (``_int_symmatrix``)
+    gets them when they are first read."""
 
-    __slots__ = ("rows", "_nz", "_den")
+    __slots__ = ("rows", "dim", "_nz", "_den")
 
     def __init__(self, rows: Sequence[Sequence]):
         rs = tuple(tuple(map(as_scalar, row)) for row in rows)
@@ -209,12 +213,30 @@ class SymMatrix:
         _set_ints(self, [[x.numerator * (k // x.denominator) for x in r] for r in rs], k)
         object.__setattr__(self, "rows", rs)
 
+    def __getattr__(self, name):
+        # called only for an unset slot: rows not built yet
+        if name != "rows":
+            raise AttributeError(name)
+        d = self._den
+        rs = tuple(tuple(Fraction(x, d) for x in r) for r in self._int_rows())
+        object.__setattr__(self, "rows", rs)
+        return rs
+
     def __setattr__(self, *a):
         raise AttributeError("SymMatrix is immutable")
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def _int_rows(self) -> list:
+        """The entries as an n x n list of integers over ``_den``."""
+        n = self.dim
+        rows = [[0] * n for _ in range(n)]
+        for i, j, m in self._nz:
+            rows[i][j] = m
+        return rows
+
+    def as_floats(self) -> tuple:
+        # int / int rounds correctly, as float(Fraction) does
+        d = self._den
+        return tuple(tuple([x / d for x in r]) for r in self._int_rows())
 
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:
@@ -260,21 +282,16 @@ def _set_ints(m: SymMatrix, ints: list, den: int):
     if any(ints[i][j] != ints[j][i] for i in range(n) for j in range(i + 1, n)):
         raise DimensionMismatch("matrix is not symmetric")
     g = math.gcd(den, *(x for r in ints for x in r))
+    object.__setattr__(m, "dim", n)
     object.__setattr__(m, "_nz", tuple((i, j, x // g) for i, r in enumerate(ints) for j, x in enumerate(r) if x))
     object.__setattr__(m, "_den", den // g)
 
 
 def _int_symmatrix(ints: list, den: int) -> SymMatrix:
     """The symmetric matrix ints / den for an n x n integer list and den > 0,
-    checked as ``SymMatrix(rows)`` checks it."""
+    checked as ``SymMatrix(rows)`` checks it; ``rows`` is built on first read."""
     m = object.__new__(SymMatrix)
     _set_ints(m, ints, den)
-    n, d = len(ints), m._den
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, x in m._nz:
-        if i <= j:
-            rows[i][j] = rows[j][i] = Fraction(x, d)
-    object.__setattr__(m, "rows", tuple(map(tuple, rows)))
     return m
 
 

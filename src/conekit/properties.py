@@ -135,7 +135,8 @@ def suite_nondegenerate(trials: int = 100, seed: int = 2) -> PropertyResult:
     for k in range(trials):
         basis = sample_independent_cone_basis(rng, SUITE_DIM)
         g = gram_from_cone_basis(h, basis)
-        d = exact_det(g.gram.rows)
+        m = g.gram
+        d = exact_det(m._int_rows()) / m._den**m.dim  # det(N / D) = det(N) / D^n
         sig = classify(g)
         if d == 0 or sig.kind is not FormKind.LORENTZIAN:
             return _fail("nondegenerate", k + 1, {"basis": basis, "det": d, "sig": sig})

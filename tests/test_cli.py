@@ -221,6 +221,18 @@ class TestRun:
         (task,) = json.loads(out.read_text())["tasks"]
         assert task["status"] == "error" and "float range" in task["metrics"]["error"]
 
+    def test_norm_square_overflow_is_a_task_error(self, tmp_path, capsys):
+        """Each norm is near 10^200, finite, but its square is not: the
+        residual would be nan, so the task reports an error, not a fail."""
+        f = tmp_path / "s.json"
+        norm = {"family": "p", "p": "3/2", "spatial_dim": 1}
+        task = {"kind": "polarizability_check", "v": ["1e200", "1"], "w": ["1e200", "1"]}
+        f.write_text(json.dumps({"schema": "conekit/1", "norm": norm, "tasks": [task]}))
+        out = tmp_path / "rep.json"
+        assert run_cli(["run", str(f), "--out", str(out)]) == 1
+        (task,) = json.loads(out.read_text())["tasks"]
+        assert task["status"] == "error" and "float range" in task["metrics"]["error"]
+
     @pytest.mark.parametrize(
         "p, message",
         [

@@ -137,6 +137,16 @@ class TestPolarizability:
         r = polarizability_residual(PHyperbolic(3, 1), vec(1, 1), vec(1, -1))
         assert r == pytest.approx(26 ** (2 / 3) - 8, abs=1e-6)
 
+    @pytest.mark.parametrize("x0", [10**200, 4.4e153], ids=["square", "sum"])
+    def test_float_square_overflow_is_a_conekit_error(self, x0):
+        # each norm is finite; at 10^200 its square is inf, at 4.4e153 the
+        # squares are finite and their sums are inf: inf - inf would be nan
+        h, v = PHyperbolic(F(3, 2), 1), vec(x0, 1)
+        with pytest.raises(PreconditionFailed, match="float range"):
+            polarizability_residual(h, v, v)
+        # below the range the residual stays a finite float
+        assert math.isfinite(polarizability_residual(h, vec(4.2e153, 0), vec(4.2e153, 0)))
+
 
 class TestPolarInner:
     def test_example(self):

@@ -974,6 +974,30 @@ class TestSelfDualityProbe:
         rep = self_duality_report(wide, minkowski_form(1), 30, 5)
         assert rep == _ref_self_duality_report(wide, minkowski_form(1), 30, 5) and len(calls) == 30
 
+    @pytest.mark.parametrize("n", [0, 7, -3])
+    def test_same_form_draws_no_sample(self, n, monkeypatch):
+        """Self-dual by reverse Cauchy-Schwarz: the report holds with the
+        requested count, and no sample is drawn."""
+        calls, real = [], cone_module.sample_future_causal
+        monkeypatch.setattr(cone_module, "sample_future_causal", lambda *a: calls.append(a) or real(*a))
+        c = FutureCone(minkowski_form(1), self.T)
+        assert self_duality_report(c, minkowski_form(1), n, 5) == SelfDualityReport(True, None, len(range(n)))
+        assert calls == []
+        # a form with another std still samples
+        self_duality_report(FutureCone(_scaled_form(FRAME2), self.T), minkowski_form(1), 3, 5)
+        assert len(calls) == 6
+
+    def test_same_form_keeps_the_errors(self):
+        c = FutureCone(minkowski_form(1), self.T)
+        with pytest.raises(TypeError):
+            self_duality_report(c, minkowski_form(1), 2.0, 5)
+        # t = (2, 0) is timelike but not a unit vector: no sampling frame,
+        # and that is checked before samples
+        c2 = FutureCone(minkowski_form(1), vec(2, 0))
+        for samples in (3, 2.0):
+            with pytest.raises(NotLorentzian, match=re.escape("<t,t> = 1")):
+                self_duality_report(c2, minkowski_form(1), samples, 5)
+
 
 class TestSignatureKeptOnForm:
     def test_one_elimination_per_form(self, monkeypatch):

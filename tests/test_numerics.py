@@ -251,6 +251,15 @@ class TestIntegerVector:
             assert w == Vector(xs)
 
 
+def _rows_built(m: SymMatrix) -> bool:
+    # the slot itself, without the __getattr__ fallback that fills it
+    try:
+        object.__getattribute__(m, "rows")
+    except AttributeError:
+        return False
+    return True
+
+
 class TestSymMatrix:
     def test_asymmetric_rejected(self):
         with pytest.raises(Exception):
@@ -319,6 +328,31 @@ class TestSymMatrix:
         mf, uf, vf = [[float(x) for x in r] for r in m], [float(x) for x in u], [float(x) for x in v]
         want = sum(F(mf[i][j]) * F(uf[i]) * F(vf[j]) for i in range(n) for j in range(n))
         assert SymMatrix(mf).quad(Vector(uf), Vector(vf)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_built_on_first_read(self, data):
+        n = data.draw(st.integers(1, 6))
+        small = st.integers(-(10**6), 10**6)
+        ints = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                ints[i][j] = ints[j][i] = data.draw(small)
+        den = data.draw(st.integers(1, 10**6))
+        m = _int_symmatrix(ints, den)
+        assert not _rows_built(m)
+        want = SymMatrix([[F(x, den) for x in r] for r in ints])
+        u = Vector(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        v = Vector(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        # none of these reads rows
+        assert m.dim == n and m == want and hash(m) == hash(want)
+        assert m.apply(u) == want.apply(u) and m.quad(u, v) == want.quad(u, v)
+        assert m._int_quad(u, v) == want._int_quad(u, v)
+        assert m.as_floats() == tuple(tuple(float(x) for x in r) for r in want.rows)
+        assert not _rows_built(m)
+        # repr reads them, and builds them once
+        assert repr(m) == repr(want) and _rows_built(m)
+        assert m.rows == want.rows
 
 
 class TestIntQuad:
