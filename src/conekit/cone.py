@@ -208,24 +208,25 @@ def h_description(c: Polyhedral) -> HDescription:
 
 
 def null_rays_2d(c: FutureCone) -> Polyhedral:
-    """A 2-D future cone as the polyhedral cone on its null rays t +- w_hat.
+    """A 2-D future cone as the polyhedral cone on its null rays t_hat +- w_hat.
 
-    w = (-(St)_1, (St)_0) is S-orthogonal to t, with n(w)^2 = -<w, w>.  It is
-    oriented like e_i - <e_i, t> t for the first e_i not parallel to t, the
-    direction a frame's spatial basis starts from.  The rays are computed in
-    floats (for a Minkowski frame they are exact), then built once per cone.
+    The cone depends only on the form and the time orientation, so any
+    timelike t serves: t_hat = t / sqrt(<t, t>).  w = (-(St)_1, (St)_0) is
+    S-orthogonal to t, with n(w)^2 = -<w, w>.  It is oriented like
+    e_i - <e_i, t> t for the first e_i not parallel to t, the direction a
+    frame's spatial basis starts from.  The rays are computed in floats (for
+    a Minkowski form and t = (k, 0) they are exact), then built once per cone.
     """
     if c._rays is None:
         s = c.form.std
-        if c.form.inner(c.t, c.t) != 1:
-            raise NotLorentzian("frame vector must satisfy <t,t> = 1 exactly")
         st = s.apply(c.t).coords
         w = Vector([-st[1], st[0]])
         if next(z for z in s.apply(w).coords if z != 0) > 0:
             w = -w
+        nt = math.sqrt(float(s.quad(c.t, c.t)))
         nw = math.sqrt(float(-s.quad(w, w)))
         what = [a / nw for a in w.as_floats()]
-        rays = [Vector([a + sgn * b for a, b in zip(c.t.as_floats(), what)]) for sgn in (1, -1)]
+        rays = [Vector([a / nt + sgn * b for a, b in zip(c.t.as_floats(), what)]) for sgn in (1, -1)]
         object.__setattr__(c, "_rays", Polyhedral(rays))
     return c._rays
 

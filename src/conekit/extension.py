@@ -38,6 +38,18 @@ from .numerics import Vector, _int_vector, lp_nonneg_solve
 from .span import _decomposition_ints, _spatial_norm_bounds, future_decompose
 
 
+def _quad_rows(pts: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """p^T M p for each row p: the terms (p_j M_jk) p_k of the nonzero M_jk,
+    j-major, each added to a running sum from 0.  That is the arithmetic of
+    einsum("ij,jk,ik->i", pts, M, pts), so the result is the same to the
+    bit, in one array operation per term instead of einsum's loop over
+    every point and every j, k."""
+    q = np.zeros(len(pts))
+    for j, k in zip(*np.nonzero(m)):
+        q += pts[:, j] * m[j, k] * pts[:, k]
+    return q
+
+
 class WickBaseNorm:
     """Positive definite Wick norm of a Lorentz frame, as the base norm n."""
 
@@ -54,7 +66,7 @@ class WickBaseNorm:
         return math.sqrt(max(float(v @ self.matrix @ v), 0.0))
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", pts, self.matrix, pts), 0.0))
+        return np.sqrt(np.maximum(_quad_rows(pts, self.matrix), 0.0))
 
     def coord_bound(self, r: float) -> float:
         lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
@@ -140,11 +152,14 @@ def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
     target.  Each generator's positive denominator scales its column alone,
     which leaves every pivot of ``lp_nonneg_solve`` unchanged: G theta is
     the same vector.  With u = G theta and v = G phi:
-      l1:   G theta - u+ + u- = 0, G phi - v+ + v- = 0, u+ - u- - v+ + v- = x,
+      l1:   G theta - u+ + u- = 0, G phi - v+ + v- = 0, G theta - G phi = x,
             minimise sum(u+ + u- + v+ + v-);
       linf: G(theta - phi) = x, +-(G theta)_i <= tau_u, +-(G phi)_i <= tau_v
             (as equalities with slacks), minimise tau_u + tau_v.
-    The optimum is exact, and so are the witnesses: u - v = x holds exactly.
+    Every row but the n target rows has a column of its own with a +1 in it
+    alone (u-_i, v-_i, or the slack), which the simplex's crash basis makes
+    basic, so only the target rows start on artificials.  The optimum is
+    exact, and so are the witnesses: u - v = x holds exactly.
     """
     n, m = len(xq), len(gens)
     zero_m, zero_n = [0] * m, [0] * n
@@ -159,7 +174,7 @@ def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
             rows += [
                 g + zero_m + ne + e + zero_n + zero_n,
                 zero_m + g + zero_n + zero_n + ne + e,
-                zero_m + zero_m + e + ne + ne + e,
+                g + [-t for t in g] + [0] * (4 * n),
             ]
             rhs += [0, 0, xq[i]]
     else:
@@ -242,9 +257,11 @@ def _face_solve(desc: HDescription, x: np.ndarray, norm: BaseNorm) -> ExtensionR
 def _feasible_decomposition(c: Cone, x: Vector):
     """One exact decomposition x = u - v with u, v in F (upper-bound witness)."""
     if isinstance(c, FutureCone):
-        frame = LorentzFrame(c.form, c.t)
-        fd = future_decompose(x, frame)
-        return fd.v1, fd.v2
+        if c.ambient_dim != 2 or c.form.inner(c.t, c.t) == 1:
+            fd = future_decompose(x, LorentzFrame(c.form, c.t))
+            return fd.v1, fd.v2
+        # no frame has a non-unit t, but a 2-D cone is the cone on its null rays
+        c = null_rays_2d(c)
     if isinstance(c, Polyhedral):
         # the generators' integers as columns: as in _lp_solve, their
         # denominators change no pivot
@@ -346,8 +363,8 @@ def _membership_test(c: Cone, tol: float):
     """
     if isinstance(c, FutureCone):
         s = np.array(c.form.std.as_floats())
-        t = np.array(c.t.as_floats())
-        return lambda pts: (np.einsum("ij,jk,ik->i", pts, s, pts) >= -tol) & (pts @ s @ t >= -tol)
+        st = s @ np.array(c.t.as_floats())
+        return lambda pts: (_quad_rows(pts, s) >= -tol) & (pts @ st >= -tol)
     if isinstance(c, Polyhedral):
         desc = h_description(c)
         n = c.ambient_dim
@@ -380,7 +397,9 @@ def _grid_scan(p: ExtensionProblem, member, x, center, halfwidth, resolution):
     for a in range(0, resolution, rows):
         block = np.meshgrid(axes[0][a : a + rows], *axes[1:], indexing="ij")
         pts = np.stack(block, axis=-1).reshape(-1, len(axes))
-        feas = pts[member(pts) & member(pts - x)]
+        pts = pts[member(pts)]
+        # boolean indexing keeps the order, so the first minimiser is the same
+        feas = pts[member(pts - x)]
         if len(feas):
             vals = p.base_norm.values(feas) + p.base_norm.values(feas - x)
             i = int(vals.argmin())
@@ -398,7 +417,12 @@ def grid_oracle(p: ExtensionProblem) -> float:
     10-fold per zoom).  Each scan tests blocks of whole x0-slices of at most
     SCAN_BLOCK points, or one slice when it is larger: one block per 2-D pass
     raised peak RSS by 9 % and ran no faster.  Grid feasibility uses a 1e-12
-    slack.
+    slack; u - x is tested only on the points u that passed.  A quadratic
+    form (a future cone's membership, a Wick norm) is summed one nonzero
+    matrix entry at a time by ``_quad_rows``.
+    The box comes from ``_feasible_decomposition``: the frame's exact
+    decomposition on a future cone with a unit t, the LP on the null rays
+    of a 2-D future cone whose t is not a unit vector.
     """
     n = p.cone.ambient_dim
     if n > 3:

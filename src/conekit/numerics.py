@@ -17,9 +17,11 @@ each row to integers and builds rank, determinant, null space and
 one elimination.  The two-phase simplex of ``lp_nonneg_solve`` scales A
 and b by one lcm each, and ``_exact_signature`` pivots symmetrically, on
 the same step, updating only the block it has left to classify.  Pivot choices are those of the
-rational tableau, so every answer equals the rational one.  Phase 1 finds
-a feasible basis; given an objective, phase 2 minimises it with the same
-Bland's-rule loop on the same tableau.
+rational tableau, so every answer equals the rational one.  Phase 1 starts
+from a crash basis, each row's own positive singleton column where it has
+one and an artificial elsewhere, and finds a feasible basis; given an
+objective, phase 2 minimises it with the same Bland's-rule loop on the same
+tableau.
 
 A ``Vector`` is integer numerators over one positive denominator, in
 lowest terms, and a ``SymMatrix`` keeps its nonzero entries the same way.
@@ -513,8 +515,15 @@ def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence, c: Sequence | None = Non
     float right-hand side's 2^52-sized denominators stay in one column.
     Fractions are built only for the returned theta.
 
-    The tableau holds the rows [A_i | b_i], signed so that b_i >= 0, with
-    the phase-1 objective row for min(sum of artificials) last.  Without c,
+    The tableau holds the rows [A_i | b_i], signed so that b_i >= 0.  Phase 1
+    starts on a crash basis (Bixby 1992): walking the columns in order, a
+    column whose only nonzero entry is positive, in a row still on its
+    artificial, becomes basic in that row by one pivot, which only scales
+    the other rows by a positive factor (with an entry of 1 at d = 1 it
+    changes nothing).  Positive column scaling keeps a column a positive
+    singleton, so the crash, like every later pivot, is unchanged by it.
+    The phase-1 objective row, for min(sum of the artificials left), is
+    the sum of the rows still on artificials, last.  Without c,
     any feasible theta is returned.  With c, phase 2 minimises c . theta
     from the phase-1 basis on the same tableau: artificials left basic at
     level zero are pivoted out on a nonzero real column of their row, or
@@ -530,11 +539,22 @@ def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence, c: Sequence | None = Non
     for i in range(m):
         r = flat[i * n : (i + 1) * n] + [rhs[i]]
         tab.append([-x for x in r] if r[n] < 0 else r)
-    # price-out: the objective row is the sum of the constraint rows
-    tab.append([sum(r[j] for r in tab) for j in range(n + 1)])
     basis = list(range(n, n + m))  # artificial variables
+    # crash basis: a positive singleton column is basic in its row at
+    # b_i / a_ij >= 0; each such pivot only scales the other rows by p / d > 0,
+    # which keeps the zeros and signs this walk reads
+    d = 1
+    for j, col in enumerate(islice(zip(*tab), n)):
+        if col.count(0) == m - 1:
+            i = next(i for i, x in enumerate(col) if x)
+            if col[i] > 0 and basis[i] >= n:
+                d = _pivot(tab, i, j, d)
+                basis[i] = j
+    # price-out: the objective row is the sum of the rows still on artificials
+    art = [r for r, k in zip(tab, basis) if k >= n]
+    tab.append([sum(col) for col in zip(*art)] if art else [0] * (n + 1))
     # an unbounded phase-1 objective cannot happen (bounded below by 0)
-    d = _bland(tab, basis, n, 1)
+    d = _bland(tab, basis, n, d)
     if d is None or tab[m][n] != 0:
         return None
     if c is not None:

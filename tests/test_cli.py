@@ -466,6 +466,14 @@ class TestExtend:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["value"] - 2**0.5) < 1e-3
 
+    @pytest.mark.parametrize("t", ['["1","0"]', '["2","0"]'])
+    def test_extend_non_unit_t(self, t, capsys):
+        cone = '{"family":"future","spatial_dim":1,"t":%s}' % t
+        assert run_cli(["extend", "--cone", cone, "--x", "[0, 1]", "--base-norm", "l1", "--oracle"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == 2.0
+        assert out["oracle"] == pytest.approx(2.0, abs=1e-5)
+
     def test_malformed_scalar_exits_2(self, capsys):
         code = run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", '["abc", 1]'])
         assert code == 2

@@ -113,10 +113,15 @@ class TestExtendedNorm:
         euclid = GramForm([vec(1, 0), vec(0, 1)], SymMatrix([[F(1), F(0)], [F(0), F(1)]]))
         with pytest.raises(NotLorentzian):
             FutureCone(euclid, vec(1, 0))
-        # a timelike t that is not a unit vector has no exact null rays
-        cone = FutureCone(FRAME.form, vec(2, 0))
-        with pytest.raises(NotLorentzian):
-            extended_norm(ExtensionProblem(cone, CoordBaseNorm("l2"), Vector([0.0, 1.0])))
+
+    @pytest.mark.parametrize("kind, want", [("l1", 2.0), ("l2", math.sqrt(2)), ("linf", 1.0)])
+    def test_future2d_non_unit_t(self, kind, want):
+        # t = (2, 0) has no frame, but the cone is that of t = (1, 0): the
+        # same null rays, so the same values and the same oracle
+        x = Vector([0, 1])
+        unit, scaled = (ExtensionProblem(FutureCone(FRAME.form, vec(k, 0)), CoordBaseNorm(kind), x) for k in (1, 2))
+        assert extended_norm(scaled).value == extended_norm(unit).value == pytest.approx(want, rel=1e-15)
+        assert grid_oracle(scaled) == grid_oracle(unit)
 
     @pytest.mark.parametrize("kind, want", [("l1", 1.5), ("l2", math.sqrt(1.25)), ("linf", 1.0)])
     def test_polyhedral_collinear_generators(self, kind, want):
@@ -540,6 +545,98 @@ class TestGridScanBlocks:
         assert want_pt is not None
         assert best == want_best
         assert pt.tolist() == want_pt.tolist()
+
+
+def _einsum_member(c, tol):
+    """The grid membership test with the three-operand einsum, for future cones."""
+    if isinstance(c, FutureCone):
+        s, t = np.array(c.form.std.as_floats()), np.array(c.t.as_floats())
+        return lambda pts: (np.einsum("ij,jk,ik->i", pts, s, pts) >= -tol) & (pts @ s @ t >= -tol)
+    return extension._membership_test(c, tol)
+
+
+def _einsum_values(norm, pts):
+    if isinstance(norm, WickBaseNorm):
+        return np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", pts, norm.matrix, pts), 0.0))
+    return norm.values(pts)
+
+
+def _full_mask_oracle(p):
+    """Reference: grid_oracle with both membership masks taken on every grid
+    point and every quadratic form a three-operand einsum."""
+    n = p.cone.ambient_dim
+    x = np.array(p.target.as_floats())
+    u0, v0 = extension._feasible_decomposition(p.cone, p.target)
+    ub = p.base_norm.value(np.array(u0.as_floats())) + p.base_norm.value(np.array(v0.as_floats()))
+    if ub == 0.0:
+        return 0.0
+    halfwidth = p.base_norm.coord_bound(ub) * (1.0 + 8.0 / (extension.GRID_RESOLUTION - 1))
+    member = _einsum_member(p.cone, 1e-12)
+    center, resolution, best = np.zeros(n), extension.GRID_RESOLUTION, math.inf
+    for _ in range(1 + extension.ZOOM_PASSES):
+        axes = [np.linspace(c - halfwidth, c + halfwidth, resolution) for c in center]
+        rows = max(1, extension.SCAN_BLOCK // resolution ** (n - 1))
+        val, pt = math.inf, None
+        for a in range(0, resolution, rows):
+            pts = np.stack(np.meshgrid(axes[0][a : a + rows], *axes[1:], indexing="ij"), axis=-1).reshape(-1, n)
+            feas = pts[member(pts) & member(pts - x)]
+            if len(feas):
+                vals = _einsum_values(p.base_norm, feas) + _einsum_values(p.base_norm, feas - x)
+                i = int(vals.argmin())
+                if vals[i] < val:
+                    val, pt = float(vals[i]), feas[i]
+        if pt is None:
+            break
+        best = min(best, val)
+        center, halfwidth, resolution = pt, 4.0 * halfwidth / (resolution - 1), extension.ZOOM_RESOLUTION
+    return best
+
+
+@st.composite
+def random_frames(draw, n):
+    """The form diag(1, -1, ..., -1) on a random exact basis B, and t = b_0."""
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).filter(lambda r: exact_det(r) != 0))
+    d = SymMatrix([[int(i == j) * (1 if i == 0 else -1) for j in range(n)] for i in range(n)])
+    basis = [Vector(r) for r in rows]
+    return LorentzFrame(GramForm(basis, d), basis[0])
+
+
+@st.composite
+def oracle_problems(draw):
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.lists(eighths, min_size=n, max_size=n), min_size=n, max_size=n + 1).filter(lambda g: exact_rank(g) == n))
+        cone = Polyhedral([Vector(g) for g in gens])
+    else:
+        frame = draw(random_frames(n))
+        # a 2-D cone takes any timelike t; the oracle's box then comes from its null rays
+        k = draw(st.integers(1, 3)) if n == 2 else 1
+        cone = FutureCone(frame.form, frame.t.scale(k))
+    kind = draw(st.sampled_from(("l1", "l2", "linf", "wick")))
+    norm = WickBaseNorm(draw(random_frames(n))) if kind == "wick" else CoordBaseNorm(kind)
+    x = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
+    return ExtensionProblem(cone, norm, Vector(x))
+
+
+class TestGridOracleReference:
+    # each 3-D example scans 201^3 points twice: few examples
+    @settings(max_examples=10, deadline=None)
+    @given(oracle_problems())
+    def test_matches_full_mask_einsum_scan(self, p):
+        # the same grid points pass, in the same order, and every quadratic
+        # form rounds as the three-operand einsum does: the same value
+        assert grid_oracle(p) == _full_mask_oracle(p)
+
+    def test_quad_rows_is_the_einsum(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3):
+            pts = rng.uniform(-300, 300, size=(500, n))
+            for _ in range(20):
+                m = rng.integers(-16, 17, size=(n, n)) / 7
+                m = np.where(rng.random((n, n)) < 0.3, 0.0, m + m.T)
+                want = np.einsum("ij,jk,ik->i", pts, m, pts)
+                assert extension._quad_rows(pts, m).tolist() == want.tolist()
 
 
 class TestNormAxiomsSampled:

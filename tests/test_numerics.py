@@ -518,6 +518,22 @@ class TestIntegers:
         assert [type(v) for v in _integers([True, False])[0]] == [int, int]
 
 
+def _positive_singleton(col):
+    nz = [x for x in col if x]
+    return len(nz) == 1 and nz[0] > 0
+
+
+def _least_basic_cost(a, b, c):
+    """The least c . theta over the basic feasible solutions of a theta = b, by brute force."""
+    keep = independent_rows(a)
+    costs = []
+    for cols in itertools.combinations(range(len(a[0])), len(keep)):
+        s = exact_solve([[a[i][j] for j in cols] for i in keep], [b[i] for i in keep])
+        if s is not None and all(t >= 0 for t in s):
+            costs.append(sum(c[j] * t for j, t in zip(cols, s)))
+    return min(costs)
+
+
 class TestEliminationProperties:
     @settings(max_examples=60, deadline=None)
     @given(rational_matrices(square=True), st.data())
@@ -617,6 +633,40 @@ class TestEliminationProperties:
         theta = lp_nonneg_solve(a, b, c)
         got = lp_nonneg_solve(scaled, b, None if c is None else [x * k for x, k in zip(c, s)])
         assert got == [t / k for t, k in zip(theta, s)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_lp_identity_block_starts_basic(self, a, data):
+        """[B | I] theta = b with b >= 0: the crash basis takes the identity
+        columns, which are already feasible, so theta = (0, b) with no pivot.
+        A positive singleton column of B would be taken first, so those are
+        negated."""
+        m = len(a)
+        cols = [[-x for x in col] if _positive_singleton(col) else list(col) for col in zip(*a)]
+        a = [list(r) + [F(int(i == k)) for k in range(m)] for i, r in enumerate(zip(*cols))]
+        b = [abs(x) for x in data.draw(st.lists(entries, min_size=m, max_size=m))]
+        assert lp_nonneg_solve(a, b) == [F(0)] * len(cols) + b
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_lp_phase2_with_unit_columns(self, a, data):
+        """Positive multiples of unit columns, inserted anywhere, start basic
+        in their rows when b_i > 0 (and not when b_i < 0 negates the row):
+        the optimum is still the least cost over basic feasible solutions."""
+        m = len(a)
+        cols = [list(col) for col in zip(*a)]
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, m - 1))
+            s = data.draw(st.fractions(min_value=F(1, 6), max_value=8, max_denominator=6))
+            cols.insert(data.draw(st.integers(0, len(cols))), [s * int(k == i) for k in range(m)])
+        a, n = [list(r) for r in zip(*cols)], len(cols)
+        theta0 = data.draw(st.lists(st.integers(0, 3).map(F), min_size=n, max_size=n))
+        b = [sum(x * y for x, y in zip(r, theta0)) for r in a]
+        c = data.draw(st.lists(st.integers(0, 4).map(F), min_size=n, max_size=n))
+        theta = lp_nonneg_solve(a, b, c)
+        assert all(t >= 0 for t in theta)
+        assert [sum(x * y for x, y in zip(r, theta)) for r in a] == b
+        assert sum(ci * t for ci, t in zip(c, theta)) == _least_basic_cost(a, b, c)
 
     @pytest.mark.parametrize(
         "a, b, c, want",
