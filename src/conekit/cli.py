@@ -140,9 +140,7 @@ def encode(value):
         return {k: encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
-    if isinstance(value, float):
-        return float(repr(value))
-    if value is None or isinstance(value, (bool, int, str)):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return repr(value)
 

@@ -127,11 +127,12 @@ class Orthant:
 Cone = Union[Polyhedral, PCone, FutureCone, Orthant]
 
 
-# Caps the subsets one H-description enumerates: the (k-1)-subsets of the m
-# generators searched for facets, C(m, k-1), and the j-subsets (j <= k) of
-# the K facets tested for independence, sum_j C(K, j).  2^12 admits a square
-# cone up to dimension 12 and a 3-D cone with up to 29 facets.  The cones of
-# the benchmark need at most 8 subsets, those of the tests at most 42 (a 3-D
+# Caps the subsets one enumeration runs through: the (k-1)-subsets of the m
+# generators that ``h_description`` searches for facets, C(m, k-1), and the
+# j-subsets (j <= k) of the K facets whose affine hulls the extended norm's
+# face solver batches, sum_j C(K, j).  2^12 admits a square cone up to
+# dimension 12 and a 3-D cone with up to 29 facets.  The cones of the
+# benchmark need at most 8 subsets, those of the tests at most 42 (a 3-D
 # cone with 6 facets), apart from the two built to trip the cap.
 MAX_SUBSETS = 4096
 
@@ -142,17 +143,11 @@ class HDescription:
 
     ``normals`` are the facet normals, each in span(G) with its first
     nonzero entry +-1; ``equalities`` a basis E of the orthogonal complement
-    of span(G); ``rank`` k = dim span(G).  ``faces[j]`` lists the j-subsets
-    of facet indices whose normals are linearly independent, for j = 0 up
-    to the largest j (<= k) that has one: every face of F, or of any
-    polyhedron cut out by these normals, has the affine hull that one of
-    them spans together with E.
+    of span(G), so dim span(G) = n - len(equalities).
     """
 
     normals: tuple
     equalities: tuple
-    rank: int
-    faces: tuple
 
 
 def _check_work(count: int, what: str):
@@ -166,7 +161,7 @@ def h_description(c: Polyhedral) -> HDescription:
     For rank k, a facet holds k - 1 independent generators, so its normal
     spans the null space of those generators together with E; a candidate
     is kept when one orientation is >= 0 on every generator.  Raises
-    DimTooLarge, before enumerating, when either enumeration would exceed
+    DimTooLarge, before searching, when the search would exceed
     MAX_SUBSETS = 4096 subsets.
     """
     if c._h is None:
@@ -190,20 +185,7 @@ def h_description(c: Polyhedral) -> HDescription:
                     continue
                 lead = abs(next(t for t in h if t))
                 normals[tuple(t / lead for t in h)] = None
-        normals = tuple(normals)
-        _check_work(sum(math.comb(len(normals), j) for j in range(k + 1)), "the face enumeration")
-        faces = [((),)]
-        for j in range(1, k + 1):
-            level = tuple(
-                s + (i,)
-                for s in faces[-1]
-                for i in range(s[-1] + 1 if s else 0, len(normals))
-                if exact_rank([normals[t] for t in s + (i,)]) == j
-            )
-            if not level:
-                break
-            faces.append(level)
-        object.__setattr__(c, "_h", HDescription(normals, tuple(map(tuple, eqs)), k, tuple(faces)))
+        object.__setattr__(c, "_h", HDescription(tuple(normals), tuple(map(tuple, eqs))))
     return c._h
 
 

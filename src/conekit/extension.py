@@ -20,11 +20,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Union
 
 import numpy as np
 
-from .cone import Cone, FutureCone, HDescription, Orthant, PCone, Polyhedral, _check_dim, h_description, null_rays_2d
+from .cone import Cone, FutureCone, HDescription, Orthant, PCone, Polyhedral, _check_dim, _check_work, h_description, null_rays_2d
 from .errors import (
     BallNotContained,
     DimensionMismatch,
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .lorentz import LorentzFrame
 from .numerics import Vector, _int_vector, lp_nonneg_solve
-from .span import _decomposition_ints, _spatial_norm_bounds, future_decompose
+from .span import _decomposition_ints, _future_split, _spatial_norm_bounds
 
 
 def _quad_rows(pts: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -210,17 +211,23 @@ def _face_solve(desc: HDescription, x: np.ndarray, norm: BaseNorm) -> ExtensionR
 
     Q = {u : E u = 0, h . u >= max(0, h . x) for every facet normal h}.  After
     the change of coordinates y = R u, where n(u) = |R u| (R = I for l2, the
-    transposed Cholesky factor for a Wick norm), take each independent set S
-    of at most k facets, and the affine hull H where E u = 0 and the facets
-    of S hold with equality.  With A', B' the projections of 0 and x onto H
-    (by the pseudo-inverse of the rows that cut out H) and a, b their
+    transposed Cholesky factor for a Wick norm), take each set S of at most
+    k = dim span(G) facets, and the affine hull H where E u = 0 and the
+    facets of S hold with equality.  With A', B' the projections of 0 and x
+    onto H (by the pseudo-inverse of the rows that cut out H) and a, b their
     distances, |y| + |y - x| is least on H at A' + a/(a+b) (B' - A').  The
     minimiser over Q lies in the relative interior of some face, whose
-    affine hull is one such H, so the best candidate that meets every
-    inequality within _SLACK is the minimum.  All sets are solved as one
-    batch.
+    affine hull an independent S cuts out, so the best candidate that meets
+    every inequality within _SLACK is the minimum.  A dependent S is
+    harmless: the pseudo-inverse projects onto the hull of an independent
+    subset, or its candidate is some point, kept only if feasible.  All
+    sum_{j <= k} C(K, j) sets of the K facets, at most cone.MAX_SUBSETS,
+    are solved as one batch.
     """
-    n, k = len(x), desc.rank
+    n, nf = len(x), len(desc.normals)
+    k = n - len(desc.equalities)
+    count = sum(math.comb(nf, j) for j in range(k + 1))
+    _check_work(count, "the face enumeration")
     r = np.linalg.cholesky(norm.matrix).T if isinstance(norm, WickBaseNorm) else np.eye(n)
     rinv = np.linalg.inv(r)
     h = np.array(desc.normals, dtype=float).reshape(-1, n) @ rinv
@@ -233,8 +240,9 @@ def _face_solve(desc: HDescription, x: np.ndarray, norm: BaseNorm) -> ExtensionR
     lo = np.maximum(h @ y, 0.0)
     # every set padded to k facets with the index of an appended zero row:
     # M = [E; h_S; 0] is n x n, and its pseudo-inverse ignores the zero rows
-    pad = (len(h),) * k
-    idx = np.array([f + pad[len(f):] for level in desc.faces for f in level], dtype=np.intp).reshape(-1, k)
+    pad = (nf,) * k
+    faces = [f + pad[j:] for j in range(k + 1) for f in combinations(range(nf), j)]
+    idx = np.array(faces, dtype=np.intp).reshape(count, k)
     hz, loz = np.vstack([h, np.zeros(n)]), np.append(lo, 0.0)
     m = np.concatenate([np.broadcast_to(e, (len(idx),) + e.shape), hz[idx]], axis=1)
     rhs = np.concatenate([np.zeros((len(idx), len(e))), loz[idx]], axis=1)
@@ -257,11 +265,8 @@ def _face_solve(desc: HDescription, x: np.ndarray, norm: BaseNorm) -> ExtensionR
 def _feasible_decomposition(c: Cone, x: Vector):
     """One exact decomposition x = u - v with u, v in F (upper-bound witness)."""
     if isinstance(c, FutureCone):
-        if c.ambient_dim != 2 or c.form.inner(c.t, c.t) == 1:
-            fd = future_decompose(x, LorentzFrame(c.form, c.t))
-            return fd.v1, fd.v2
-        # no frame has a non-unit t, but a 2-D cone is the cone on its null rays
-        c = null_rays_2d(c)
+        fd = _future_split(c.form.std, c.t, x)
+        return fd.v1, fd.v2
     if isinstance(c, Polyhedral):
         # the generators' integers as columns: as in _lp_solve, their
         # denominators change no pivot
@@ -293,7 +298,7 @@ def _future_wick_closed_form(norm: WickBaseNorm, target: Vector) -> ExtensionRes
     <t +- w/r, t +- w/r> = 1 - n(w)^2 / r^2 >= 0.
     """
     # <x, t> = a / k and <x, x> = xx / k^2
-    a, xx, k = _decomposition_ints(norm.frame, target)
+    a, xx, k = _decomposition_ints(norm.frame.form.std, norm.frame.t, target)
     # the value on x / 2^e with |x| < 2^e: the squares neither underflow nor overflow
     e = math.frexp(max(map(abs, target.as_floats())))[1]
     if xx >= 0:
@@ -330,9 +335,9 @@ def extended_norm(p: ExtensionProblem) -> ExtensionResult:
     rays, is solved by one exact LP for l1 / linf and by enumerating
     the faces of F cap (x + F) for l2 and Wick norms: every result has
     iterations = 0 and converged = True.  Raises Infeasible when x is not in
-    F - F, and DimTooLarge when the cone's H-description would enumerate
-    more than cone.MAX_SUBSETS subsets, and UnsupportedFamily for a future
-    cone above dimension 2 that is not the Wick norm's own.
+    F - F, DimTooLarge when the facet search or the face batch would run
+    through more than cone.MAX_SUBSETS subsets, and UnsupportedFamily for a
+    future cone above dimension 2 that is not the Wick norm's own.
     """
     c = p.cone
     norm = p.base_norm
@@ -420,9 +425,9 @@ def grid_oracle(p: ExtensionProblem) -> float:
     slack; u - x is tested only on the points u that passed.  A quadratic
     form (a future cone's membership, a Wick norm) is summed one nonzero
     matrix entry at a time by ``_quad_rows``.
-    The box comes from ``_feasible_decomposition``: the frame's exact
-    decomposition on a future cone with a unit t, the LP on the null rays
-    of a 2-D future cone whose t is not a unit vector.
+    The box comes from ``_feasible_decomposition``: on a future cone, the
+    exact split ``span._future_split`` in the causal future of its t, which
+    takes any timelike t, unit or not, in any dimension.
     """
     n = p.cone.ambient_dim
     if n > 3:

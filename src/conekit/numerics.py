@@ -566,12 +566,12 @@ def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence, c: Sequence | None = Non
             if col is None:
                 del tab[i], basis[i]
                 continue
+            if tab[i][col] < 0:
+                # the row's right-hand side is 0: negated, it states the same
+                # equality, and the pivot, hence d, stays positive
+                tab[i] = [-x for x in tab[i]]
             d = _pivot(tab, i, col, d)
             basis[i] = col
-            if d < 0:
-                # the pivot was negative: flip the sign of d and of every row
-                d = -d
-                tab[:] = [[-x for x in row] for row in tab]
         cost, _ = _integers(c)
         # d times (reduced costs, objective value), times c's positive scale
         tab.append(

@@ -3,9 +3,9 @@
 The span is realized concretely: elements are equivalence classes of pairs
 (pos, neg) of cone members under (v1, w1) ~ (v2, w2) iff v1 + w2 = v2 + w1.
 Equality of ``FormalDifference`` values is equivalence-class equality.
-``future_decompose`` splits any x into future-causal parts on the integers
-of the form and the vectors: the four constraints on lam are integer
-inequalities, and lam is the one ``Fraction`` built.
+``future_decompose`` splits any x into parts in the causal future of any
+timelike t on the integers of the form and the vectors: the four
+constraints on mu = lam <t, t> are integer inequalities.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 from .cone import Cone, Orthant, contains
 from .errors import ConeMismatch, NotMember
 from .lorentz import LorentzFrame
-from .numerics import Vector, _int_vector, _sqrt_bounds, as_scalar
+from .numerics import SymMatrix, Vector, _int_vector, _sqrt_bounds, as_scalar
 
 
 class FormalDifference:
@@ -91,10 +91,9 @@ class FutureDecomposition:
     exact_lambda: bool  # False when lambda_star is a rational upper bound
 
 
-def _decomposition_ints(frame: LorentzFrame, x: Vector) -> tuple[int, int, int]:
-    """(a, q, k): <x, t> = a / k and <x, x> = q / k^2, k = D d_x d_t for S = N / D."""
-    s, t = frame.form.std, frame.t
-    return s._int_quad(x, t), s._int_quad(x, x) * s._den * t._den**2, s._den * x._den * t._den
+def _decomposition_ints(s: SymMatrix, t: Vector, x: Vector) -> tuple[int, int, int]:
+    """(a, q, k): <x, t> = a / k and <x, x> <t, t> = q / k^2, k = D d_x d_t for S = N / D."""
+    return s._int_quad(x, t), s._int_quad(x, x) * s._int_quad(t, t), s._den * x._den * t._den
 
 
 def _spatial_norm_bounds(a: int, q: int, k: int) -> tuple[int, int, int]:
@@ -105,13 +104,35 @@ def _spatial_norm_bounds(a: int, q: int, k: int) -> tuple[int, int, int]:
     return _sqrt_bounds(r // g, kk // g)
 
 
-def _lambda_holds(a: int, q: int, k: int, lam: Fraction) -> bool:
-    """The four constraints making v1,2 = lam t +- x/2 future-causal,
-    lam^2 +- lam alpha + <x, x> / 4 >= 0 and lam >= +-alpha / 2, times
-    4 lam_d^2 k^2 resp. 2 lam_d k > 0: B +- C >= 0 and 2 lam_n k >= |a| lam_d."""
-    ln, ld = lam.numerator, lam.denominator
+def _lambda_holds(a: int, q: int, k: int, mu: Fraction) -> bool:
+    """The four constraints making v1,2 = lam t +- x/2 future-causal, in
+    mu = lam <t, t> (mu = lam for a unit t): <t, t> <v, v> >= 0 and
+    <v, t> >= 0 read mu^2 +- mu alpha + <x, x> <t, t> / 4 >= 0 and
+    mu >= +-alpha / 2, times 4 mu_d^2 k^2 resp. 2 mu_d k > 0: B +- C >= 0
+    and 2 mu_n k >= |a| mu_d."""
+    ln, ld = mu.numerator, mu.denominator
     b, c = 4 * ln * ln * k * k + ld * ld * q, 4 * ln * ld * k * a
     return b >= abs(c) and 2 * ln * k >= abs(a) * ld
+
+
+def _future_split(s: SymMatrix, t: Vector, x: Vector) -> FutureDecomposition:
+    """``future_decompose`` for any timelike t under the form S: the minimal
+    mu = lam <t, t> is (|alpha| + n(w_x)) / 2 with alpha = <x, t> and
+    n(w_x)^2 = alpha^2 - <x, x> <t, t>, and lam = mu / <t, t>.  On r t,
+    r > 0, mu scales by r and lam by 1 / r: lam t is the same split
+    whenever n(w_x) is rational."""
+    a, q, k = _decomposition_ints(s, t, x)
+    lo, hi, den = _spatial_norm_bounds(a, q, k)
+    mu = Fraction(abs(a) * den + hi * k, 2 * k * den)
+    if not _lambda_holds(a, q, k, mu):
+        raise AssertionError("minimal lambda failed its defining inequalities")
+    # lam = mu / <t, t>, <t, t> = _int_quad(t, t) / (D d_t^2)
+    lam = Fraction(mu.numerator * s._den * t._den**2, mu.denominator * s._int_quad(t, t))
+    ln, ld = lam.numerator, lam.denominator
+    ts, xs = [2 * ln * x._den * c for c in t._nums], [ld * t._den * c for c in x._nums]
+    e = 2 * ld * t._den * x._den
+    v1, v2 = (_int_vector([p + sign * y for p, y in zip(ts, xs)], e) for sign in (1, -1))
+    return FutureDecomposition(v1, v2, lam, lo == hi)
 
 
 def future_decompose(x: Vector, frame: LorentzFrame) -> FutureDecomposition:
@@ -124,16 +145,7 @@ def future_decompose(x: Vector, frame: LorentzFrame) -> FutureDecomposition:
     ``_spatial_norm_bounds``; v1, v2 are integer vectors over
     2 lam_d d_t d_x.  The constraints are re-checked exactly on every call.
     """
-    a, q, k = _decomposition_ints(frame, x)
-    lo, hi, den = _spatial_norm_bounds(a, q, k)
-    lam = Fraction(abs(a) * den + hi * k, 2 * k * den)
-    if not _lambda_holds(a, q, k, lam):
-        raise AssertionError("minimal lambda failed its defining inequalities")
-    t, ln, ld = frame.t, lam.numerator, lam.denominator
-    ts, xs = [2 * ln * x._den * c for c in t._nums], [ld * t._den * c for c in x._nums]
-    e = 2 * ld * t._den * x._den
-    v1, v2 = (_int_vector([p + sign * y for p, y in zip(ts, xs)], e) for sign in (1, -1))
-    return FutureDecomposition(v1, v2, lam, lo == hi)
+    return _future_split(frame.form.std, frame.t, x)
 
 
 # how far below lam future_decompose_is_minimal probes the constraints
@@ -144,4 +156,4 @@ def future_decompose_is_minimal(frame: LorentzFrame, x: Vector, lam: Fraction) -
     """True iff lam - MINIMALITY_SLACK violates a constraint (or lam = 0)."""
     if lam == 0:
         return True
-    return not _lambda_holds(*_decomposition_ints(frame, x), as_scalar(lam) - MINIMALITY_SLACK)
+    return not _lambda_holds(*_decomposition_ints(frame.form.std, frame.t, x), as_scalar(lam) - MINIMALITY_SLACK)

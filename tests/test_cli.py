@@ -5,10 +5,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import conekit
-from conekit.cli import main
+from conekit.cli import encode, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCN = os.path.join(ROOT, "scenarios")
@@ -474,6 +475,11 @@ class TestExtend:
         assert out["value"] == 2.0
         assert out["oracle"] == pytest.approx(2.0, abs=1e-5)
 
+    def test_zero_cone_l2(self, capsys):
+        cone = '{"family":"polyhedral","generators":[["0","0"]]}'
+        assert run_cli(["extend", "--cone", cone, "--x", "[0, 0]", "--base-norm", "l2"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
     def test_malformed_scalar_exits_2(self, capsys):
         code = run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", '["abc", 1]'])
         assert code == 2
@@ -500,6 +506,12 @@ class TestExtend:
         cone = '{"family":"polyhedral","generators":[[1,0],[0,1]]}'
         assert run_cli(["extend", "--cone", cone, "--x", x, "--base-norm", norm, "--oracle"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestEncode:
+    @pytest.mark.parametrize("value", [1.5, np.float64(1.5)], ids=["float", "np.float64"])
+    def test_floats_pass_through(self, value):
+        assert encode(value) == 1.5 and json.dumps(encode(value)) == "1.5"
 
 
 class TestReportCsv:

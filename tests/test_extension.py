@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conekit import cone as cone_module
 from conekit import extension, lorentz
-from conekit.cone import FutureCone, PCone, Polyhedral, contains, sample_future_causal
+from conekit.cone import FutureCone, PCone, Polyhedral, contains, h_description, sample_future_causal
 from conekit.errors import BallNotContained, DimensionMismatch, DimTooLarge, Infeasible, NotLorentzian, UnsupportedFamily
 from conekit.errors import PreconditionFailed
 from conekit.extension import (
@@ -117,11 +117,24 @@ class TestExtendedNorm:
     @pytest.mark.parametrize("kind, want", [("l1", 2.0), ("l2", math.sqrt(2)), ("linf", 1.0)])
     def test_future2d_non_unit_t(self, kind, want):
         # t = (2, 0) has no frame, but the cone is that of t = (1, 0): the
-        # same null rays, so the same values and the same oracle
+        # same null rays, so the same values, and the same split, so the same oracle
         x = Vector([0, 1])
         unit, scaled = (ExtensionProblem(FutureCone(FRAME.form, vec(k, 0)), CoordBaseNorm(kind), x) for k in (1, 2))
         assert extended_norm(scaled).value == extended_norm(unit).value == pytest.approx(want, rel=1e-15)
         assert grid_oracle(scaled) == grid_oracle(unit)
+
+    @pytest.mark.parametrize("kind", ["l2", "linf"])
+    def test_future3d_non_unit_t_oracle(self, kind):
+        # the oracle's box comes from the split in the future of t itself:
+        # t = (2, 0, 0) splits x as t = (1, 0, 0) does, to the same value
+        x = Vector([0, 1, 0])
+        unit, scaled = (ExtensionProblem(FutureCone(minkowski_frame(2).form, vec(k, 0, 0)), CoordBaseNorm(kind), x) for k in (1, 2))
+        assert grid_oracle(scaled) == grid_oracle(unit)
+
+    @pytest.mark.parametrize("norm", [CoordBaseNorm("l1"), CoordBaseNorm("l2"), CoordBaseNorm("linf"), WICK], ids=["l1", "l2", "linf", "wick"])
+    def test_zero_cone(self, norm):
+        res = extended_norm(ExtensionProblem(Polyhedral([vec(0, 0)]), norm, vec(0, 0)))
+        assert res.value == 0.0 and res.u == res.v == vec(0, 0)
 
     @pytest.mark.parametrize("kind, want", [("l1", 1.5), ("l2", math.sqrt(1.25)), ("linf", 1.0)])
     def test_polyhedral_collinear_generators(self, kind, want):
@@ -221,23 +234,34 @@ class TestExtendedNorm:
         assert (res.u - res.v).coords == pytest.approx(x, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "m, stage, enumerator, calls_before",
+        "m, stage, module, enumerator, calls_before",
         [
             # C(100, 2) = 4950 facet-search subsets; one null space for E
-            (100, "facet search", "exact_null_space", 1),
+            (100, "facet search", cone_module, "exact_null_space", 1),
             # 32 facets: sum_{j <= 3} C(32, j) = 5489 face subsets
-            (32, "face enumeration", "exact_rank", 0),
+            (32, "face enumeration", extension, "combinations", 0),
         ],
+        ids=["100-facet search-exact_null_space-1", "32-face enumeration-extension.combinations-0"],
     )
-    def test_work_cap_trips_before_enumerating(self, monkeypatch, m, stage, enumerator, calls_before):
-        # generators on the moment curve (1, t, t^2): all m are extreme rays
+    def test_work_cap_trips_before_enumerating(self, monkeypatch, m, stage, module, enumerator, calls_before):
         calls = []
-        original = getattr(cone_module, enumerator)
-        monkeypatch.setattr(cone_module, enumerator, lambda *a: calls.append(a) or original(*a))
-        c = Polyhedral([vec(1, F(k, m), F(k * k, m * m)) for k in range(m)])
+        original = getattr(module, enumerator)
+        monkeypatch.setattr(module, enumerator, lambda *a: calls.append(a) or original(*a))
         with pytest.raises(DimTooLarge, match=f"{stage} needs .* above MAX_SUBSETS"):
-            extended_norm(ExtensionProblem(c, CoordBaseNorm("l2"), Vector([1.0, 0.0, 0.0])))
+            extended_norm(ExtensionProblem(_moment_curve_cone(m), CoordBaseNorm("l2"), Vector([1.0, 0.0, 0.0])))
         assert len(calls) == calls_before
+
+    def test_face_cap_is_the_solver_s_alone(self):
+        # the 32 facets are read, but only the face solver enumerates their subsets
+        c, s = _moment_curve_cone(32), vec(1, F(1, 2), F(1, 3))
+        k = equivalence_constant(c, CoordBaseNorm("l2"), s, 0.01)
+        assert k == pytest.approx(2 * (7 / 6) / 0.01 + 1, rel=1e-12)
+        assert len(h_description(c).normals) == 32
+
+
+def _moment_curve_cone(m):
+    """Generators on the moment curve (1, t, t^2): all m are extreme rays and facets."""
+    return Polyhedral([vec(1, F(k, m), F(k * k, m * m)) for k in range(m)])
 
 
 FRAMES = {d: minkowski_frame(d - 1) for d in range(2, 7)}
@@ -610,13 +634,110 @@ def oracle_problems(draw):
         cone = Polyhedral([Vector(g) for g in gens])
     else:
         frame = draw(random_frames(n))
-        # a 2-D cone takes any timelike t; the oracle's box then comes from its null rays
-        k = draw(st.integers(1, 3)) if n == 2 else 1
+        # any timelike t: the oracle's box comes from the split in its future
+        k = draw(st.integers(1, 3))
         cone = FutureCone(frame.form, frame.t.scale(k))
     kind = draw(st.sampled_from(("l1", "l2", "linf", "wick")))
     norm = WickBaseNorm(draw(random_frames(n))) if kind == "wick" else CoordBaseNorm(kind)
     x = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
     return ExtensionProblem(cone, norm, Vector(x))
+
+
+def _independent_faces(normals, k):
+    """Reference: the j-subsets (j <= k) of facet indices whose normals are
+    linearly independent, level by level, up to the first empty level."""
+    faces = [((),)]
+    for j in range(1, k + 1):
+        level = tuple(
+            s + (i,)
+            for s in faces[-1]
+            for i in range(s[-1] + 1 if s else 0, len(normals))
+            if exact_rank([normals[t] for t in s + (i,)]) == j
+        )
+        if not level:
+            break
+        faces.append(level)
+    return [f for level in faces for f in level]
+
+
+def _independent_face_solve(desc, x, norm):
+    """Reference: the face solver's batch on the independent facet sets only."""
+    n = len(x)
+    k = n - len(desc.equalities)
+    faces = _independent_faces(desc.normals, k)
+    r = np.linalg.cholesky(norm.matrix).T if isinstance(norm, WickBaseNorm) else np.eye(n)
+    rinv = np.linalg.inv(r)
+    h = np.array(desc.normals, dtype=float).reshape(-1, n) @ rinv
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    e = np.array(desc.equalities, dtype=float).reshape(-1, n) @ rinv
+    s = math.frexp(float(np.max(np.abs(x))))[1]
+    y = r @ np.ldexp(x, -s)
+    lo = np.maximum(h @ y, 0.0)
+    pad = (len(h),) * k
+    idx = np.array([f + pad[len(f) :] for f in faces], dtype=np.intp).reshape(len(faces), k)
+    hz, loz = np.vstack([h, np.zeros(n)]), np.append(lo, 0.0)
+    m = np.concatenate([np.broadcast_to(e, (len(idx),) + e.shape), hz[idx]], axis=1)
+    rhs = np.concatenate([np.zeros((len(idx), len(e))), loz[idx]], axis=1)
+    pinv = np.linalg.pinv(m)
+    a_pt = (pinv @ rhs[:, :, None])[:, :, 0]
+    py = (pinv @ (m @ y)[:, :, None])[:, :, 0]
+    a = np.linalg.norm(a_pt, axis=1)
+    ab = a + np.linalg.norm(py - a_pt, axis=1)
+    t = np.divide(a, ab, out=np.zeros_like(a), where=ab > 0)
+    cand = a_pt + t[:, None] * (y - py)
+    vals = np.linalg.norm(cand, axis=1) + np.linalg.norm(cand - y, axis=1)
+    vals[~np.all(cand @ h.T >= lo - extension._SLACK * vals[:, None], axis=1)] = math.inf
+    best = int(np.argmin(vals))
+    if vals[best] == math.inf:
+        raise Infeasible("no feasible face")
+    u = np.ldexp(rinv @ cand[best], s)
+    return norm.value(u) + norm.value(u - x)
+
+
+@st.composite
+def face_problems(draw):
+    """A Euclidean or Wick norm, a target in the cone's span, and one of:
+    a 2-D/3-D cone of n-6 random generators; one of 1-6 integer combinations
+    of fewer than n random vectors (lower-dimensional, non-pointed or zero);
+    or a random linear image of the 4-D cone on (1, +-e_i).  Only the last
+    has dependent facet sets: the normals of a 3-D section are vertices of a
+    convex polygon, no three on a line, while the 8 normals (1, +-1, +-1, +-1)
+    have 6 coplanar quadruples, the square faces of a cube."""
+    kind = draw(st.sampled_from(("random", "combined", "octahedral")))
+    n = 4 if kind == "octahedral" else draw(st.integers(2, 3))
+    vectors = st.lists(eighths, min_size=n, max_size=n)
+    if kind == "random":
+        gens = draw(st.lists(vectors, min_size=n, max_size=6))
+    elif kind == "combined":
+        base = draw(st.lists(vectors, min_size=1, max_size=n - 1))
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+        gens = [[sum(c * b[i] for c, b in zip(cs, base)) for i in range(n)] for cs in draw(st.lists(coeffs, min_size=1, max_size=6))]
+    else:
+        a = draw(st.lists(vectors, min_size=n, max_size=n).filter(lambda r: exact_det(r) != 0))
+        octahedral = [[1] + [s * int(i == j) for j in range(3)] for i in range(3) for s in (1, -1)]
+        gens = [[sum(r[j] * g[j] for j in range(n)) for r in a] for g in octahedral]
+    xs = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+    x = Vector([float(sum(c * g[i] for c, g in zip(xs, gens))) for i in range(n)])
+    norm = WickBaseNorm(draw(random_frames(n))) if draw(st.booleans()) else CoordBaseNorm("l2")
+    return Polyhedral([Vector(g) for g in gens]), norm, x
+
+
+class TestFaceSets:
+    @settings(max_examples=300, deadline=None)
+    @given(face_problems())
+    def test_all_facet_sets_match_independent_sets(self, problem):
+        # a dependent facet set changes no value: the same minimum, within rounding
+        c, norm, x = problem
+
+        def outcome(solve):
+            try:
+                return solve()
+            except Infeasible:
+                return "infeasible"
+
+        got = outcome(lambda: extended_norm(ExtensionProblem(c, norm, x)).value)
+        want = outcome(lambda: _independent_face_solve(h_description(c), np.array(x.as_floats()), norm))
+        assert got == (want if want == "infeasible" else pytest.approx(want, rel=1e-12))
 
 
 class TestGridOracleReference:

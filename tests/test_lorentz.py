@@ -927,7 +927,7 @@ class TestFutureDecomposeOnIntegers:
                 lam = got.lambda_star
                 for m in (lam, lam - MINIMALITY_SLACK, lam - F(1, 10**9), lam + F(1, 10**9)):
                     assert future_decompose_is_minimal(fr, x, m) == _ref_future_decompose_is_minimal(fr, x, m)
-                    holds = span._lambda_holds(*span._decomposition_ints(fr, x), m)
+                    holds = span._lambda_holds(*span._decomposition_ints(fr.form.std, fr.t, x), m)
                     assert holds == all(_ref_decomposition_inequalities(fr, x, m))
         assert exact == ({True, False} if n > 2 else {True})
 

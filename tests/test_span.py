@@ -1,13 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conekit.cone import FutureCone, Orthant, PCone
-from conekit.errors import ConeMismatch, NotMember
-from conekit.lorentz import minkowski_frame
-from conekit.numerics import Vector
+from conekit.cone import FutureCone, Orthant, PCone, contains
+from conekit.errors import ConeMismatch, NotCausal, NotMember
+from conekit.lorentz import GramForm, LorentzFrame, minkowski_frame
+from conekit.numerics import SymMatrix, Vector, exact_det
 from conekit.span import (
     FormalDifference,
+    _future_split,
     canonicalize,
     embed,
     equiv,
@@ -132,3 +135,56 @@ class TestFutureDecompose:
             fd = future_decompose(x, self.FRAME)
             if fd.lambda_star > 0:
                 assert future_decompose_is_minimal(self.FRAME, x, fd.lambda_star)
+
+
+quarters = st.integers(-16, 16).map(lambda k: F(k, 4))
+fifths = st.integers(-30, 30).map(lambda k: F(k, 5))
+
+
+@st.composite
+def lorentz_frames(draw):
+    """diag(1, -1, ..., -1) on a random exact basis B of R^2..R^4, and t = b_0."""
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(quarters, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(exact_det(rows) != 0)
+    d = SymMatrix([[int(i == j) * (1 if i == 0 else -1) for j in range(n)] for i in range(n)])
+    basis = [Vector(r) for r in rows]
+    return LorentzFrame(GramForm(basis, d), basis[0])
+
+
+def _targets(frame, data):
+    """A random x, and x = c t + k b_1, whose n(w_x) = |k| is rational."""
+    n = frame.dim
+    c, k = data.draw(fifths), data.draw(fifths)
+    return [Vector(data.draw(st.lists(fifths, min_size=n, max_size=n))), frame.t.scale(c) + frame.form.basis[1].scale(k)]
+
+
+class TestFutureSplit:
+    """``_future_split`` in the causal future of any timelike t."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lorentz_frames(), st.data())
+    def test_parts_in_the_future_of_t(self, frame, data):
+        # t drawn by rejection: unit or not, future- or past-directed
+        n = frame.dim
+        t = Vector(data.draw(st.lists(fifths, min_size=n, max_size=n)))
+        try:
+            cone = FutureCone(frame.form, t)
+        except NotCausal:
+            assume(False)
+        for x in _targets(frame, data):
+            fd = _future_split(frame.form.std, t, x)
+            assert fd.v1 - fd.v2 == x
+            assert contains(cone, fd.v1) and contains(cone, fd.v2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lorentz_frames(), st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8), st.data())
+    def test_scaled_unit_t_is_the_frame_split(self, frame, r, data):
+        # t = r frame.t: mu scales by r and lam by 1 / r, so lam t is the
+        # frame's split whenever n(w_x) is rational
+        for x in _targets(frame, data):
+            fd = future_decompose(x, frame)
+            split = _future_split(frame.form.std, frame.t.scale(r), x)
+            assert split.exact_lambda == fd.exact_lambda
+            if fd.exact_lambda:
+                assert (split.v1, split.v2, split.lambda_star * r) == (fd.v1, fd.v2, fd.lambda_star)
