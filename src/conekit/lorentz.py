@@ -1,10 +1,12 @@
 """Gram forms, signature classification, Lorentz decomposition, Wick rotation.
 
 A ``GramForm`` stores a symmetric bilinear form through a basis of ambient
-vectors and the Gram matrix of that basis.  On construction the form is
-re-expressed in standard ambient coordinates, on integers, from one exact
-elimination of the basis, so evaluating ``inner(u, v)`` on arbitrary
-vectors costs one quadratic form.
+vectors and the Gram matrix of that basis, and the form in standard ambient
+coordinates, so evaluating ``inner(u, v)`` on arbitrary vectors costs one
+quadratic form.  A general form gets its standard coordinates on integers
+from one exact elimination of the basis.  A cone basis's polarization form
+(``gram_from_cone_basis``) needs none: its standard form is the norm's own
+bilinear form, and by Sylvester's law of inertia so is its signature.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .numerics import (
     _exact_signature,
     _int_symmatrix,
     _int_vector,
+    exact_rank,
     fraction_sqrt,
 )
 
@@ -74,7 +77,8 @@ class GramForm:
     Bn = diag(den) B^T, and one fraction-free elimination of [Bn | I] on the
     ``numerics`` kernel gives Bn^-1 = M / d.  With G = N / D,
     S = M diag(den) N diag(den) M^T / (d^2 D), one integer matrix over one
-    denominator.  ``_sig`` keeps the signature the first ``classify(form)`` finds.
+    denominator.  ``_sig`` keeps the signature the first ``classify(form)``
+    finds, or the one a builder knows (``_known_form``).
     """
 
     __slots__ = ("basis", "gram", "std", "_sig")
@@ -111,7 +115,18 @@ class GramForm:
         return self.std
 
     def __repr__(self):
-        return f"GramForm(dim={self.dim})"
+        return f"GramForm({list(self.basis)!r}, {self.gram!r})"
+
+
+def _known_form(basis: list, gram: SymMatrix, std: SymMatrix, sig: Signature) -> GramForm:
+    """The GramForm of an independent basis whose standard form and
+    signature the caller knows: nothing is eliminated or classified."""
+    g = object.__new__(GramForm)
+    object.__setattr__(g, "basis", tuple(basis))
+    object.__setattr__(g, "gram", gram)
+    object.__setattr__(g, "std", std)
+    object.__setattr__(g, "_sig", sig)
+    return g
 
 
 @functools.cache
@@ -121,24 +136,16 @@ def _minkowski_matrix(n: int) -> SymMatrix:
 
 
 def minkowski_form(spatial_dim: int) -> GramForm:
-    """diag(1, -1, ..., -1) on the standard basis of R^{1+n}."""
+    """diag(1, -1, ..., -1) on the standard basis of R^{1+n}, whose
+    standard form is its Gram matrix."""
     n = spatial_dim + 1
-    return GramForm([Vector.unit(n, i) for i in range(n)], _minkowski_matrix(n))
+    m = _minkowski_matrix(n)
+    return _known_form([Vector.unit(n, i) for i in range(n)], m, m, _signature(1, n - 1, 0))
 
 
-def classify(g: GramForm | SymMatrix) -> Signature:
-    """Classify a symmetric form by its signature.
-
-    The signature is exact, by symmetric fraction-free pivots on the
-    ``numerics`` kernel (Sylvester inertia is a congruence invariant); a
-    ``GramForm`` keeps its signature, a ``SymMatrix`` is classified anew.
-    """
-    if isinstance(g, GramForm):
-        if g._sig is None:
-            object.__setattr__(g, "_sig", classify(g.gram))
-        return g._sig
-    pos, neg, zero = _exact_signature(g)
-    n = g.dim
+def _signature(pos: int, neg: int, zero: int) -> Signature:
+    """The signature of a form of size pos + neg + zero with that inertia."""
+    n = pos + neg + zero
     if zero > 0:
         kind = FormKind.DEGENERATE
     elif pos == n:
@@ -148,6 +155,21 @@ def classify(g: GramForm | SymMatrix) -> Signature:
     else:
         kind = FormKind.OTHER
     return Signature(kind, pos, neg, zero)
+
+
+def classify(g: GramForm | SymMatrix) -> Signature:
+    """Classify a symmetric form by its signature.
+
+    The signature is exact, by symmetric fraction-free pivots on the
+    ``numerics`` kernel (Sylvester inertia is a congruence invariant).  A
+    ``GramForm`` keeps its signature, found on the first call or known
+    from its builder; a ``SymMatrix`` is classified anew.
+    """
+    if isinstance(g, GramForm):
+        if g._sig is None:
+            object.__setattr__(g, "_sig", classify(g.gram))
+        return g._sig
+    return _signature(*_exact_signature(g))
 
 
 class LorentzFrame:
@@ -191,6 +213,9 @@ class LorentzFrame:
 
     def inner(self, u: Vector, v: Vector) -> Fraction:
         return self.form.inner(u, v)
+
+    def __repr__(self):
+        return f"LorentzFrame({self.form!r}, {self.t!r})"
 
 
 def _require_unit(form: GramForm, t: Vector):
@@ -289,27 +314,32 @@ def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
     numerators N, and Q the lcm of the q_j,
     w = (b_n Q - sum_j p_j (Q / q_j) u_n,j) / (b_d Q), the vector the
     Fraction loop w = b - sum_j <b, u_j>_W / <u_j, u_j>_W u_j returns.
+    N u_n,j is formed once per finished vector, so each q_j and p_j is one
+    dot product: O(n^3) in all.
     """
     if frame._wick_basis is None:
         out: list[Vector] = []
         nz = frame.wick._nz
-        qs = []  # q_j with the numerators of u_j
+        qs = []  # (q_j, the numerators of u_j, N times them)
         for b in spatial_basis(frame):
             bn = b._nums
-            big_q = math.lcm(*(q for q, _ in qs))
+            big_q = math.lcm(*(q for q, _, _ in qs))
             ws = [x * big_q for x in bn]
-            for q, un in qs:
-                k = sum(m * bn[i] * un[j] for i, j, m in nz) * (big_q // q)
+            for q, un, nu in qs:
+                k = sum(map(operator.mul, bn, nu)) * (big_q // q)
                 ws = [x - k * y for x, y in zip(ws, un)]
             w = _int_vector(ws, b._den * big_q)
             un = w._nums
-            qs.append((sum(m * un[i] * un[j] for i, j, m in nz), un))
+            nu = [0] * len(un)
+            for i, j, m in nz:
+                nu[i] += m * un[j]
+            qs.append((sum(map(operator.mul, un, nu)), un, nu))
             out.append(w)
         # the basis's integers per coordinate over their lcm, and their
         # Wick numerators q_j scaled alike, for the sampler
         lcm = math.lcm(*(u._den for u in out))
         cols = tuple(zip(*(tuple(x * (lcm // u._den) for x in u._nums) for u in out)))
-        scaled_qs = tuple(q * (lcm // u._den) ** 2 for (q, _), u in zip(qs, out))
+        scaled_qs = tuple(q * (lcm // u._den) ** 2 for (q, _, _), u in zip(qs, out))
         object.__setattr__(frame, "_wick_cols", (cols, scaled_qs, lcm))
         object.__setattr__(frame, "_wick_basis", tuple(out))
     return list(frame._wick_basis)
@@ -329,20 +359,33 @@ def gram_from_cone_basis(h, basis: Sequence[Vector]) -> GramForm:
     """Gram matrix of a cone basis under the polarization inner product.
 
     The norm family is checked once, then each basis vector's membership, in
-    basis order.  On the quadratic families the pairing is the norm's
+    basis order, then the basis's size (``DimensionMismatch``) and its
+    independence (``DependentBasis``), by one forward elimination of its
+    integer rows.  On the quadratic families the pairing is the norm's
     bilinear form N / D (``hypnorm.polar_inner``).  With the basis as
     integers x_i over the lcm L of its denominators, entry (i, j) is
-    x_i^T N x_j / (D L^2), each pair once.  A linearly dependent basis
-    raises ``DependentBasis`` from ``GramForm``.
+    x_i^T N x_j / (D L^2), each pair once.
+
+    The Gram matrix is G = B^T (N / D) B, the basis being the columns of B,
+    so the form in standard coordinates, B^-T G B^-1, is N / D itself, and
+    by Sylvester's law of inertia G has N / D's signature: diag(1, -1, ...)
+    for p = 2 (positive definite in one dimension), the cone's form for a
+    form-induced norm.  Neither is computed.
     """
     # deferred: hypnorm depends on cone on us
-    from .hypnorm import _quadratic_form
+    from .hypnorm import FormInduced, _quadratic_form
 
     basis = list(basis)
     form = _quadratic_form(h, "polarization", *basis)
+    n = form.dim
+    if len(basis) != n:
+        raise DimensionMismatch("basis must consist of dim-many ambient vectors")
     lcm = math.lcm(*(b._den for b in basis))
     xs = [[x * (lcm // b._den) for x in b._nums] for b in basis]
-    return GramForm(basis, _int_symmatrix(_gram(xs, form._nz), form._den * lcm * lcm))
+    if exact_rank(xs) < n:
+        raise DependentBasis("basis vectors are linearly dependent")
+    sig = classify(h.cone.form) if isinstance(h, FormInduced) else _signature(1, n - 1, 0)
+    return _known_form(basis, _int_symmatrix(_gram(xs, form._nz), form._den * lcm * lcm), form, sig)
 
 
 def frame_from_unit_vector(form: GramForm, candidate: Vector) -> LorentzFrame:

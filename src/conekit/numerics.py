@@ -10,12 +10,14 @@ their one tolerance rule.
 All exact linear algebra runs on Python ints, on one fraction-free
 Gauss-Jordan pivot step, ``_pivot``: the tableau holds d times the rational
 Gauss-Jordan tableau, d being the previous pivot, and each update divides
-by d without remainder (Edmonds 1967; Bareiss 1968).  ``_eliminate`` scales
-each row to integers and builds rank, determinant, null space and
-``_solve`` on it, the block solve behind ``exact_solve`` and
-``exact_inverse``; ``lorentz.GramForm`` reads the inverse of its basis off
-one elimination.  The two-phase simplex of ``lp_nonneg_solve`` scales A
-and b by one lcm each, and ``_exact_signature`` pivots symmetrically, on
+by d without remainder (Edmonds 1967; Bareiss 1968).  ``_reduce`` scales
+each row to integers and runs the one elimination loop: ``exact_rank`` and
+``exact_det`` on its forward-only form, in which each pivot updates only
+the rows below it, and ``_eliminate``, the Gauss-Jordan form, behind the
+null space and ``_solve``, the block solve of ``exact_solve`` and
+``exact_inverse``; a general ``lorentz.GramForm`` reads the inverse of its
+basis off one ``_eliminate``.  The two-phase simplex of ``lp_nonneg_solve``
+scales A and b by one lcm each, and ``_exact_signature`` pivots symmetrically, on
 the same step, updating only the block it has left to classify.  Pivot choices are those of the
 rational tableau, so every answer equals the rational one.  Phase 1 starts
 from a crash basis, each row's own positive singleton column where it has
@@ -340,16 +342,19 @@ def _pivot(a: list, r: int, col: int, d: int, start: int = 0) -> int:
     return p
 
 
-def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list, list, int, Fraction]:
-    """Gauss-Jordan reduction: (integer tableau, pivot columns, d, det).
+def _reduce(rows: Sequence[Sequence], ncols: int | None, forward: bool) -> tuple[list, list, int, Fraction]:
+    """The one fraction-free elimination loop behind ``_eliminate`` and
+    ``exact_rank`` / ``exact_det``: (integer tableau, pivot columns, d, det).
 
     Each row is first scaled to integers by the lcm of its denominators,
     which changes neither the pivot columns nor the reduced pivot rows.
-    Pivots are searched only in the first ``ncols`` columns (default: all),
-    so an augmented block [A | B] is carried along; each column's pivot is
-    its first nonzero entry at or below the current row.  Pivot rows come
-    first, in order: row r of the reduced form is a[r] / d.  det is that of
-    A when A is square and of full rank, else 0.
+    Pivots are searched only in the first ``ncols`` columns (None: all);
+    each column's pivot is its first nonzero entry at or below the current
+    row.  With ``forward``, each pivot updates only the rows below it
+    (``_pivot``'s ``start``), Bareiss's forward elimination: those rows are
+    the Gauss-Jordan ones, so the pivots, d and det are too, for about a
+    third of the work, and the tableau is left in echelon form only.  det
+    is that of A when A is square and of full rank, else 0.
     """
     a, scales = [], 1
     for row in rows:
@@ -372,21 +377,31 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        d = _pivot(a, r, col, d)
+        d = _pivot(a, r, col, d, r + 1 if forward else 0)
         pivots.append(col)
     # d is the determinant of the scaled matrix, up to the swaps' sign
     det = Fraction(sign * d, scales) if m == ncols == len(pivots) else Fraction(0)
     return a, pivots, d, det
 
 
+def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list, list, int, Fraction]:
+    """Gauss-Jordan reduction: (integer tableau, pivot columns, d, det).
+
+    Columns after ``ncols`` are carried along, so an augmented block
+    [A | B] is reduced with A.  Pivot rows come first, in order: row r of
+    the reduced form is a[r] / d.
+    """
+    return _reduce(rows, ncols, False)
+
+
 def exact_rank(rows: Sequence[Sequence]) -> int:
-    return len(_eliminate(rows)[1])
+    return len(_reduce(rows, None, True)[1])
 
 
 def exact_det(rows: Sequence[Sequence]) -> Fraction:
     if any(len(r) != len(rows) for r in rows):
         raise DimensionMismatch("exact_det expects a square matrix")
-    return _eliminate(rows)[3]
+    return _reduce(rows, None, True)[3]
 
 
 def _solve(rows: Sequence[Sequence], rhs: Sequence[Sequence]) -> list | None:

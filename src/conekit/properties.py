@@ -129,15 +129,17 @@ def suite_reverse_cs(trials: int = 10_000, seed: int = 1) -> PropertyResult:
 
 
 def suite_nondegenerate(trials: int = 100, seed: int = 2) -> PropertyResult:
-    """Random cone bases give det(Gram) != 0 and a Lorentzian signature."""
+    """Random cone bases give det(Gram) != 0 and a Lorentzian signature.
+
+    Both are computed on the Gram matrix itself, not read off the form's
+    signature, which ``gram_from_cone_basis`` knows by Sylvester's law."""
     rng = random.Random(seed)
     h = PHyperbolic(2, SUITE_DIM - 1)
     for k in range(trials):
         basis = sample_independent_cone_basis(rng, SUITE_DIM)
-        g = gram_from_cone_basis(h, basis)
-        m = g.gram
+        m = gram_from_cone_basis(h, basis).gram
         d = exact_det(m._int_rows()) / m._den**m.dim  # det(N / D) = det(N) / D^n
-        sig = classify(g)
+        sig = classify(m)
         if d == 0 or sig.kind is not FormKind.LORENTZIAN:
             return _fail("nondegenerate", k + 1, {"basis": basis, "det": d, "sig": sig})
     return PropertyResult("nondegenerate", True, trials)

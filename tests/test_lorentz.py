@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import conekit.cone as cone_module
 import conekit.lorentz as lorentz_module
+import conekit.numerics as numerics_module
 from conekit import hypnorm, span
 from conekit.cone import (
     FutureCone,
@@ -24,6 +25,7 @@ from conekit.cone import (
 )
 from conekit.errors import (
     DependentBasis,
+    DimensionMismatch,
     NotCausal,
     NotFutureCausal,
     NotLorentzian,
@@ -38,6 +40,7 @@ from conekit.lorentz import (
     FormKind,
     GramForm,
     LorentzFrame,
+    Signature,
     _wick_kernel,
     causal_class,
     classify,
@@ -90,6 +93,14 @@ class TestGramFromConeBasis:
         h = PHyperbolic(2, 0)
         g = gram_from_cone_basis(h, [vec(1)])
         assert [list(r) for r in g.gram.rows] == [[1]]
+        # diag(1) is positive definite, not Lorentzian
+        assert classify(g) == classify(g.gram) == Signature(FormKind.POSITIVE_DEFINITE, 1, 0, 0)
+        assert classify(minkowski_form(0)) == classify(g)
+
+    @pytest.mark.parametrize("basis", [[], [vec(1, 0)], [vec(1, 0), vec(1, 1), vec(2, 1)]])
+    def test_wrong_size(self, basis):
+        with pytest.raises(DimensionMismatch):
+            gram_from_cone_basis(PHyperbolic(2, 1), basis)
 
     def test_dependent_basis(self):
         with pytest.raises(DependentBasis):
@@ -131,6 +142,40 @@ class TestGramFromConeBasisChecks:
         basis = [vec(1, 0, 0), vec(1, 1, 0), vec(1, 0, 1)]
         gram_from_cone_basis(PHyperbolic(2, 2), basis)
         assert calls == basis
+
+    def test_dependence_after_every_member(self, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        basis = [vec(1, 0, 0), vec(2, 0, 0), vec(1, 0, 1)]
+        with pytest.raises(DependentBasis):
+            gram_from_cone_basis(PHyperbolic(2, 2), basis)
+        assert calls == basis
+
+    def test_size_after_every_member(self, monkeypatch):
+        calls = _spy_membership(monkeypatch)
+        basis = [vec(1, 0), vec(1, 1), vec(2, 1)]
+        with pytest.raises(DimensionMismatch):
+            gram_from_cone_basis(PHyperbolic(2, 1), basis)
+        assert calls == basis
+
+    @pytest.mark.parametrize("form_induced", [False, True])
+    def test_no_inverse_and_no_signature(self, form_induced, monkeypatch):
+        """G = B^T N B: the standard form is N and the signature N's, by
+        Sylvester's law, so neither is computed."""
+        h = PHyperbolic(2, 2)
+        if form_induced:
+            # std = diag(1, -1/4, -1), eliminated and classified before the spies
+            form = GramForm([vec(1, 0, 0), vec(0, 2, 0), vec(0, 0, 1)], lorentz_module._minkowski_matrix(3))
+            h = FormInduced(FutureCone(form, vec(1, 0, 0)))
+        calls = []
+        for mod in (lorentz_module, numerics_module):
+            for name in ("_eliminate", "_exact_signature"):
+                real = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        g = gram_from_cone_basis(h, [vec(1, 0, 0), vec(1, 1, 0), vec(1, 0, 1)])
+        sig = classify(g)
+        assert calls == []
+        assert sig == classify(g.gram) and sig.kind is FormKind.LORENTZIAN
+        assert calls == ["_exact_signature"]
 
 
 class TestClassify:
@@ -263,6 +308,14 @@ class TestFrame:
         with pytest.raises(NotLorentzian):
             frame_from_unit_vector(minkowski_form(1), vec(2, 1))  # <t,t> = 3
 
+    def test_repr_shows_content(self):
+        # no memory address: the repr rebuilds the frame, and equal frames
+        # built apart print alike
+        frame = frame_from_unit_vector(GramForm([vec(1, 0), vec(1, 1)], SymMatrix([[1, 0], [0, -1]])), vec(2, 0))
+        names = {"LorentzFrame": LorentzFrame, "GramForm": GramForm, "SymMatrix": SymMatrix, "Vector": Vector, "Fraction": F}
+        again = eval(repr(frame), names)
+        assert (again.form.basis, again.form.gram, again.form.std, again.t) == (frame.form.basis, frame.form.gram, frame.form.std, vec(1, 0))
+        assert repr(minkowski_frame(2)) == repr(minkowski_frame(2))
 
 class TestDecompose:
     def test_basic(self):
@@ -423,6 +476,8 @@ class TestGramOnIntegers:
         assert g.gram == SymMatrix([[_three_norm_polar_inner(h, u, v) for v in basis] for u in basis])
         want = _two_solve_std(basis, g.gram)
         assert g.std == want and g.std.rows == want.rows
+        # the signature known by Sylvester's law is the one found anew
+        assert classify(g) == classify(g.gram)
         return g
 
     @settings(max_examples=40, deadline=None)

@@ -561,6 +561,17 @@ class TestEliminationProperties:
         assert exact_rank(a) == exact_rank(transpose(a))
 
     @settings(max_examples=60, deadline=None)
+    @given(st.one_of(rational_matrices(), rational_matrices(square=True)))
+    def test_forward_matches_gauss_jordan(self, a):
+        """exact_rank and exact_det eliminate forward only; their rank and
+        determinant are those of the Gauss-Jordan _eliminate, on every shape
+        and rank."""
+        _, pivots, _, det = _eliminate(a)
+        assert exact_rank(a) == len(pivots)
+        if len(a) == len(a[0]):
+            assert exact_det(a) == det
+
+    @settings(max_examples=60, deadline=None)
     @given(rational_matrices())
     def test_null_space(self, a):
         n = len(a[0])
