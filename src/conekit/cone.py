@@ -8,10 +8,12 @@ vector's integers: max |x_i| <= |x|_p <= sum |x_i| settles every point
 outside the band between them, for any p, and inside it an integer
 p <= MAX_EXACT_P compares powers; any other p raises UnsupportedFamily
 there.  FutureCone checks its form and t once, at construction;
-its membership, core and dual membership, and the self-duality probe are
-signs of the form, read off the integer ``SymMatrix._int_quad`` without
-building a Fraction.  A future cone is self-dual under its own form by
-reverse Cauchy-Schwarz, so that case of the probe draws no sample.
+its membership and core are signs of the form, read off the integer
+``SymMatrix._int_quad`` without building a Fraction.  Its dual under a
+Lorentzian form g is G^-1 S F, S its own form and G g's, by reverse
+Cauchy-Schwarz, so dual membership is one exact solve, and the cone is
+self-dual under g iff S is a positive multiple of G: that verdict draws
+no sample, and a sample only serves as the witness of a "no".
 """
 
 from __future__ import annotations
@@ -37,18 +39,19 @@ from .lorentz import (
     FormKind,
     GramForm,
     LorentzFrame,
-    _require_unit,
     _wick_kernel,
     classify,
     frame_from_unit_vector,
 )
 from .numerics import (
+    SymMatrix,
     Vector,
     _int_vector,
     _sqrt_bounds,
     as_scalar,
     exact_null_space,
     exact_rank,
+    exact_solve,
     lp_nonneg_solve,
 )
 
@@ -190,25 +193,30 @@ def h_description(c: Polyhedral) -> HDescription:
 
 
 def null_rays_2d(c: FutureCone) -> Polyhedral:
-    """A 2-D future cone as the polyhedral cone on its null rays t_hat +- w_hat.
+    """A 2-D future cone as the polyhedral cone on its rays t +- rho w.
 
     The cone depends only on the form and the time orientation, so any
-    timelike t serves: t_hat = t / sqrt(<t, t>).  w = (-(St)_1, (St)_0) is
-    S-orthogonal to t, with n(w)^2 = -<w, w>.  It is oriented like
-    e_i - <e_i, t> t for the first e_i not parallel to t, the direction a
-    frame's spatial basis starts from.  The rays are computed in floats (for
-    a Minkowski form and t = (k, 0) they are exact), then built once per cone.
+    timelike t serves.  w = (-(St)_1, (St)_0) is S-orthogonal to t, oriented
+    like e_i - <e_i, t> t for the first e_i not parallel to t, the direction
+    a frame's spatial basis starts from.  The null rays are t +- rho w with
+    rho = sqrt(<t, t> / -<w, w>); the rays are built on integers with rho
+    the lower bound ``numerics._sqrt_bounds`` gives, exact when the ratio is
+    a rational square.  So both rays lie in F: on an irrational cone they
+    span an inner cone, whose extended norm is an upper bound within about
+    1e-15 relative.  Built once per cone.
     """
     if c._rays is None:
-        s = c.form.std
-        st = s.apply(c.t).coords
-        w = Vector([-st[1], st[0]])
-        if next(z for z in s.apply(w).coords if z != 0) > 0:
+        s, t = c.form.std, c.t
+        a = s.apply(t)._nums
+        w = _int_vector([-a[1], a[0]], 1)
+        if next(z for z in s.apply(w)._nums if z) > 0:
             w = -w
-        nt = math.sqrt(float(s.quad(c.t, c.t)))
-        nw = math.sqrt(float(-s.quad(w, w)))
-        what = [a / nw for a in w.as_floats()]
-        rays = [Vector([a / nt + sgn * b for a, b in zip(c.t.as_floats(), what)]) for sgn in (1, -1)]
+        # <t, t> / -<w, w> on integers: _int_quad(t, t) / (D t_d^2), w_d = 1
+        num, den = s._int_quad(t, t), -s._int_quad(w, w) * t._den**2
+        k = math.gcd(num, den)
+        lo, _, d = _sqrt_bounds(num // k, den // k)
+        # t + (lo / d) w = (d t_n +- lo t_d w) / (d t_d)
+        rays = [_int_vector([d * x + sgn * lo * t._den * y for x, y in zip(t._nums, w._nums)], d * t._den) for sgn in (1, -1)]
         object.__setattr__(c, "_rays", Polyhedral(rays))
     return c._rays
 
@@ -368,11 +376,15 @@ def _polyhedral_core(c: Polyhedral, x: Vector) -> bool:
 
 
 def dual_contains(c: Cone, g: GramForm, v: Vector) -> bool:
-    """Membership of a causal vector v in the dual cone F*.
+    """Membership of a g-causal vector v in the dual cone
+    F* = {v : <v, x>_g >= 0 for every x in F}.
 
     Polyhedral: <v, g_i> >= 0 over the generators (necessary and sufficient
-    for conic hulls).  FutureCone: by reverse Cauchy-Schwarz the dual of the
-    future cone is itself, so this is future-cone membership.
+    for conic hulls).  FutureCone with form S, and G = ``g.std``: by reverse
+    Cauchy-Schwarz in S, F's Euclidean dual is S F, so F* = G^-1 S F and
+    v in F* iff S^-1 G v in F.  That is one exact solve on the integers of
+    S and of G v, positive multiples of both, which leave membership as it
+    is.  With S = G it reduces to <v, t>_g >= 0 on a causal v.
     """
     _check_dim(c, v)
     s = g.std
@@ -381,18 +393,23 @@ def dual_contains(c: Cone, g: GramForm, v: Vector) -> bool:
     if isinstance(c, Polyhedral):
         return all(s._int_quad(v, gen) >= 0 for gen in c.generators)
     if isinstance(c, FutureCone):
-        return s._int_quad(v, c.t) >= 0
+        return contains(c, Vector(exact_solve(c.form.std._int_rows(), s.apply(v)._nums)))
     raise UnsupportedFamily("dual_contains expects Polyhedral or FutureCone")
 
 
 def _sampling_frame(c: Cone, g: GramForm) -> LorentzFrame:
-    if isinstance(c, FutureCone):
-        return LorentzFrame(g, c.t)
-    if isinstance(c, Polyhedral):
-        for gen in c.generators:
-            if g.std._int_quad(gen, gen) > 0:
-                return frame_from_unit_vector(g, gen)
-    raise NotLorentzian("no timelike generator available for causal sampling")
+    """g's frame on the first g-timelike vector of c, a future cone's t or a
+    generator, scaled to a unit vector (``frame_from_unit_vector``)."""
+    for x in (c.t,) if isinstance(c, FutureCone) else getattr(c, "generators", ()):
+        if g.std._int_quad(x, x) > 0:
+            return frame_from_unit_vector(g, x)
+    raise NotLorentzian("no g-timelike t or generator available for causal sampling")
+
+
+def _primitive(m: SymMatrix) -> tuple:
+    """m's nonzero integer entries over their gcd: equal for positive multiples."""
+    k = math.gcd(*(x for _, _, x in m._nz))
+    return tuple((i, j, x // k) for i, j, x in m._nz)
 
 
 def sample_future_causal(
@@ -448,22 +465,28 @@ class SelfDualityReport:
 
 
 def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDualityReport:
-    """Sampled check of F = F* against the causal structure of g.
+    """Decide F = F* under g; a "no" carries the witness its samples find.
 
-    A FutureCone whose form's ``std`` is g's is self-dual by reverse
-    Cauchy-Schwarz (O'Neill 1983, ch. 5): no sample is drawn, and the report
-    holds with ``samples_checked`` the requested count, len(range(samples)),
-    each sample passing by the theorem.  t must still be a unit vector
-    under g, as a sampling frame needs, and ``samples`` an integer.
-    Otherwise F subset F* is checked exactly on generators (Polyhedral)
-    resp. on sampled pairs via the reverse Cauchy-Schwarz sign (FutureCone),
-    and F* subset F is probed on ``samples`` future-causal vectors drawn by
-    ``sample_future_causal`` with its default radius.
+    A FutureCone of form S is decided by theorem: F = F* iff S is a
+    positive multiple of G = ``g.std``.  By reverse Cauchy-Schwarz in S
+    (O'Neill 1983, ch. 5), F* = G^-1 S F; if that is F, G^-1 S lies in
+    Aut(F) = R_+ O+(S) (Loewy & Schneider 1975) and is S-self-adjoint, so
+    it is a positive multiple of an involution, which keeps G Lorentzian
+    only as the identity.  S and G are compared on their integers, ``==``
+    first, then over their gcds.  A multiple draws no sample and reports
+    ``samples_checked`` = len(range(samples)); any other form does not
+    hold, and its witness is the first sample in exactly one of F and F*
+    (``dual_not_subset_F`` or ``F_not_subset_dual``), or None.
+    Polyhedral: F subset F* is checked exactly on the generators, and a
+    sample in F* runs the membership LP.  Samples are ``samples``
+    g-future-causal vectors, one per trial, from ``sample_future_causal``
+    at its default radius on g's frame of the cone's first g-timelike
+    vector: its t, or a generator.
     """
     rng = random.Random(seed)  # first: a seed Random rejects raises before any other check
     s = g.std
-    if isinstance(c, FutureCone) and c.form.std == s:
-        _require_unit(g, c.t)
+    future = isinstance(c, FutureCone)
+    if future and (c.form.std == s or _primitive(c.form.std) == _primitive(s)):
         return SelfDualityReport(True, None, len(range(samples)))
     frame = _sampling_frame(c, g)
     # F subset F*: pairwise nonnegativity of the form on F
@@ -478,14 +501,8 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
     for _ in range(samples):
         v = sample_future_causal(frame, rng)
         checked += 1
-        if isinstance(c, FutureCone):
-            u = sample_future_causal(frame, rng)
-            if s._int_quad(u, v) < 0:
-                return SelfDualityReport(False, v, checked, "F_not_subset_dual")
-        try:
-            in_dual = dual_contains(c, g, v)
-        except NotCausal:
-            continue
-        if in_dual and not contains(c, v):
-            return SelfDualityReport(False, v, checked, "dual_not_subset_F")
-    return SelfDualityReport(True, None, checked)
+        in_dual = dual_contains(c, g, v)
+        # F subset F* holds for a polyhedral cone here: only a sample in F* runs its LP
+        if (in_dual or future) and in_dual != contains(c, v):
+            return SelfDualityReport(False, v, checked, "dual_not_subset_F" if in_dual else "F_not_subset_dual")
+    return SelfDualityReport(not future, None, checked)

@@ -3,14 +3,18 @@
 n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  On the Wick norm's
 own future cone (the frame's form, and a t in the frame's time
 orientation) it has a closed form: n_W(x) on causal x and sqrt(2) n(w_x)
-on spacelike x, with exact witnesses u, v built on integers.  Polyhedral
-cones, and any other 2-D future cone as the polyhedral cone on its two
-null rays, are solved by finite methods: l1 and linf by one exact
-two-phase simplex LP on the generators and the target; l2 and Wick norms
-by enumerating the faces of F cap (x + F), cut out by the cone's exact
-H-description (see ``cone.h_description``), which covers overcomplete,
-lower-dimensional and non-pointed cones alike.  No solver iterates.  The
-grid oracle certifies accuracy independently.
+on spacelike x, with exact witnesses u, v built on integers.  So does the
+orthant under an l1, l2 or linf norm: n(x+) + n(x-), with the witnesses
+u = x+ and v = x-.  Polyhedral cones, and any other 2-D future cone as the
+polyhedral cone on its two rays t +- rho w, built on integers with rho the
+lower bound of the root (``cone.null_rays_2d``: exact on a rational cone,
+else the inner cone's value, an upper bound within about 1e-15 relative),
+are solved by finite methods: l1 and linf by one exact two-phase simplex
+LP on the generators and the target; l2 and Wick norms by enumerating the
+faces of F cap (x + F), cut out by the cone's exact H-description (see
+``cone.h_description``), which covers overcomplete, lower-dimensional and
+non-pointed cones alike.  No solver iterates.  The grid oracle certifies
+accuracy independently.
 """
 
 from __future__ import annotations
@@ -330,11 +334,16 @@ def _own_future_cone(c: FutureCone, frame: LorentzFrame) -> bool:
 def extended_norm(p: ExtensionProblem) -> ExtensionResult:
     """Minimize n(u) + n(u - x) over u in F intersect (x + F).
 
-    The Wick norm's own future cone is solved in closed form.  A polyhedral
-    cone, or any other 2-D future cone as the polyhedral cone on its null
-    rays, is solved by one exact LP for l1 / linf and by enumerating
-    the faces of F cap (x + F) for l2 and Wick norms: every result has
-    iterations = 0 and converged = True.  Raises Infeasible when x is not in
+    The Wick norm's own future cone is solved in closed form, and so is the
+    orthant under a coordinate norm: every feasible u has u >= x+ and
+    u - x >= x-, and an l1, l2 or linf norm is monotone in the absolute
+    values of the coordinates, so n~(x) = n(x+) + n(x-), with the exact
+    witnesses u = x+ and v = x- (a Wick norm on an orthant raises
+    UnsupportedFamily).  A polyhedral cone, or any other 2-D future cone
+    as the polyhedral cone on its integer rays (``cone.null_rays_2d``), is
+    solved by one exact LP for l1 / linf and by enumerating the faces of
+    F cap (x + F) for l2 and Wick norms: every result has iterations = 0
+    and converged = True.  Raises Infeasible when x is not in
     F - F, DimTooLarge when the facet search or the face batch would run
     through more than cone.MAX_SUBSETS subsets, and UnsupportedFamily for a
     future cone above dimension 2 that is not the Wick norm's own.
@@ -349,8 +358,11 @@ def extended_norm(p: ExtensionProblem) -> ExtensionResult:
                 "future-cone solver needs the Wick norm of the cone's own frame above ambient dimension 2"
             )
         c = null_rays_2d(c)
+    elif isinstance(c, Orthant) and isinstance(norm, CoordBaseNorm):
+        u, v = _feasible_decomposition(c, p.target)
+        return ExtensionResult(norm.value(np.array(u.as_floats())) + norm.value(np.array(v.as_floats())), u, v, 0, True)
     elif not isinstance(c, Polyhedral):
-        raise UnsupportedFamily("extended_norm expects Polyhedral or FutureCone")
+        raise UnsupportedFamily("extended_norm expects Polyhedral, FutureCone, or Orthant with a coordinate norm")
     xq = p.target.coords
     if isinstance(norm, CoordBaseNorm) and norm.kind != "l2":
         return _lp_solve([g._nums for g in c.generators], xq, norm.kind)

@@ -99,7 +99,9 @@ def test_criterion_3_reverse_inequalities_and_strictness():
         ec = equality_is_collinear(h, u, v)
         if ec.equality:
             assert ec.collinear
-    ok(3, "reverse triangle + reverse CS exact, equality => collinear, 1e4 pairs")
+    # the same checks as the reverse_cs suite of `conekit proptest` runs them
+    assert run_suite("reverse_cs", trials=10_000, seed=1).passed
+    ok(3, "reverse triangle + reverse CS exact, equality => collinear, 1e4 pairs and the suite")
 
 
 def test_criterion_4_nondegeneracy():

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import conekit
-from conekit.cli import encode, main
+from conekit.cli import encode, main, parse_norm
+from conekit.cone import FutureCone, Polyhedral
+from conekit.errors import ParseError
+from conekit.hypnorm import FormInduced
+from conekit.lorentz import minkowski_frame
+from conekit.numerics import Vector
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCN = os.path.join(ROOT, "scenarios")
@@ -282,6 +287,61 @@ class TestRun:
         assert f"error: {message}" in capsys.readouterr().err
 
 
+class TestTaskKinds:
+    """``run`` task kinds and the norm family that only the console-script
+    step exercised, run in process."""
+
+    POINTED = {"family": "polyhedral", "generators": [["1", "1", "0"], ["1", "-1", "0"], ["1", "0", "1"], ["0", "0", "0"]]}
+    # the x-y plane is a lineality space, spanned by the last three generators
+    PLANE = {"family": "polyhedral", "generators": [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"], ["-1", "-1", "0"]]}
+
+    @staticmethod
+    def run_tasks(tmp_path, tasks, **scenario):
+        f, out = tmp_path / "s.json", tmp_path / "rep.json"
+        f.write_text(json.dumps({"schema": "conekit/1", **scenario, "tasks": tasks}))
+        code = run_cli(["run", str(f), "--out", str(out)])
+        return code, json.loads(out.read_text())["tasks"]
+
+    def test_properness(self, tmp_path, capsys):
+        tasks = [
+            {"kind": "properness", "cone": self.POINTED},
+            {"kind": "properness", "cone": self.PLANE, "expect": False},
+        ]
+        code, (pointed, plane) = self.run_tasks(tmp_path, tasks)
+        assert code == 0
+        assert (pointed["status"], pointed["metrics"], pointed["witness"]) == ("pass", {"proper": True}, None)
+        # the first generator, in order, whose negative lies in the cone
+        assert (plane["status"], plane["metrics"], plane["witness"]) == ("pass", {"proper": False}, ["1/1", "0/1", "0/1"])
+
+    def test_properness_mismatch_fails(self, tmp_path, capsys):
+        code, (task,) = self.run_tasks(tmp_path, [{"kind": "properness", "cone": self.PLANE}])
+        assert code == 1 and task["status"] == "fail"
+
+    @pytest.mark.parametrize("expect, tol, status, code", [("1.41421356", 1e-8, "pass", 0), (1, "0.1", "fail", 1)])
+    def test_extend_expect(self, expect, tol, status, code, tmp_path, capsys):
+        task = {"kind": "extend", "cone": FUTURE, "x": [0, 1], "expect": expect, "tol": tol}
+        got, (entry,) = self.run_tasks(tmp_path, [task])
+        assert got == code and entry["status"] == status
+        assert entry["metrics"]["value"] == pytest.approx(math.sqrt(2), rel=1e-15)
+        assert entry["metrics"]["expect"] == float(expect)
+
+    def test_form_norm_family(self):
+        cone = FutureCone(minkowski_frame(1).form, Vector([1, 0]))
+        h = parse_norm({"family": "form"}, cone)
+        assert isinstance(h, FormInduced) and h.cone is cone
+        for other in (None, Polyhedral([Vector([1, 0])])):
+            with pytest.raises(ParseError, match="form-induced norm needs a future cone"):
+                parse_norm({"family": "form"}, other)
+
+    def test_form_norm_in_a_scenario_exits_2(self, tmp_path, capsys):
+        # a scenario's polarizability check parses its norm without the cone
+        f = tmp_path / "s.json"
+        task = {"kind": "polarizability_check", "v": [2, 1], "w": [1, 0]}
+        f.write_text(json.dumps({"schema": "conekit/1", "cone": FUTURE, "norm": {"family": "form"}, "tasks": [task]}))
+        assert run_cli(["run", str(f)]) == 2
+        assert "error: form-induced norm needs a future cone" in capsys.readouterr().err
+
+
 def strip_times(report):
     for t in report["tasks"]:
         t.pop("wall_time_ms", None)
@@ -479,6 +539,13 @@ class TestExtend:
         cone = '{"family":"polyhedral","generators":[["0","0"]]}'
         assert run_cli(["extend", "--cone", cone, "--x", "[0, 0]", "--base-norm", "l2"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+    @pytest.mark.parametrize("norm, want", [("l1", 3.0), ("l2", 3.0), ("linf", 3.0)])
+    def test_orthant(self, norm, want, capsys):
+        cone = '{"family":"orthant","dim":2}'
+        assert run_cli(["extend", "--cone", cone, "--x", "[1, -2]", "--base-norm", norm, "--oracle"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == want and out["oracle"] == pytest.approx(want, abs=3e-3)
 
     def test_malformed_scalar_exits_2(self, capsys):
         code = run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1}', "--x", '["abc", 1]'])

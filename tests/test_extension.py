@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conekit import cone as cone_module
 from conekit import extension, lorentz
-from conekit.cone import FutureCone, PCone, Polyhedral, contains, h_description, sample_future_causal
+from conekit.cone import FutureCone, Orthant, PCone, Polyhedral, contains, h_description, sample_future_causal
 from conekit.errors import BallNotContained, DimensionMismatch, DimTooLarge, Infeasible, NotLorentzian, UnsupportedFamily
 from conekit.errors import PreconditionFailed
 from conekit.extension import (
@@ -379,6 +379,62 @@ class TestClosedFormPrecondition:
         want = math.sqrt(2) * wick_norm(frame, decompose(frame, x).w)
         assert res.value == pytest.approx(want, rel=1e-12)
         assert res.u - res.v == x and contains(c, res.u) and contains(c, res.v)
+
+
+@st.composite
+def future_2d_problems(draw):
+    """A 2-D future cone of diag(a, -b) on a random rational basis, with a
+    random timelike t = p b_0 + q b_1, past-directed too, and a target."""
+    frac = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    rows = draw(st.lists(st.lists(frac, min_size=2, max_size=2), min_size=2, max_size=2).filter(lambda r: exact_det(r) != 0))
+    a, b = (draw(st.fractions(min_value=F(1, 5), max_value=7, max_denominator=5)) for _ in range(2))
+    form = GramForm([Vector(r) for r in rows], SymMatrix([[a, 0], [0, -b]]))
+    p, q = draw(frac), draw(frac)
+    assume(a * p * p > b * q * q)
+    t = Vector(rows[0]).scale(p) + Vector(rows[1]).scale(q)
+    return FutureCone(form, t), Vector(draw(st.lists(frac, min_size=2, max_size=2)))
+
+
+class TestFuture2dRays:
+    """The 2-D rays are built on integers: both lie in F, so the exact LP's
+    witnesses do too."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("t", [(1, 0), (3, 1), (-3, 1)])
+    def test_rays_in_the_cone(self, k, t):
+        c = FutureCone(GramForm([vec(1, 0), vec(0, 1)], SymMatrix([[1, 0], [0, -k]])), vec(*t))
+        rays = cone_module.null_rays_2d(c).generators
+        assert all(contains(c, r) for r in rays)
+        # null exactly when -<w, w> / <t, t> is a rational square: k = 4
+        assert all(c.form.std._int_quad(r, r) == 0 for r in rays) == (k == 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(future_2d_problems(), st.sampled_from(["l1", "linf"]))
+    def test_lp_witnesses_in_the_cone(self, problem, kind):
+        c, x = problem
+        res = extended_norm(ExtensionProblem(c, CoordBaseNorm(kind), x))
+        assert contains(c, res.u) and contains(c, res.v) and res.u - res.v == x
+
+
+class TestOrthant:
+    """Every coordinate norm is monotone on the orthant and every feasible u
+    has u >= x+: n~(x) = n(x+) + n(x-), with the witnesses x+ and x-."""
+
+    @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("x", [(1, -2), (F(3, 2), F(1, 4)), (-1, F(-1, 3)), (0, 0), (2, -1, F(1, 2))])
+    def test_matches_polyhedral_and_oracle(self, kind, x):
+        n, target = len(x), vec(*x)
+        p = ExtensionProblem(Orthant(n), CoordBaseNorm(kind), target)
+        res = extended_norm(p)
+        unit = Polyhedral([Vector.unit(n, i) for i in range(n)])
+        assert res.value == pytest.approx(extended_norm(ExtensionProblem(unit, CoordBaseNorm(kind), target)).value, rel=1e-12, abs=0)
+        assert res.value == pytest.approx(grid_oracle(p), abs=3e-3)
+        assert res.u == vec(*(max(a, 0) for a in x)) and res.u - res.v == target
+        assert (res.iterations, res.converged) == (0, True)
+
+    def test_wick_norm_unsupported(self):
+        with pytest.raises(UnsupportedFamily):
+            extended_norm(ExtensionProblem(Orthant(2), WICK, vec(1, -2)))
 
 
 # Obtuse 2-D cones (1, a), (b, 1), whose generators meet at 151-179 degrees.

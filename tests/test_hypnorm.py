@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from conekit import properties
 from conekit.cone import FutureCone, PCone, in_core
 from conekit.errors import OutsideCone, PreconditionFailed, UnsupportedFamily
 from conekit.hypnorm import (
     DiscreteLq,
+    EqualityCollinearity,
     FormInduced,
     PHyperbolic,
     equality_is_collinear,
@@ -20,6 +23,7 @@ from conekit.hypnorm import (
 )
 from conekit.lorentz import minkowski_form
 from conekit.numerics import Vector
+from conekit.properties import run_suite
 
 
 def vec(*xs):
@@ -237,3 +241,19 @@ class TestHomogeneity:
         assert norm_eval(PHyperbolic(3, 1), Vector([3.0, 1.0])) == pytest.approx(
             3 * norm_eval(PHyperbolic(3, 1), Vector([1.0, 1 / 3])), rel=1e-9
         )
+
+
+class TestReverseCsSuite:
+    """The reverse_cs property suite reports each failure with its witness."""
+
+    def test_equality_without_collinearity_fails(self, monkeypatch):
+        monkeypatch.setattr(properties, "equality_is_collinear", lambda h, v, w: EqualityCollinearity(True, False))
+        res = run_suite("reverse_cs", trials=5, seed=1)
+        assert not res.passed and res.trials == 1
+        assert res.witness["kind"] == "equality" and set(res.witness) == {"v", "w", "kind"}
+
+    def test_reverse_cs_failure(self, monkeypatch):
+        real = properties.reverse_cs_residual
+        monkeypatch.setattr(properties, "reverse_cs_residual", lambda *a: dataclasses.replace(real(*a), holds=False))
+        res = run_suite("reverse_cs", trials=5, seed=1)
+        assert not res.passed and res.trials == 1 and set(res.witness) == {"v", "w"}
