@@ -223,13 +223,24 @@ def _encode_suite(res: PropertyResult) -> dict:
     }
 
 
+def _task_norm(task, scenario):
+    """The task's norm, else the scenario's.  A form-induced norm is built on
+    the task's cone, else the scenario's, parsed only for that family."""
+    spec = task.get("norm") or scenario.get("norm")
+    cone = None
+    if isinstance(spec, dict) and spec.get("family") == "form":
+        cone_spec = task.get("cone") or scenario.get("cone")
+        cone = None if cone_spec is None else parse_cone(cone_spec)
+    return parse_norm(spec, cone)
+
+
 def run_task(task, scenario, flags) -> dict:
     kind = task.get("kind")
     seed = _task_seed(task, flags)
     if kind in SUITES:
         return _encode_suite(run_suite(kind, trials=_trials(task.get("trials")), seed=seed))
     if kind == "polarizability_check":
-        h = parse_norm(task.get("norm") or scenario.get("norm"))
+        h = _task_norm(task, scenario)
         v = parse_vector(_field(task, "v"))
         w = parse_vector(_field(task, "w"))
         r = polarizability_residual(h, v, w)
@@ -240,7 +251,7 @@ def run_task(task, scenario, flags) -> dict:
             "witness": None if ok else encode({"v": v, "w": w, "residual": r}),
         }
     if kind == "signature":
-        h = parse_norm(task.get("norm") or scenario.get("norm"))
+        h = _task_norm(task, scenario)
         basis = _parse_basis(_field(task, "basis"))
         g = gram_from_cone_basis(h, basis)
         sig = classify(g)

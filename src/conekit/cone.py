@@ -476,7 +476,9 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
     first, then over their gcds.  A multiple draws no sample and reports
     ``samples_checked`` = len(range(samples)); any other form does not
     hold, and its witness is the first sample in exactly one of F and F*
-    (``dual_not_subset_F`` or ``F_not_subset_dual``), or None.
+    (``dual_not_subset_F`` or ``F_not_subset_dual``), or None.  When t is
+    not g-timelike, or g(t, t) is not a rational square, there is no frame
+    to sample in: the report is (False, None, 0).
     Polyhedral: F subset F* is checked exactly on the generators, and a
     sample in F* runs the membership LP.  Samples are ``samples``
     g-future-causal vectors, one per trial, from ``sample_future_causal``
@@ -488,7 +490,15 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
     future = isinstance(c, FutureCone)
     if future and (c.form.std == s or _primitive(c.form.std) == _primitive(s)):
         return SelfDualityReport(True, None, len(range(samples)))
-    frame = _sampling_frame(c, g)
+    try:
+        frame = _sampling_frame(c, g)
+    except NotLorentzian:
+        if not future:
+            raise
+        # the theorem has decided "no", and there is no frame to sample a
+        # witness in; a count that is no int raises as on the other paths
+        range(samples)
+        return SelfDualityReport(False, None, 0)
     # F subset F*: pairwise nonnegativity of the form on F
     if isinstance(c, Polyhedral):
         for a in c.generators:

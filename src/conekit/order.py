@@ -120,7 +120,7 @@ def completeness_certificate(s: OrderedSequence, y: Vector) -> CompletenessCerti
     ) and all(a <= alpha_y for a in alphas)
     steps = zip(s.terms, s.terms[1:], alphas, alphas[1:])
     std = frame.form.std
-    cauchy_ok = all(b >= a and std._int_quad(v - u, v - u) >= 0 for u, v, a, b in steps)
+    cauchy_ok = all(b >= a and std._int_quad(d := v - u, d) >= 0 for u, v, a, b in steps)
     limit = None
     converged = False
     max_residual = float("inf")

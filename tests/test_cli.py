@@ -333,13 +333,37 @@ class TestTaskKinds:
             with pytest.raises(ParseError, match="form-induced norm needs a future cone"):
                 parse_norm({"family": "form"}, other)
 
-    def test_form_norm_in_a_scenario_exits_2(self, tmp_path, capsys):
-        # a scenario's polarizability check parses its norm without the cone
-        f = tmp_path / "s.json"
+    @pytest.mark.parametrize("where", ["scenario", "task"])
+    def test_form_norm_on_a_future_cone_passes(self, tmp_path, capsys, where):
+        # the form-induced norm is built on the task's or the scenario's cone
+        f, out = tmp_path / "s.json", tmp_path / "r.json"
         task = {"kind": "polarizability_check", "v": [2, 1], "w": [1, 0]}
-        f.write_text(json.dumps({"schema": "conekit/1", "cone": FUTURE, "norm": {"family": "form"}, "tasks": [task]}))
+        scenario = {"schema": "conekit/1", "norm": {"family": "form"}, "tasks": [task]}
+        (scenario if where == "scenario" else task)["cone"] = FUTURE
+        f.write_text(json.dumps(scenario))
+        assert run_cli(["run", str(f), "--out", str(out)]) == 0
+        entry = json.loads(out.read_text())["tasks"][0]
+        assert entry["status"] == "pass"
+        assert entry["metrics"]["residual"] == "0/1"
+
+    @pytest.mark.parametrize("cone", [None, {"family": "orthant", "dim": 2}], ids=["no-cone", "orthant"])
+    def test_form_norm_without_a_future_cone_exits_2(self, tmp_path, capsys, cone):
+        f = tmp_path / "s.json"
+        task = {"kind": "signature", "basis": [[1, 0], [1, 1]]}
+        scenario = {"schema": "conekit/1", "norm": {"family": "form"}, "tasks": [task]}
+        if cone is not None:
+            scenario["cone"] = cone
+        f.write_text(json.dumps(scenario))
         assert run_cli(["run", str(f)]) == 2
         assert "error: form-induced norm needs a future cone" in capsys.readouterr().err
+
+    def test_p_norm_task_never_parses_a_cone(self, tmp_path, capsys):
+        # a p-norm task reads no cone, so even a malformed one is not an error
+        f, out = tmp_path / "s.json", tmp_path / "r.json"
+        task = {"kind": "polarizability_check", "v": [2, 1], "w": [1, 0], "cone": {"family": "nonsense"}}
+        f.write_text(json.dumps({"schema": "conekit/1", "norm": {"family": "p", "p": 2, "spatial_dim": 1}, "tasks": [task]}))
+        assert run_cli(["run", str(f), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tasks"][0]["status"] == "pass"
 
 
 def strip_times(report):

@@ -14,6 +14,7 @@ from conekit.cone import (
     PCone,
     Polyhedral,
     Properness,
+    SelfDualityReport,
     contains,
     dual_contains,
     h_description,
@@ -442,6 +443,23 @@ class TestSelfDuality:
     def test_zero_samples_vacuous(self):
         rep = self_duality_report(FUT2, MINK2, samples=0, seed=0)
         assert rep.holds and rep.samples_checked == 0
+
+    @pytest.mark.parametrize(
+        "basis, gram, t",
+        [
+            # std = diag(1, -4), and g(t, t) = 8 is not a rational square
+            ([vec(1, 0), vec(0, F(1, 2))], [[1, 0], [0, -1]], vec(3, 1)),
+            # std = diag(4, -1), and t is not g-timelike: g(t, t) = 1 - 9/4
+            ([vec(1, 0), vec(0, 1)], [[4, 0], [0, -1]], vec(1, F(3, 2))),
+        ],
+        ids=["irrational-unit", "g-spacelike"],
+    )
+    def test_future_cone_without_a_sampling_frame(self, basis, gram, t):
+        # the theorem decides "no"; with no unit frame there is no witness to draw
+        cone = FutureCone(GramForm(basis, SymMatrix(gram)), t)
+        with pytest.raises(NotLorentzian):
+            cone_module._sampling_frame(cone, MINK2)
+        assert self_duality_report(cone, MINK2, samples=50, seed=3) == SelfDualityReport(False, None, 0)
 
 
 class TestConvexClosure:

@@ -594,26 +594,24 @@ def _per_slice_grid_scan(p, member, x, center, halfwidth, resolution):
     return best, best_pt
 
 
-class TestGridScanBlocks:
-    FULL, ZOOM = extension.GRID_RESOLUTION, extension.ZOOM_RESOLUTION
+GRID_SCAN_CASES = [
+    (Polyhedral([vec(1)]), CoordBaseNorm("l1"), [-2.0], extension.GRID_RESOLUTION),
+    # every u in [-2, 0] ties: the first minimum must win
+    (Polyhedral([vec(1), vec(-1)]), CoordBaseNorm("l1"), [-2.0], extension.GRID_RESOLUTION),
+    (CONE, WICK, [0.3, 0.9], extension.GRID_RESOLUTION),
+    # F = R^2: n~(x) = |x|_inf is attained on a parallelogram of u
+    # across three blocks, whose first points in x0-major and in
+    # x1-major order differ
+    (Polyhedral([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]), CoordBaseNorm("linf"), [2.0, 1.0], extension.GRID_RESOLUTION),
+    (Polyhedral([vec(1, F(1, 2)), vec(F(1, 2), 1)]), CoordBaseNorm("l2"), [2.0, 1.0], extension.GRID_RESOLUTION),
+    (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("linf"), [-1.0, 2.5], extension.ZOOM_RESOLUTION),
+    (PLANE, CoordBaseNorm("l2"), [1.0, -1.0, 0.0], extension.GRID_RESOLUTION),
+    (PYRAMID, TILTED_WICK, [0.5, 2.0, 0.0], extension.ZOOM_RESOLUTION),
+]
 
-    @pytest.mark.parametrize(
-        "cone, norm, x, resolution",
-        [
-            (Polyhedral([vec(1)]), CoordBaseNorm("l1"), [-2.0], FULL),
-            # every u in [-2, 0] ties: the first minimum must win
-            (Polyhedral([vec(1), vec(-1)]), CoordBaseNorm("l1"), [-2.0], FULL),
-            (CONE, WICK, [0.3, 0.9], FULL),
-            # F = R^2: n~(x) = |x|_inf is attained on a parallelogram of u
-            # across three blocks, whose first points in x0-major and in
-            # x1-major order differ
-            (Polyhedral([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]), CoordBaseNorm("linf"), [2.0, 1.0], FULL),
-            (Polyhedral([vec(1, F(1, 2)), vec(F(1, 2), 1)]), CoordBaseNorm("l2"), [2.0, 1.0], FULL),
-            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("linf"), [-1.0, 2.5], ZOOM),
-            (PLANE, CoordBaseNorm("l2"), [1.0, -1.0, 0.0], FULL),
-            (PYRAMID, TILTED_WICK, [0.5, 2.0, 0.0], ZOOM),
-        ],
-    )
+
+class TestGridScanBlocks:
+    @pytest.mark.parametrize("cone, norm, x, resolution", GRID_SCAN_CASES)
     def test_matches_per_slice_scan(self, cone, norm, x, resolution):
         p = ExtensionProblem(cone, norm, Vector(x))
         xf = np.array(x)
@@ -625,6 +623,94 @@ class TestGridScanBlocks:
         assert want_pt is not None
         assert best == want_best
         assert pt.tolist() == want_pt.tolist()
+
+    @pytest.mark.parametrize("cone, norm, x, resolution", GRID_SCAN_CASES)
+    def test_line_bounds_match_per_slice_scan(self, cone, norm, x, resolution):
+        # built only within the line bounds, the scan finds the same first minimiser
+        p = ExtensionProblem(cone, norm, Vector(x))
+        xf = np.array(x)
+        member, bounds = extension._grid_tests(cone, 1e-12)
+        center, halfwidth = np.zeros(len(x)), 3.125
+        best, pt = extension._grid_scan(p, member, xf, center, halfwidth, resolution, bounds)
+        want_best, want_pt = _per_slice_grid_scan(p, member, xf, center, halfwidth, resolution)
+        assert best == want_best
+        assert pt.tolist() == want_pt.tolist()
+
+
+def _std_future_cone(rows, t):
+    """The future cone of t under the form whose matrix is rows."""
+    n = len(rows)
+    basis = [Vector([int(i == j) for j in range(n)]) for i in range(n)]
+    return FutureCone(GramForm(basis, SymMatrix(rows)), vec(*t))
+
+
+# forms whose last axis is spacelike (a < 0), null (a = 0) or timelike
+# (a > 0) on the lines of the grid, and one with irrational null lines
+LINE_BOUND_CONES = [
+    CONE,
+    _std_future_cone([[1, 1], [1, -1]], [1, 0]),
+    _std_future_cone([[0, 1], [1, 0]], [1, 1]),
+    _std_future_cone([[-1, 0], [0, 1]], [0, 1]),
+    _std_future_cone([[-1, 1], [1, 1]], [0, -1]),
+    _std_future_cone([[0, 0, 1], [0, -1, 0], [1, 0, 0]], [2, 1, 5]),
+    _std_future_cone([[-1, 0, 2], [0, -1, 0], [2, 0, 1]], [1, 0, 1]),
+    FutureCone(minkowski_frame(2).form, vec(2, 1, 0)),
+    Polyhedral([vec(1, 0), vec(1, 1)]),
+    Polyhedral([vec(1, 0), vec(-1, 0), vec(0, 1)]),
+    PYRAMID,
+    PLANE,
+    WEDGE,
+    Polyhedral([vec(1, 2, 3)]),
+    Orthant(2),
+    Orthant(3),
+]
+
+
+class TestLineBounds:
+    @staticmethod
+    def boxes(n, rng):
+        """Grids of wide boxes (dyadic, so a lower-dimensional cone has grid
+        points too) and of tiny boxes at the apex and elsewhere, as zoom
+        passes see them."""
+        resolution = 201 if n == 2 else 41
+        for k in range(12):
+            center = np.zeros(n) if k % 2 else np.array([rng.uniform(-3, 3) for _ in range(n)])
+            halfwidth = 3.125 if k < 2 else 10 ** rng.uniform(-7, 0)
+            axes = [np.linspace(c - halfwidth, c + halfwidth, resolution) for c in center]
+            yield np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+    @pytest.mark.parametrize("cone", LINE_BOUND_CONES, ids=range(len(LINE_BOUND_CONES)))
+    def test_every_passing_point_is_inside(self, cone):
+        # each point as its own line, with no margin: a point that passes the
+        # membership test lies within its line's float bounds
+        member, bounds = extension._grid_tests(cone, 1e-12)
+        passing = 0
+        for pts in self.boxes(cone.ambient_dim, random.Random(5)):
+            ok = member(pts)
+            lo, hi = bounds(pts[:, :-1], float(np.abs(pts).max()))
+            assert np.all(~ok | ((lo <= pts[:, -1]) & (pts[:, -1] <= hi)))
+            passing += int(ok.sum())
+        assert passing > 0
+
+    @pytest.mark.parametrize("cone", LINE_BOUND_CONES, ids=range(len(LINE_BOUND_CONES)))
+    def test_few_built_points_fail(self, cone):
+        # a scan builds at most 2 LINE_MARGIN + 2 points per line that fail
+        # a membership test
+        member, bounds = extension._grid_tests(cone, 1e-12)
+        n = cone.ambient_dim
+        resolution = 201 if n == 2 else 41
+        rng = random.Random(7)
+        for _ in range(3):
+            x = np.array([rng.uniform(-3, 3) for _ in range(n)])
+            axes = [np.linspace(-3.125, 3.125, resolution) for _ in range(n)]
+            lead = np.stack(np.meshgrid(*axes[:-1], indexing="ij"), axis=-1).reshape(-1, n - 1)
+            first, count = extension._line_ranges(bounds, lead, x, axes[-1], 3.125 + np.abs(x).max())
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+            passing = int(np.sum(member(pts) & member(pts - x)))
+            assert passing <= count.sum() <= passing + (2 * extension.LINE_MARGIN + 2) * len(lead)
+
+    def test_pcone_has_no_bounds(self):
+        assert extension._grid_tests(PCone(2, 1), 1e-12)[1] is None
 
 
 def _einsum_member(c, tol):
@@ -804,6 +890,41 @@ class TestGridOracleReference:
         # the same grid points pass, in the same order, and every quadratic
         # form rounds as the three-operand einsum does: the same value
         assert grid_oracle(p) == _full_mask_oracle(p)
+
+    @pytest.mark.parametrize(
+        "cone, norm, x",
+        [
+            # x on a facet ray of F: F and x + F share that facet's line
+            (Polyhedral([vec(1, 0), vec(1, 1)]), CoordBaseNorm("l2"), [2.0, 0.0]),
+            (Polyhedral([vec(1, 0), vec(1, 1)]), CoordBaseNorm("l1"), [-1.5, -1.5]),
+            # a 2-D cone in R^3: its span equality is two half-spaces
+            (PLANE, CoordBaseNorm("l2"), [1.0, -1.0, 0.0]),
+            (PLANE, CoordBaseNorm("linf"), [0.5, 1.5, 2.0]),
+            # t = (2, 1, 0) is not a unit vector
+            (FutureCone(minkowski_frame(2).form, vec(2, 1, 0)), WickBaseNorm(minkowski_frame(2)), [0.5, 1.0, -0.5]),
+            # null lines x1 = (1 +- sqrt 2) x0
+            (_std_future_cone([[1, 1], [1, -1]], [1, 0]), CoordBaseNorm("l2"), [0.3, 0.9]),
+            # the grid's last axis is null, and timelike
+            (_std_future_cone([[0, 1], [1, 0]], [1, 1]), CoordBaseNorm("l1"), [1.0, -2.0]),
+            (_std_future_cone([[-1, 0], [0, 1]], [0, 1]), WICK, [0.5, 0.25]),
+            (Orthant(2), CoordBaseNorm("l2"), [1.0, -2.0]),
+            (Orthant(3), CoordBaseNorm("linf"), [1.0, -2.0, 0.5]),
+        ],
+        ids=["facet-l2", "facet-l1", "plane-l2", "plane-linf", "future3d-wick", "irrational-null", "null-axis", "timelike-axis", "orthant2", "orthant3"],
+    )
+    def test_matches_full_mask_einsum_scan_pinned(self, cone, norm, x):
+        p = ExtensionProblem(cone, norm, Vector(x))
+        assert grid_oracle(p) == _full_mask_oracle(p)
+
+    def test_coordinate_values_are_the_axis_reductions(self):
+        # values() adds columns left to right, as np.sum, np.linalg.norm and
+        # np.max along axis 1 do: the same floats
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3):
+            pts = rng.uniform(-300, 300, size=(500, n)) * 10.0 ** rng.integers(-17, 3, size=(500, n))
+            assert CoordBaseNorm("l1").values(pts).tolist() == np.sum(np.abs(pts), axis=1).tolist()
+            assert CoordBaseNorm("l2").values(pts).tolist() == np.linalg.norm(pts, axis=1).tolist()
+            assert CoordBaseNorm("linf").values(pts).tolist() == np.max(np.abs(pts), axis=1).tolist()
 
     def test_quad_rows_is_the_einsum(self):
         rng = np.random.default_rng(0)
