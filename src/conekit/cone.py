@@ -478,7 +478,8 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
     hold, and its witness is the first sample in exactly one of F and F*
     (``dual_not_subset_F`` or ``F_not_subset_dual``), or None.  When t is
     not g-timelike, or g(t, t) is not a rational square, there is no frame
-    to sample in: the report is (False, None, 0).
+    to sample in: the report is (False, None, 0).  A g that is not
+    Lorentzian raises NotLorentzian, as the theorem needs one.
     Polyhedral: F subset F* is checked exactly on the generators, and a
     sample in F* runs the membership LP.  Samples are ``samples``
     g-future-causal vectors, one per trial, from ``sample_future_causal``
@@ -486,18 +487,17 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
     vector: its t, or a generator.
     """
     rng = random.Random(seed)  # first: a seed Random rejects raises before any other check
+    n = len(range(samples))  # then a count that is no int
     s = g.std
     future = isinstance(c, FutureCone)
     if future and (c.form.std == s or _primitive(c.form.std) == _primitive(s)):
-        return SelfDualityReport(True, None, len(range(samples)))
+        return SelfDualityReport(True, None, n)
     try:
         frame = _sampling_frame(c, g)
     except NotLorentzian:
-        if not future:
+        # the theorem decides "no" only under a Lorentzian g
+        if not future or classify(g).kind is not FormKind.LORENTZIAN:
             raise
-        # the theorem has decided "no", and there is no frame to sample a
-        # witness in; a count that is no int raises as on the other paths
-        range(samples)
         return SelfDualityReport(False, None, 0)
     # F subset F*: pairwise nonnegativity of the form on F
     if isinstance(c, Polyhedral):
@@ -507,12 +507,10 @@ def self_duality_report(c: Cone, g: GramForm, samples: int, seed: int) -> SelfDu
             for b in c.generators:
                 if s._int_quad(a, b) < 0:
                     return SelfDualityReport(False, a, 0, "F_not_subset_dual")
-    checked = 0
-    for _ in range(samples):
+    for checked in range(1, n + 1):
         v = sample_future_causal(frame, rng)
-        checked += 1
         in_dual = dual_contains(c, g, v)
         # F subset F* holds for a polyhedral cone here: only a sample in F* runs its LP
         if (in_dual or future) and in_dual != contains(c, v):
             return SelfDualityReport(False, v, checked, "dual_not_subset_F" if in_dual else "F_not_subset_dual")
-    return SelfDualityReport(not future, None, checked)
+    return SelfDualityReport(not future, None, n)

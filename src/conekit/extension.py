@@ -382,7 +382,7 @@ def _all_columns(b: np.ndarray) -> np.ndarray:
 
 
 def _linear_bounds(g: np.ndarray, tol: float):
-    """Line bounds of {p : g p >= -tol} (see ``_grid_tests``).  The rows are
+    """Line bounds of {p : g p >= -tol} (see ``_line_bounds``).  The rows are
     put in the order rising, falling, flat along the last axis, so each
     group is one slice."""
     g = np.vstack((g[g[:, -1] > 0], g[g[:, -1] < 0], g[g[:, -1] == 0]))
@@ -405,7 +405,7 @@ def _linear_bounds(g: np.ndarray, tol: float):
 
 def _future_bounds(s: np.ndarray, st: np.ndarray, tol: float):
     """Line bounds of {p : p^T S p >= -tol, p . St >= -tol} (see
-    ``_grid_tests``): the hull of where a s^2 + b s + c >= 0 meets the
+    ``_line_bounds``): the hull of where a s^2 + b s + c >= 0 meets the
     half-space's interval, from the roots in the stable form q / a, c / q."""
     a, s_cross, s_lead = s[-1, -1], 2.0 * s[:-1, -1], s[:-1, :-1]
     s_l1 = LINE_ROUNDING * float(np.abs(s).sum())
@@ -434,14 +434,51 @@ def _future_bounds(s: np.ndarray, st: np.ndarray, tol: float):
     return bounds
 
 
-def _grid_tests(c: Cone, tol: float):
-    """Float membership of each row of a point array, with slack tol, and
-    the cone's line bounds, or None for a family without them.
+def _future_floats(c: FutureCone):
+    """A future cone's form S and its St, in floats."""
+    s = np.array(c.form.std.as_floats())
+    return s, s @ np.array(c.t.as_floats())
+
+
+def _unit_facets(c: Polyhedral):
+    """A polyhedral cone's unit facet normals and unit span equalities, in floats."""
+    desc = h_description(c)
+    n = c.ambient_dim
+    h = np.array(desc.normals, dtype=float).reshape(-1, n)
+    e = np.array(desc.equalities, dtype=float).reshape(-1, n)
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    return h, e
+
+
+def _membership_test(c: Cone, tol: float):
+    """Float membership of each row of a point array, with slack tol.
 
     The cone's float data (its form, or its unit facet normals and span
-    equalities) is built once, so one test serves many arrays.  The line
-    bounds ``bounds(lead, scale)`` take the leading coordinates of lines
-    along the last axis, one row per line, and return per line the float
+    equalities) is built once, so one test serves many arrays.
+    """
+    if isinstance(c, FutureCone):
+        s, st = _future_floats(c)
+        return lambda pts: (_quad_rows(pts, s) >= -tol) & (pts @ st >= -tol)
+    if isinstance(c, Polyhedral):
+        h, e = _unit_facets(c)
+        if not len(e):
+            return lambda pts: _all_columns(pts @ h.T >= -tol)
+        return lambda pts: _all_columns(pts @ h.T >= -tol) & _all_columns(np.abs(pts @ e.T) <= tol)
+    if isinstance(c, Orthant):
+        return lambda pts: _all_columns(pts >= -tol)
+    if isinstance(c, PCone):
+        pf = float(c.p)
+        return lambda pts: pts[:, 0] >= np.linalg.norm(pts[:, 1:], ord=pf, axis=1) - tol
+    raise UnsupportedFamily(f"no grid membership for {type(c).__name__}")
+
+
+def _line_bounds(c: Cone, tol: float):
+    """The line bounds of ``_membership_test(c, tol)``, or None for a family
+    without them.
+
+    ``bounds(lead, scale)`` takes the leading coordinates of lines along
+    the last axis, one row per line, and returns per line the float
     interval [lo, hi] of the last coordinate s outside of which the point
     (lead, s) fails the membership test.  Each inequality is widened by
     LINE_ROUNDING times scale (at least the largest |coordinate| of any
@@ -453,31 +490,13 @@ def _grid_tests(c: Cone, tol: float):
     p . St >= -tol.
     """
     if isinstance(c, FutureCone):
-        s = np.array(c.form.std.as_floats())
-        st = s @ np.array(c.t.as_floats())
-        return (lambda pts: (_quad_rows(pts, s) >= -tol) & (pts @ st >= -tol)), _future_bounds(s, st, tol)
+        return _future_bounds(*_future_floats(c), tol)
     if isinstance(c, Polyhedral):
-        desc = h_description(c)
-        n = c.ambient_dim
-        h = np.array(desc.normals, dtype=float).reshape(-1, n)
-        e = np.array(desc.equalities, dtype=float).reshape(-1, n)
-        h /= np.linalg.norm(h, axis=1, keepdims=True)
-        e /= np.linalg.norm(e, axis=1, keepdims=True)
-        bounds = _linear_bounds(np.vstack([h, e, -e]), tol)
-        if not len(e):
-            return (lambda pts: _all_columns(pts @ h.T >= -tol)), bounds
-        return (lambda pts: _all_columns(pts @ h.T >= -tol) & _all_columns(np.abs(pts @ e.T) <= tol)), bounds
+        h, e = _unit_facets(c)
+        return _linear_bounds(np.vstack([h, e, -e]), tol)
     if isinstance(c, Orthant):
-        return (lambda pts: _all_columns(pts >= -tol)), _linear_bounds(np.eye(c.ambient_dim), tol)
-    if isinstance(c, PCone):
-        pf = float(c.p)
-        return (lambda pts: pts[:, 0] >= np.linalg.norm(pts[:, 1:], ord=pf, axis=1) - tol), None
-    raise UnsupportedFamily(f"no grid membership for {type(c).__name__}")
-
-
-def _membership_test(c: Cone, tol: float):
-    """Float membership of each row of a point array, with slack tol."""
-    return _grid_tests(c, tol)[0]
+        return _linear_bounds(np.eye(c.ambient_dim), tol)
+    return None
 
 
 # grid points per axis in grid_oracle's first scan and in each of its
@@ -506,7 +525,7 @@ def _grid_scan(p: ExtensionProblem, member, x, center, halfwidth, resolution, bo
     """The least n(u) + n(u - x), and its first minimiser u, over one grid's feasible points.
 
     The grid is read as lines along its last axis, in meshgrid's i-major
-    order.  With line bounds (see ``_grid_tests``), a line's points are
+    order.  With line bounds (see ``_line_bounds``), a line's points are
     built only within LINE_MARGIN steps of where both u and u - x can pass,
     unless the whole grid fits in one block of SCAN_BLOCK points: there the
     bounds cost more than they skip (a 2-D zoom pass, 1 681 points, ran
@@ -556,7 +575,7 @@ def grid_oracle(p: ExtensionProblem) -> float:
     points in a box of +-2 steps around the best point (the step shrinks
     10-fold per zoom).  A scan reads the grid as lines along its last axis
     and builds on each line only the points within LINE_MARGIN steps of the
-    float interval where both u and u - x can pass (``_grid_tests``): a
+    float interval where both u and u - x can pass (``_line_bounds``): a
     polyhedral cone's unit facet normals and its span equalities as pairs
     of half-spaces, the orthant's coordinate half-spaces, or the roots of a
     future cone's quadratic on the line within its half-space.  The points
@@ -583,7 +602,7 @@ def grid_oracle(p: ExtensionProblem) -> float:
     # a few grid steps of margin: the witness decomposition can sit right on
     # the box edge, leaving the shifted cone's apex unresolvable otherwise
     halfwidth = p.base_norm.coord_bound(ub) * (1.0 + 8.0 / (GRID_RESOLUTION - 1))
-    member, bounds = _grid_tests(p.cone, 1e-12)
+    member, bounds = _membership_test(p.cone, 1e-12), _line_bounds(p.cone, 1e-12)
     center = np.zeros(n)
     resolution = GRID_RESOLUTION
     best = math.inf

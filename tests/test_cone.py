@@ -461,6 +461,24 @@ class TestSelfDuality:
             cone_module._sampling_frame(cone, MINK2)
         assert self_duality_report(cone, MINK2, samples=50, seed=3) == SelfDualityReport(False, None, 0)
 
+    @pytest.mark.parametrize(
+        "gram, t",
+        [
+            # F = {x0 >= |x1|} is self-dual under the Euclidean product
+            ([[1, 0], [0, 1]], vec(1, 0)),
+            # g(t, t) = 2 is no rational square
+            ([[1, 0], [0, 1]], vec(2, 1)),
+            # t is g-null
+            ([[0, 0], [0, 1]], vec(1, 0)),
+        ],
+        ids=["euclidean", "euclidean-irrational-unit", "degenerate"],
+    )
+    def test_future_cone_under_a_non_lorentzian_g_raises(self, gram, t):
+        # the theorem behind the "no" needs a Lorentzian g
+        g = GramForm([vec(1, 0), vec(0, 1)], SymMatrix(gram))
+        with pytest.raises(NotLorentzian):
+            self_duality_report(FutureCone(MINK2, t), g, samples=50, seed=3)
+
 
 class TestConvexClosure:
     def test_random_nonneg_combinations(self):

@@ -618,23 +618,13 @@ class TestGridScanBlocks:
         member = extension._membership_test(cone, 1e-12)
         # a step of 2^-5 at 201 points: the tied values are exact
         center, halfwidth = np.zeros(len(x)), 3.125
-        best, pt = extension._grid_scan(p, member, xf, center, halfwidth, resolution)
         want_best, want_pt = _per_slice_grid_scan(p, member, xf, center, halfwidth, resolution)
         assert want_pt is not None
-        assert best == want_best
-        assert pt.tolist() == want_pt.tolist()
-
-    @pytest.mark.parametrize("cone, norm, x, resolution", GRID_SCAN_CASES)
-    def test_line_bounds_match_per_slice_scan(self, cone, norm, x, resolution):
-        # built only within the line bounds, the scan finds the same first minimiser
-        p = ExtensionProblem(cone, norm, Vector(x))
-        xf = np.array(x)
-        member, bounds = extension._grid_tests(cone, 1e-12)
-        center, halfwidth = np.zeros(len(x)), 3.125
-        best, pt = extension._grid_scan(p, member, xf, center, halfwidth, resolution, bounds)
-        want_best, want_pt = _per_slice_grid_scan(p, member, xf, center, halfwidth, resolution)
-        assert best == want_best
-        assert pt.tolist() == want_pt.tolist()
+        # built on whole lines or only within the line bounds, the scan finds the same first minimiser
+        for bounds in (None, extension._line_bounds(cone, 1e-12)):
+            best, pt = extension._grid_scan(p, member, xf, center, halfwidth, resolution, bounds)
+            assert best == want_best
+            assert pt.tolist() == want_pt.tolist()
 
 
 def _std_future_cone(rows, t):
@@ -683,7 +673,7 @@ class TestLineBounds:
     def test_every_passing_point_is_inside(self, cone):
         # each point as its own line, with no margin: a point that passes the
         # membership test lies within its line's float bounds
-        member, bounds = extension._grid_tests(cone, 1e-12)
+        member, bounds = extension._membership_test(cone, 1e-12), extension._line_bounds(cone, 1e-12)
         passing = 0
         for pts in self.boxes(cone.ambient_dim, random.Random(5)):
             ok = member(pts)
@@ -696,7 +686,7 @@ class TestLineBounds:
     def test_few_built_points_fail(self, cone):
         # a scan builds at most 2 LINE_MARGIN + 2 points per line that fail
         # a membership test
-        member, bounds = extension._grid_tests(cone, 1e-12)
+        member, bounds = extension._membership_test(cone, 1e-12), extension._line_bounds(cone, 1e-12)
         n = cone.ambient_dim
         resolution = 201 if n == 2 else 41
         rng = random.Random(7)
@@ -710,7 +700,7 @@ class TestLineBounds:
             assert passing <= count.sum() <= passing + (2 * extension.LINE_MARGIN + 2) * len(lead)
 
     def test_pcone_has_no_bounds(self):
-        assert extension._grid_tests(PCone(2, 1), 1e-12)[1] is None
+        assert extension._line_bounds(PCone(2, 1), 1e-12) is None
 
 
 def _einsum_member(c, tol):

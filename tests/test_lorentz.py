@@ -64,6 +64,7 @@ from conekit.numerics import (
     exact_det,
     exact_rank,
     exact_solve,
+    fraction_sqrt,
     fraction_sqrt_bounds,
 )
 from conekit.order import OrderedSequence, completeness_certificate, monotone_wick_check
@@ -742,18 +743,20 @@ def _ref_positive_multiple(a, b):
 
 def _ref_self_duality_report(c, g, samples, seed):
     """The theorem for a future cone: self-dual under g iff its form is a
-    positive multiple of g's.  Otherwise the first sample in exactly one of
-    F and F* is the witness; a polyhedral cone checks its generators first."""
+    positive multiple of g's, a Lorentzian g.  Otherwise the first sample
+    in exactly one of F and F* is the witness, with none when t is not
+    g-timelike or g(t, t) is no rational square; a polyhedral cone checks
+    its generators first."""
     rng = random.Random(seed)
     future = isinstance(c, FutureCone)
     if future and _ref_positive_multiple(c.form.std, g.std):
         return SelfDualityReport(True, None, len(range(samples)))
-    try:
-        frame = _ref_sampling_frame(c, g)
-    except NotLorentzian:
-        if future:
+    if future and classify(g).kind is FormKind.LORENTZIAN:
+        q = g.inner(c.t, c.t)
+        # the theorem has decided "no", and no unit frame scales t
+        if q <= 0 or fraction_sqrt(q) is None:
             return SelfDualityReport(False, None, 0)
-        raise
+    frame = _ref_sampling_frame(c, g)
     if isinstance(c, Polyhedral):
         for a in c.generators:
             if g.inner(a, a) < 0:
