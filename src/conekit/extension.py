@@ -166,7 +166,8 @@ def _lp_solve(gens, xq, kind: str) -> ExtensionResult:
             (as equalities with slacks), minimise tau_u + tau_v.
     Every row but the n target rows has a column of its own with a +1 in it
     alone (u-_i, v-_i, or the slack), which the simplex's crash basis makes
-    basic, so only the target rows start on artificials.  The optimum is
+    basic from the start: its condensed tableau never stores those columns,
+    so only the target rows start on artificials.  The optimum is
     exact, and so are the witnesses: u - v = x holds exactly.
     """
     n, m = len(xq), len(gens)

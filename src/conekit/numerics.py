@@ -8,22 +8,28 @@ values that need a root (``hypnorm``) are floats, and ``approx_eq`` is
 their one tolerance rule.
 
 All exact linear algebra runs on Python ints, on one fraction-free
-Gauss-Jordan pivot step, ``_pivot``: the tableau holds d times the rational
-Gauss-Jordan tableau, d being the previous pivot, and each update divides
-by d without remainder (Edmonds 1967; Bareiss 1968).  ``_reduce`` scales
+exchange pivot step, ``_pivot``: the tableau holds d times the rational
+tableau, d being the previous pivot, each update divides by d without
+remainder (Edmonds 1967; Bareiss 1968), and the pivot column is left
+holding the column of the variable that left its row (a Tucker exchange),
+so a tableau need not store its basic columns.  ``_reduce`` scales
 each row to integers and runs the one elimination loop: ``exact_rank`` and
 ``exact_det`` on its forward-only form, in which each pivot updates only
 the rows below it, and ``_eliminate``, the Gauss-Jordan form, behind the
 null space and ``_solve``, the block solve of ``exact_solve`` and
 ``exact_inverse``; a general ``lorentz.GramForm`` reads the inverse of its
-basis off one ``_eliminate``.  The two-phase simplex of ``lp_nonneg_solve``
-scales A and b by one lcm each, and ``_exact_signature`` pivots symmetrically, on
-the same step, updating only the block it has left to classify.  Pivot choices are those of the
+basis off one ``_eliminate``.  None of them reads a pivot column after its
+pivot.  ``_exact_signature`` pivots symmetrically, on the same step,
+updating only the block it has left to classify.  The two-phase simplex of
+``lp_nonneg_solve`` scales A and b by one lcm each and runs on a condensed
+tableau (the dictionary form): each row stores only the nonbasic real
+columns and its right-hand side, and an exchange pivot swaps the entering
+variable's slot for the leaving one's.  Pivot choices are those of the
 rational tableau, so every answer equals the rational one.  Phase 1 starts
 from a crash basis, each row's own positive singleton column where it has
-one and an artificial elsewhere, and finds a feasible basis; given an
-objective, phase 2 minimises it with the same Bland's-rule loop on the same
-tableau.
+one and an artificial elsewhere, applied as row scalings when the tableau
+is built, and finds a feasible basis; given an objective, phase 2
+minimises it with the same Bland's-rule loop on the same tableau.
 
 A ``Vector`` is integer numerators over one positive denominator, in
 lowest terms, and a ``SymMatrix`` keeps its nonzero entries the same way.
@@ -318,15 +324,19 @@ def _integers(xs) -> tuple[list, int]:
 
 
 def _pivot(a: list, r: int, col: int, d: int, start: int = 0) -> int:
-    """One integer-preserving Gauss-Jordan pivot on a[r][col]; returns the new d.
+    """One integer-preserving exchange pivot on a[r][col]; returns the new d.
 
-    a holds d times a Gauss-Jordan tableau T as integers, d being the
-    previous pivot (1 at the start).  Pivoting T on (r, col) keeps that
-    form with d' = p = a[r][col]: row r is unchanged, and every other row
-    becomes (p row_i - a[i][col] row_r) / d, a division without remainder
-    (Edmonds 1967; Bareiss 1968).  Each row is updated in place from
-    column ``start`` on; rows and columns before ``start`` are left as they
-    are, for a caller that is done with them.
+    a holds d times a tableau T as integers, d being the previous pivot (1
+    at the start).  Pivoting T on (r, col) keeps that form with
+    d' = p = a[r][col]: row r is unchanged, and every other row becomes
+    (p row_i - a[i][col] row_r) / d, a division without remainder (Edmonds
+    1967; Bareiss 1968).  The pivot is an exchange (Tucker) step: column
+    col then holds the column of the variable that left row r, d at row r
+    and -a[i][col] in every other row, not the unit column of the one that
+    entered, so a tableau need not store its basic columns.  Each row
+    from ``start`` on is updated in place from column ``start`` on and in
+    column col, and a[r][col] becomes d; every other entry is left as it
+    is, for a caller that is done with those rows and columns.
     """
     p = a[r][col]
     pr = a[r][start:]
@@ -337,8 +347,10 @@ def _pivot(a: list, r: int, col: int, d: int, start: int = 0) -> int:
         f = row[col]
         if f:
             row[start:] = [(p * x - f * y) // d for x, y in zip(row[start:], pr)]
+            row[col] = -f
         elif p != d:
             row[start:] = [p * x // d for x in row[start:]]
+    a[r][col] = d
     return p
 
 
@@ -388,8 +400,9 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list
     """Gauss-Jordan reduction: (integer tableau, pivot columns, d, det).
 
     Columns after ``ncols`` are carried along, so an augmented block
-    [A | B] is reduced with A.  Pivot rows come first, in order: row r of
-    the reduced form is a[r] / d.
+    [A | B] is reduced with A.  Pivot rows come first, in order: outside
+    the pivot columns, which ``_pivot`` leaves holding exchange columns,
+    row r of the reduced form is a[r] / d.
     """
     return _reduce(rows, ncols, False)
 
@@ -485,37 +498,58 @@ def _exact_signature(m: SymMatrix) -> tuple[int, int, int]:
     return pos, k - pos, n - k
 
 
-def _bland(tab: list, basis: list, n: int, d: int) -> int | None:
-    """Simplex loop on an integer tableau whose last row is the objective row.
+def _exchange(tab: list, basis: list, var: list, r: int, s: int, d: int, n: int) -> int:
+    """Pivot slot s into row r of a condensed tableau; returns the new d.
+
+    ``_pivot`` leaves the column of the variable that left row r in slot s;
+    an artificial (index >= n) never re-enters, so its slot is deleted.
+    """
+    d = _pivot(tab, r, s, d)
+    left, basis[r] = basis[r], var[s]
+    if left < n:
+        var[s] = left
+    else:
+        del var[s]
+        for row in tab:
+            del row[s]
+    return d
+
+
+def _bland(tab: list, basis: list, var: list, n: int, d: int) -> int | None:
+    """Simplex loop on a condensed integer tableau whose last row is the objective row.
 
     tab holds d > 0 times the tableau (see ``_pivot``), so every sign and
-    every ratio is that of the tableau itself.  The objective row holds the
-    reduced costs of the n real columns and the current objective value; a
-    positive reduced cost improves.  Bland's rule (smallest entering column,
-    ties in the ratio test broken on the smallest basis index) guarantees
-    termination.  Returns the final d, or None when the objective is
-    unbounded below.
+    every ratio is that of the tableau itself.  Its slots are the nonbasic
+    real columns, slot s holding variable var[s], and the last entry of a
+    row is its right-hand side.  The objective row holds the slots' reduced
+    costs and the current objective value; a positive reduced cost
+    improves.  Bland's rule (smallest entering variable, ties in the ratio
+    test broken on the smallest basis index) guarantees termination; the
+    basic columns, with reduced cost 0, are never candidates, so the
+    choices are those of the full tableau.  Returns the final d, or None
+    when the objective is unbounded below.
     """
     m = len(tab) - 1
     while True:
-        enter = next((j for j in range(n) if tab[m][j] > 0), None)
-        if enter is None:
+        up = [j for j, x in zip(var, tab[m]) if x > 0]
+        if not up:
             return d
+        enter = var.index(min(up))
         leave = None
         for i in range(m):
-            t = tab[i][enter]
+            row = tab[i]
+            t = row[enter]
             if t > 0:
                 if leave is None:
                     leave = i
                     continue
                 # b_i / t < b_leave / t_leave, cross-multiplied (both t > 0)
-                lhs, rhs = tab[i][n] * tab[leave][enter], tab[leave][n] * t
+                lhs, rhs = row[-1] * tab[leave][enter], tab[leave][-1] * t
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             return None
-        d = _pivot(tab, leave, enter, d)
-        basis[leave] = enter
+        d = _exchange(tab, basis, var, leave, enter, d, n)
 
 
 def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence, c: Sequence | None = None) -> list | None:
@@ -530,76 +564,100 @@ def lp_nonneg_solve(A: Sequence[Sequence], b: Sequence, c: Sequence | None = Non
     float right-hand side's 2^52-sized denominators stay in one column.
     Fractions are built only for the returned theta.
 
-    The tableau holds the rows [A_i | b_i], signed so that b_i >= 0.  Phase 1
-    starts on a crash basis (Bixby 1992): walking the columns in order, a
-    column whose only nonzero entry is positive, in a row still on its
-    artificial, becomes basic in that row by one pivot, which only scales
-    the other rows by a positive factor (with an entry of 1 at d = 1 it
-    changes nothing).  Positive column scaling keeps a column a positive
-    singleton, so the crash, like every later pivot, is unchanged by it.
-    The phase-1 objective row, for min(sum of the artificials left), is
-    the sum of the rows still on artificials, last.  Without c,
-    any feasible theta is returned.  With c, phase 2 minimises c . theta
-    from the phase-1 basis on the same tableau: artificials left basic at
-    level zero are pivoted out on a nonzero real column of their row, or
+    The tableau is condensed (the dictionary form; Chvatal 1983, ch. 2):
+    each row stores only the nonbasic real columns, its slots, and its
+    right-hand side, and ``var`` names the variable of each slot.  Basic
+    columns are unit columns and are never stored, nor are the artificial
+    columns: an artificial that leaves the basis never re-enters, so its
+    slot is deleted.  The rows are [A_i | b_i], signed so that b_i >= 0.
+    Phase 1 starts on a crash basis (Bixby 1992): walking the columns in
+    order, a column whose only nonzero entry is positive, in a row still
+    on its artificial, is basic in that row.  Pivoting on it only scales
+    the other rows by a positive factor p / d, so the crash is applied at
+    construction: with D the product of the crash entries, a crash row
+    with entry e is scaled by D / e, every other row by D, and d = D, as
+    the pivots would leave them, and the crash columns are left out.
+    Positive column scaling keeps a column a positive singleton, so the
+    crash, like every later pivot, is unchanged by it.  The phase-1
+    objective row, for min(sum of the artificials left), is the sum of the
+    rows still on artificials, last.  Without c, any feasible theta is
+    returned.  With c, phase 2 minimises c . theta from the phase-1 basis
+    on the same tableau: artificials left basic at level zero are pivoted
+    out on the nonzero slot of their row with the smallest variable, or
     their row is dropped as a redundant equality, and the objective row is
-    replaced by c's reduced costs.  c . theta must be bounded below on the
-    feasible set (c >= 0 suffices).
+    replaced by c's reduced costs on the slots.  c . theta must be bounded
+    below on the feasible set (c >= 0 suffices).  Every pivot, d and theta
+    are those of the full tableau.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     flat, la = _integers([x for row in A for x in row])
     rhs, lb = _integers(b)
-    tab = []
+    rows = []
     for i in range(m):
         r = flat[i * n : (i + 1) * n] + [rhs[i]]
-        tab.append([-x for x in r] if r[n] < 0 else r)
+        rows.append([-x for x in r] if r[n] < 0 else r)
     basis = list(range(n, n + m))  # artificial variables
+    var = []
     # crash basis: a positive singleton column is basic in its row at
-    # b_i / a_ij >= 0; each such pivot only scales the other rows by p / d > 0,
-    # which keeps the zeros and signs this walk reads
+    # b_i / a_ij >= 0; its pivot only scales the other rows by p / d > 0,
+    # which keeps the zeros and signs this walk reads, so the crash pivots,
+    # applied at once, make d their product D and scale each row by D over
+    # its own crash entry, or by D
     d = 1
-    for j, col in enumerate(islice(zip(*tab), n)):
+    for j, col in enumerate(islice(zip(*rows), n)):
         if col.count(0) == m - 1:
-            i = next(i for i, x in enumerate(col) if x)
-            if col[i] > 0 and basis[i] >= n:
-                d = _pivot(tab, i, j, d)
+            e = max(col)
+            i = col.index(e)
+            if e > 0 and basis[i] >= n:
                 basis[i] = j
+                d *= e
+                continue
+        var.append(j)
+    tab = rows  # with no crash column, d = 1 and the rows are the tableau
+    if len(var) < n:
+        tab = []
+        for row, k in zip(rows, basis):
+            scale = d // row[k] if k < n else d
+            tab.append([row[j] * scale for j in var] + [row[n] * scale])
     # price-out: the objective row is the sum of the rows still on artificials
     art = [r for r, k in zip(tab, basis) if k >= n]
-    tab.append([sum(col) for col in zip(*art)] if art else [0] * (n + 1))
+    tab.append([sum(col) for col in zip(*art)] if art else [0] * (len(var) + 1))
     # an unbounded phase-1 objective cannot happen (bounded below by 0)
-    d = _bland(tab, basis, n, d)
-    if d is None or tab[m][n] != 0:
+    d = _bland(tab, basis, var, n, d)
+    if d is None or tab[-1][-1] != 0:
         return None
     if c is not None:
         tab.pop()
-        for i in reversed(range(m)):
+        for i in reversed(range(len(tab))):
             if basis[i] < n:
                 continue
-            col = next((j for j in range(n) if tab[i][j]), None)
-            if col is None:
+            row = tab[i]
+            nonzero = [j for j, x in zip(var, row) if x]
+            if not nonzero:
                 del tab[i], basis[i]
                 continue
-            if tab[i][col] < 0:
+            s = var.index(min(nonzero))
+            if row[s] < 0:
                 # the row's right-hand side is 0: negated, it states the same
                 # equality, and the pivot, hence d, stays positive
-                tab[i] = [-x for x in tab[i]]
-            d = _pivot(tab, i, col, d)
-            basis[i] = col
+                tab[i] = [-x for x in row]
+            d = _exchange(tab, basis, var, i, s, d, n)
         cost, _ = _integers(c)
-        # d times (reduced costs, objective value), times c's positive scale
-        tab.append(
-            [sum(cost[k] * r[j] for k, r in zip(basis, tab)) - d * cost[j] for j in range(n)]
-            + [sum(cost[k] * r[n] for k, r in zip(basis, tab))]
-        )
-        d = _bland(tab, basis, n, d)
+        # d times (reduced costs, objective value), times c's positive scale:
+        # the basic rows weighted by their costs, less d times the slots' costs
+        obj = [-d * cost[j] for j in var] + [0]
+        for k, r in zip(basis, tab):
+            if cost[k]:
+                obj = [x + cost[k] * y for x, y in zip(obj, r)]
+        tab.append(obj)
+        d = _bland(tab, basis, var, n, d)
         if d is None:
             raise PreconditionFailed("c . theta is unbounded below on the feasible set")
     theta = [Fraction(0)] * n
-    for i, k in enumerate(basis):
-        if k < n:
-            theta[k] = Fraction(tab[i][n] * la, d * lb)
+    for row, k in zip(tab, basis):
+        if k < n and row[-1]:
+            theta[k] = Fraction(row[-1] * la, d * lb)
     return theta
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit import numerics as numerics_module
 from conekit.cone import PCone, contains
 from conekit.errors import DimensionMismatch, ExactBackend, PreconditionFailed
 from conekit.numerics import (
@@ -17,6 +18,7 @@ from conekit.numerics import (
     _int_symmatrix,
     _integers,
     _int_vector,
+    _pivot,
     approx_eq,
     as_scalar,
     exact_det,
@@ -431,6 +433,34 @@ class TestLP:
         sol = lp_nonneg_solve([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(1)])
         assert sol == [F(1), F(0)]
 
+    def test_empty_system(self):
+        assert lp_nonneg_solve([], []) == []
+        assert lp_nonneg_solve([], [], []) == []
+
+    def test_crash_column_leaves_and_reenters(self, monkeypatch):
+        """Column 1 = (1, 0) starts basic in row 0; column 0 enters there
+        (a ratio tie broken on the basis index 1 < 3), and column 1 comes
+        back in row 1, in place of its artificial."""
+        exchanges = []
+        real = numerics_module._exchange
+
+        def spy(tab, basis, var, r, s, d, n):
+            exchanges.append((basis[r], var[s]))
+            return real(tab, basis, var, r, s, d, n)
+
+        monkeypatch.setattr(numerics_module, "_exchange", spy)
+        a, b, c = [[1, 1], [1, 0]], [2, 2], [1, 2]
+        assert lp_nonneg_solve(a, b, c) == [F(2), F(0)] == _full_tableau_lp(a, b, c)
+        # (leaving, entering): the crash column leaves, then the artificial of row 1
+        assert exchanges == [(1, 0), (3, 1)]
+
+    def test_pivot_exchanges_the_pivot_column(self):
+        """After the pivot, column col holds the leaving column: d at row r
+        and minus the old entries elsewhere; the rest is the Bareiss update."""
+        a = [[2, 1, 4], [3, 5, 1], [0, 2, 7]]
+        assert _pivot(a, 0, 0, 1) == 2
+        assert a == [[1, 1, 4], [-3, 7, -10], [0, 4, 14]]
+
 
 small_rationals = st.one_of(
     st.just(F(0)), st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -692,6 +722,10 @@ class TestEliminationProperties:
             # phase 2 starts on an integer tableau scaled by 4 and must
             # price its costs to match
             ([[-4, -2]], [-14], [3, 1], [0, 7]),
+            # every row is 0 = 0 and stays on its artificial: phase 2 drops
+            # them all and prices an empty tableau
+            ([[0]], [0], [0], [0]),
+            ([[0, 0], [0, 0]], [0, 0], [1, 0], [0, 0]),
         ],
     )
     def test_lp_phase2_degenerate(self, a, b, c, want):
@@ -702,6 +736,161 @@ class TestEliminationProperties:
         # theta_1 = theta_2 can grow without bound, and so can -theta_1
         with pytest.raises(PreconditionFailed):
             lp_nonneg_solve([[F(1), F(-1)]], [F(0)], [F(-1), F(0)])
+
+
+def _gauss_jordan_pivot(a, r, col, d):
+    """The Bareiss pivot on a full tableau: column col becomes d' times a unit column."""
+    p = a[r][col]
+    for i, row in enumerate(a):
+        if i != r:
+            f = row[col]
+            row[:] = [(p * x - f * y) // d for x, y in zip(row, a[r])]
+    return p
+
+
+def _full_tableau_bland(tab, basis, n, d):
+    """Bland's rule on a full tableau: every real column stored, the objective row last."""
+    m = len(tab) - 1
+    while True:
+        enter = next((j for j in range(n) if tab[m][j] > 0), None)
+        if enter is None:
+            return d
+        leave = None
+        for i in range(m):
+            t = tab[i][enter]
+            if t > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = tab[i][n] * tab[leave][enter], tab[leave][n] * t
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            return None
+        d = _gauss_jordan_pivot(tab, leave, enter, d)
+        basis[leave] = enter
+
+
+def _full_tableau_lp(A, b, c=None):
+    """lp_nonneg_solve on a full tableau [A | b]: each crash column pivoted
+    in one at a time, every basic column stored as d times a unit column."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    flat, la = _integers([x for row in A for x in row])
+    rhs, lb = _integers(b)
+    tab = []
+    for i in range(m):
+        r = flat[i * n : (i + 1) * n] + [rhs[i]]
+        tab.append([-x for x in r] if r[n] < 0 else r)
+    basis = list(range(n, n + m))
+    d = 1
+    for j in range(n):
+        col = [r[j] for r in tab]
+        if col.count(0) == m - 1:
+            i = next(i for i, x in enumerate(col) if x)
+            if col[i] > 0 and basis[i] >= n:
+                d = _gauss_jordan_pivot(tab, i, j, d)
+                basis[i] = j
+    art = [r for r, k in zip(tab, basis) if k >= n]
+    tab.append([sum(col) for col in zip(*art)] if art else [0] * (n + 1))
+    d = _full_tableau_bland(tab, basis, n, d)
+    if tab[m][n] != 0:
+        return None
+    if c is not None:
+        tab.pop()
+        for i in reversed(range(m)):
+            if basis[i] < n:
+                continue
+            col = next((j for j in range(n) if tab[i][j]), None)
+            if col is None:
+                del tab[i], basis[i]
+                continue
+            if tab[i][col] < 0:
+                tab[i] = [-x for x in tab[i]]
+            d = _gauss_jordan_pivot(tab, i, col, d)
+            basis[i] = col
+        cost, _ = _integers(c)
+        tab.append(
+            [sum(cost[k] * r[j] for k, r in zip(basis, tab)) - d * cost[j] for j in range(n)]
+            + [sum(cost[k] * r[n] for k, r in zip(basis, tab))]
+        )
+        d = _full_tableau_bland(tab, basis, n, d)
+        if d is None:
+            raise PreconditionFailed("unbounded")
+    theta = [F(0)] * n
+    for i, k in enumerate(basis):
+        if k < n:
+            theta[k] = F(tab[i][n] * la, d * lb)
+    return theta
+
+
+@st.composite
+def lp_systems(draw):
+    """(A, b, c) for lp_nonneg_solve: a rational matrix with zero and
+    duplicate rows inserted, then an identity block, a block of scaled unit
+    columns of either sign (slacks, positive ones crash columns) or
+    nothing appended; b in the cone of the columns or drawn freely (often
+    negative); c None, nonnegative, or of any sign (possibly unbounded)."""
+    a = [list(r) for r in draw(rational_matrices())]
+    n = len(a[0])
+    for _ in range(draw(st.integers(0, 2))):
+        row = [F(0)] * n if draw(st.booleans()) else list(draw(st.sampled_from(a)))
+        a.insert(draw(st.integers(0, len(a))), row)
+    m = len(a)
+    block = draw(st.sampled_from(["none", "identity", "slack"]))
+    if block == "identity":
+        a = [r + [F(int(i == k)) for k in range(m)] for i, r in enumerate(a)]
+    elif block == "slack":
+        for _ in range(draw(st.integers(1, m + 1))):
+            i = draw(st.integers(0, m - 1))
+            s = draw(st.fractions(min_value=-3, max_value=8, max_denominator=6).filter(bool))
+            for k, r in enumerate(a):
+                r.append(s * int(k == i))
+    n = len(a[0])
+    if draw(st.booleans()):
+        theta0 = draw(st.lists(st.integers(0, 3).map(F), min_size=n, max_size=n))
+        b = [sum(x * y for x, y in zip(r, theta0)) for r in a]
+    else:
+        b = draw(st.lists(small_rationals, min_size=m, max_size=m))
+    c = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.integers(0, 4).map(F), min_size=n, max_size=n),
+            st.lists(small_rationals, min_size=n, max_size=n),
+        )
+    )
+    return a, b, c
+
+
+def _lp_outcome(solve, a, b, c):
+    try:
+        return solve(a, b, c)
+    except PreconditionFailed:
+        return "unbounded"
+
+
+class TestCondensedTableau:
+    @settings(max_examples=80, deadline=None)
+    @given(lp_systems())
+    def test_matches_full_tableau(self, system):
+        """The condensed tableau makes the full tableau's pivots: the same
+        theta, the same None, the same unbounded objective."""
+        assert _lp_outcome(lp_nonneg_solve, *system) == _lp_outcome(_full_tableau_lp, *system)
+
+    @pytest.mark.parametrize(
+        "a, b, c, want",
+        [
+            # a ratio tie between rows 0 or 1, on their artificials, and row
+            # 2, on crash column 3: it breaks on the basis index, not the row
+            ([[-1, -1, 2, 0, 0, 0], [0, -2, 0, 0, 0, 0], [1, -2, 0, 2, -1, 1]], [-2, -1, 2], None, ["3", "1/2", "3/4", 0, 0, 0]),
+            # crash column 0 leaves and takes the entering column's slot,
+            # ahead of smaller variables: Bland's rule reads the variable,
+            # not the slot
+            ([[2, 1, 2, 1, -1], [0, 0, -1, 1, 2]], [2, 2], [0, 0, 2, 2, 3], ["3/2", 0, 0, 0, 1]),
+        ],
+    )
+    def test_pivot_order(self, a, b, c, want):
+        assert lp_nonneg_solve(a, b, c) == [F(x) for x in want] == _full_tableau_lp(a, b, c)
 
 
 class TestFractionSqrt:
