@@ -29,7 +29,7 @@ from .extension import (
     grid_oracle,
 )
 from .hypnorm import FormInduced, PHyperbolic, polarizability_residual
-from .lorentz import LorentzFrame, Signature, classify, gram_from_cone_basis, minkowski_frame
+from .lorentz import Signature, classify, frame_from_unit_vector, gram_from_cone_basis, minkowski_frame
 from .numerics import Vector, as_scalar
 from .properties import SUITES, PropertyResult, run_suite
 
@@ -298,7 +298,7 @@ def _base_norm(name: str, cone: Cone):
     if name == "wick":
         if not isinstance(cone, FutureCone):
             raise ParseError("wick base norm needs a future cone")
-        return WickBaseNorm(LorentzFrame(cone.form, cone.t))
+        return WickBaseNorm(frame_from_unit_vector(cone.form, cone.t))
     if name in ("l1", "l2", "linf"):
         return CoordBaseNorm(name)
     raise ParseError(f"unknown base norm {name!r}")

@@ -1,4 +1,5 @@
-"""The extended norm on span(F) and its brute-force oracle.
+"""The extended norm on span(F), its brute-force oracle, and the norm
+equivalence constant.
 
 n~(x) = inf { n(u) + n(v) : u, v in F, x = u - v }.  On the Wick norm's
 own future cone (the frame's form, and a t in the frame's time
@@ -14,7 +15,10 @@ LP on the generators and the target; l2 and Wick norms by enumerating the
 faces of F cap (x + F), cut out by the cone's exact H-description (see
 ``cone.h_description``), which covers overcomplete, lower-dimensional and
 non-pointed cones alike.  No solver iterates.  The grid oracle certifies
-accuracy independently.
+accuracy independently, on one float view of the cone (``_grid_tests``).
+The equivalence constant K = 2 n(s) / delta + 1 needs B_delta(s) in F,
+which is decided exactly, facet by facet, by the dual norm, or in closed
+form on the Wick norm's own future cone.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Union
 
 import numpy as np
@@ -39,8 +42,8 @@ from .errors import (
     PreconditionFailed,
     UnsupportedFamily,
 )
-from .lorentz import LorentzFrame
-from .numerics import Vector, _int_vector, lp_nonneg_solve
+from .lorentz import LorentzFrame, decompose, spatial_basis
+from .numerics import Vector, _int_vector, exact_inverse, lp_nonneg_solve
 from .span import _decomposition_ints, _future_split, _spatial_norm_bounds
 
 
@@ -383,7 +386,7 @@ def _all_columns(b: np.ndarray) -> np.ndarray:
 
 
 def _linear_bounds(g: np.ndarray, tol: float):
-    """Line bounds of {p : g p >= -tol} (see ``_line_bounds``).  The rows are
+    """Line bounds of {p : g p >= -tol} (see ``_grid_tests``).  The rows are
     put in the order rising, falling, flat along the last axis, so each
     group is one slice."""
     g = np.vstack((g[g[:, -1] > 0], g[g[:, -1] < 0], g[g[:, -1] == 0]))
@@ -406,7 +409,7 @@ def _linear_bounds(g: np.ndarray, tol: float):
 
 def _future_bounds(s: np.ndarray, st: np.ndarray, tol: float):
     """Line bounds of {p : p^T S p >= -tol, p . St >= -tol} (see
-    ``_line_bounds``): the hull of where a s^2 + b s + c >= 0 meets the
+    ``_grid_tests``): the hull of where a s^2 + b s + c >= 0 meets the
     half-space's interval, from the roots in the stable form q / a, c / q."""
     a, s_cross, s_lead = s[-1, -1], 2.0 * s[:-1, -1], s[:-1, :-1]
     s_l1 = LINE_ROUNDING * float(np.abs(s).sum())
@@ -452,36 +455,16 @@ def _unit_facets(c: Polyhedral):
     return h, e
 
 
-def _membership_test(c: Cone, tol: float):
-    """Float membership of each row of a point array, with slack tol.
+def _grid_tests(c: Cone, tol: float):
+    """(member, bounds): the float membership test of each row of a point
+    array, with slack tol, and its line bounds.
 
     The cone's float data (its form, or its unit facet normals and span
-    equalities) is built once, so one test serves many arrays.
-    """
-    if isinstance(c, FutureCone):
-        s, st = _future_floats(c)
-        return lambda pts: (_quad_rows(pts, s) >= -tol) & (pts @ st >= -tol)
-    if isinstance(c, Polyhedral):
-        h, e = _unit_facets(c)
-        if not len(e):
-            return lambda pts: _all_columns(pts @ h.T >= -tol)
-        return lambda pts: _all_columns(pts @ h.T >= -tol) & _all_columns(np.abs(pts @ e.T) <= tol)
-    if isinstance(c, Orthant):
-        return lambda pts: _all_columns(pts >= -tol)
-    if isinstance(c, PCone):
-        pf = float(c.p)
-        return lambda pts: pts[:, 0] >= np.linalg.norm(pts[:, 1:], ord=pf, axis=1) - tol
-    raise UnsupportedFamily(f"no grid membership for {type(c).__name__}")
-
-
-def _line_bounds(c: Cone, tol: float):
-    """The line bounds of ``_membership_test(c, tol)``, or None for a family
-    without them.
-
+    equalities) is built once, so one pair serves many arrays.
     ``bounds(lead, scale)`` takes the leading coordinates of lines along
     the last axis, one row per line, and returns per line the float
     interval [lo, hi] of the last coordinate s outside of which the point
-    (lead, s) fails the membership test.  Each inequality is widened by
+    (lead, s) fails ``member``.  Each inequality is widened by
     LINE_ROUNDING times scale (at least the largest |coordinate| of any
     point), times its coefficients, far beyond the rounding of the test
     itself, so no passing point falls outside.  A polyhedral cone bounds s
@@ -491,13 +474,17 @@ def _line_bounds(c: Cone, tol: float):
     p . St >= -tol.
     """
     if isinstance(c, FutureCone):
-        return _future_bounds(*_future_floats(c), tol)
+        s, st = _future_floats(c)
+        return (lambda pts: (_quad_rows(pts, s) >= -tol) & (pts @ st >= -tol)), _future_bounds(s, st, tol)
     if isinstance(c, Polyhedral):
         h, e = _unit_facets(c)
-        return _linear_bounds(np.vstack([h, e, -e]), tol)
+        bounds = _linear_bounds(np.vstack([h, e, -e]), tol)
+        if not len(e):
+            return (lambda pts: _all_columns(pts @ h.T >= -tol)), bounds
+        return (lambda pts: _all_columns(pts @ h.T >= -tol) & _all_columns(np.abs(pts @ e.T) <= tol)), bounds
     if isinstance(c, Orthant):
-        return _linear_bounds(np.eye(c.ambient_dim), tol)
-    return None
+        return (lambda pts: _all_columns(pts >= -tol)), _linear_bounds(np.eye(c.ambient_dim), tol)
+    raise UnsupportedFamily(f"no grid membership for {type(c).__name__}")
 
 
 # grid points per axis in grid_oracle's first scan and in each of its
@@ -526,7 +513,7 @@ def _grid_scan(p: ExtensionProblem, member, x, center, halfwidth, resolution, bo
     """The least n(u) + n(u - x), and its first minimiser u, over one grid's feasible points.
 
     The grid is read as lines along its last axis, in meshgrid's i-major
-    order.  With line bounds (see ``_line_bounds``), a line's points are
+    order.  With line bounds (see ``_grid_tests``), a line's points are
     built only within LINE_MARGIN steps of where both u and u - x can pass,
     unless the whole grid fits in one block of SCAN_BLOCK points: there the
     bounds cost more than they skip (a 2-D zoom pass, 1 681 points, ran
@@ -576,13 +563,13 @@ def grid_oracle(p: ExtensionProblem) -> float:
     points in a box of +-2 steps around the best point (the step shrinks
     10-fold per zoom).  A scan reads the grid as lines along its last axis
     and builds on each line only the points within LINE_MARGIN steps of the
-    float interval where both u and u - x can pass (``_line_bounds``): a
+    float interval where both u and u - x can pass (``_grid_tests``): a
     polyhedral cone's unit facet normals and its span equalities as pairs
     of half-spaces, the orthant's coordinate half-spaces, or the roots of a
     future cone's quadratic on the line within its half-space.  The points
     are built by index, in meshgrid's order, and tested in blocks of whole
-    lines of at most SCAN_BLOCK points; a PCone, and a pass whose grid fits
-    in one block, scan whole lines.  Grid feasibility uses a 1e-12 slack;
+    lines of at most SCAN_BLOCK points; a pass whose grid fits in one block
+    scans whole lines.  Grid feasibility uses a 1e-12 slack;
     u - x is tested only on the points u that passed, so the same points
     pass, in the same order, as on the whole grid.  A quadratic form (a
     future cone's membership, a Wick norm) is summed one nonzero matrix
@@ -603,7 +590,7 @@ def grid_oracle(p: ExtensionProblem) -> float:
     # a few grid steps of margin: the witness decomposition can sit right on
     # the box edge, leaving the shifted cone's apex unresolvable otherwise
     halfwidth = p.base_norm.coord_bound(ub) * (1.0 + 8.0 / (GRID_RESOLUTION - 1))
-    member, bounds = _membership_test(p.cone, 1e-12), _line_bounds(p.cone, 1e-12)
+    member, bounds = _grid_tests(p.cone, 1e-12)
     center = np.zeros(n)
     resolution = GRID_RESOLUTION
     best = math.inf
@@ -616,27 +603,117 @@ def grid_oracle(p: ExtensionProblem) -> float:
     return best
 
 
-# equivalence_constant checks B_delta(s) in F on BALL_SAMPLES boundary
-# points drawn from random.Random(BALL_SEED), with membership slack BALL_TOL
-BALL_SAMPLES = 1000
-BALL_SEED = 0
-BALL_TOL = 1e-9
+def _ball_normals(c: Cone, norm: BaseNorm) -> list:
+    """Normals h of half-spaces h . x >= 0 whose intersection is F, or lies
+    in F, for the ball check: a polyhedral cone's span equalities, each as
+    the pair +-e, then its facet normals; the orthant's e_i; (1, +-e_i) for
+    PCone p = inf and (1, sigma), sigma in {+-1}^n, for p = 1; any 2-D future
+    cone's ``null_rays_2d``, an inner cone when irrational."""
+    if isinstance(c, FutureCone) and c.ambient_dim == 2:
+        c = null_rays_2d(c)
+    if isinstance(c, Polyhedral):
+        desc = h_description(c)
+        return [h for e in desc.equalities for h in (e, [-t for t in e])] + list(desc.normals)
+    n = c.ambient_dim
+    if isinstance(c, Orthant):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    if isinstance(c, PCone) and c.p == math.inf:
+        return [[1] + [sgn * int(i == j) for j in range(1, n)] for i in range(1, n) for sgn in (1, -1)]
+    if isinstance(c, PCone) and c.p == 1:
+        _check_work(2 ** (n - 1), "the p = 1 cone's facets")
+        return [[1, *sigma] for sigma in product((1, -1), repeat=n - 1)]
+    what = f"PCone with p = {c.p}" if isinstance(c, PCone) else f"{n}-D {type(c).__name__}"
+    raise UnsupportedFamily(f"no exact ball check for a {what} under {getattr(norm, 'kind', 'a Wick norm')}")
+
+
+def _round_against(h, w) -> list:
+    """The exact point w in floats, each coordinate rounded toward a lower
+    h . w, so h . w < 0 still holds of the floats."""
+    out = [float(x) for x in w]
+    for i, (a, x) in enumerate(zip(h, w)):
+        if (a > 0 and out[i] > x) or (a < 0 and out[i] < x):
+            out[i] = math.nextafter(out[i], math.copysign(math.inf, -a))
+    return out
+
+
+def _facet_witness(normals, norm: BaseNorm, s: Vector, d: Fraction):
+    """A float point of B_d(s) outside the first half-space h . x >= 0 with
+    h . s < d n*(h), n* the dual norm, or None when there is none.
+
+    n*(h) is max |h_i| for l1, sum |h_i| for linf, |h|_2 for l2 and
+    sqrt(h^T W^-1 h) for a Wick norm of matrix W; l2 and Wick compare
+    squares after h . s >= 0.  The witness is s - d u, u the unit maximiser
+    of h . u: +-e_k at the largest |h_k| (l1), sign(h) (linf), both exact,
+    so their floats are rounded against h (``_round_against``);
+    h / |h|_2 (l2) and W^-1 h / n*(h) (Wick) in floats.
+    """
+    kind = getattr(norm, "kind", "wick")
+    if kind == "wick":
+        # W^-1 = D N^-1 for W = N / D
+        w = norm.frame.wick
+        winv = [[w._den * x for x in row] for row in exact_inverse(w._int_rows())]
+    sq = s.coords
+    for h in normals:
+        hs = sum(map(operator.mul, h, sq))
+        if kind in ("l1", "linf"):
+            k = max(range(len(h)), key=lambda i: abs(h[i]))
+            u = [((a > 0) - (a < 0)) * (kind == "linf" or i == k) for i, a in enumerate(h)]
+            if hs < d * sum(map(operator.mul, h, u)):  # h . u = n*(h)
+                return _round_against(h, [x - d * y for x, y in zip(sq, u)])
+        else:
+            y = list(h) if kind == "l2" else [sum(map(operator.mul, row, h)) for row in winv]
+            hy = sum(map(operator.mul, h, y))  # n*(h)^2
+            if hs < 0 or hs * hs < d * d * hy:
+                return (s.as_floats() - float(d) / math.sqrt(hy) * np.array(y, dtype=float)).tolist()
+    return None
+
+
+def _future_witness(norm: WickBaseNorm, s: Vector, d: Fraction):
+    """On the Wick norm's own future cone, a float point of B_d(s) outside
+    F, or None when the ball lies in F.
+
+    With s = alpha t + w, the ball lies in F iff d sqrt(2) <= alpha - n(w),
+    with q = <s, s> = alpha^2 - n(w)^2: alpha >= 0, alpha^2 >= 2 d^2,
+    q + 2 d^2 >= 0 and (q + 2 d^2)^2 >= 8 alpha^2 d^2, exactly.  Else
+    s + d (w / n(w) - t) / sqrt(2), at Wick distance d from s, has
+    alpha - d / sqrt(2) < n(w) + d / sqrt(2); when w = 0, the first vector
+    of ``spatial_basis`` takes w / n(w)'s place.
+    """
+    frame = norm.frame
+    dec = decompose(frame, s)
+    a, q, dd = dec.alpha, frame.inner(s, s), 2 * d * d
+    if a >= 0 and a * a >= dd and q + dd >= 0 and (q + dd) ** 2 >= 4 * a * a * dd:
+        return None
+    w = np.array((spatial_basis(frame)[0] if dec.w.is_zero() else dec.w).as_floats())
+    tf = np.array(frame.t.as_floats())
+    return (np.array(s.as_floats()) + float(d) * (w / norm.value(w) - tf) / math.sqrt(2.0)).tolist()
 
 
 def equivalence_constant(cone: Cone, base_norm: BaseNorm, s: Vector, delta: float) -> float:
-    """K = 2 n(s) / delta + 1 with a sampled check that B_delta(s) lies in F."""
+    """K = 2 n(s) / delta + 1, once B_delta(s), the closed n-ball, is decided
+    to lie in F, exactly.
+
+    delta is taken as a float, at its exact binary value.  B_delta(s) lies
+    in a half-space h . x >= 0 iff h . s >= delta n*(h), n* the dual norm
+    (Boyd & Vandenberghe 2004, sec. 8.5.1), which ``_facet_witness`` checks
+    on every normal of ``_ball_normals``: a polyhedral cone's exact
+    H-description (a lower-dimensional one holds no ball: its equalities
+    fail), the orthant's and PCone p = 1 or inf's facets, and a 2-D future
+    cone's rays.  On the Wick norm's own future cone the rule is
+    delta sqrt(2) <= alpha - n(w), decided in squares (``_future_witness``).
+    A future cone above dimension 2 under any other norm, or a PCone of
+    another p, raises UnsupportedFamily.  BallNotContained carries a float
+    point of the ball outside F (on an irrational 2-D future cone, outside
+    its inner cone) as its witness.
+    """
     d = float(delta)
     if not (math.isfinite(d) and d > 0):
         raise PreconditionFailed(f"ball radius must be finite and positive, got {delta!r}")
     _check_dims(cone, base_norm, s)
-    rng = random.Random(BALL_SEED)
-    dirs = np.array([[rng.gauss(0.0, 1.0) for _ in range(s.dim)] for _ in range(BALL_SAMPLES)])
-    # value() per row: values() rounds l2 and Wick norms differently in the last bit
-    nv = np.array([base_norm.value(row) for row in dirs])
-    keep = nv > 1e-15
-    sf = np.array(s.as_floats())
-    pts = sf + dirs[keep] * (d / nv[keep])[:, None]
-    out = np.flatnonzero(~_membership_test(cone, BALL_TOL)(pts))
-    if len(out):
-        raise BallNotContained(f"ball of radius {d} around {s!r} leaves the cone", witness=pts[out[0]].tolist())
-    return 2.0 * base_norm.value(sf) / d + 1.0
+    if isinstance(cone, FutureCone) and isinstance(base_norm, WickBaseNorm) and _own_future_cone(cone, base_norm.frame):
+        witness = _future_witness(base_norm, s, Fraction(d))
+    else:
+        witness = _facet_witness(_ball_normals(cone, base_norm), base_norm, s, Fraction(d))
+    if witness is not None:
+        raise BallNotContained(f"ball of radius {d} around {s!r} leaves the cone", witness=witness)
+    return 2.0 * base_norm.value(np.array(s.as_floats())) / d + 1.0

@@ -32,6 +32,7 @@ from .numerics import (
     _exact_signature,
     _int_symmatrix,
     _int_vector,
+    _nz_apply,
     exact_rank,
     fraction_sqrt,
 )
@@ -55,12 +56,7 @@ class Signature:
 def _gram(us: list, nz) -> list:
     """[u_i^T P u_j] for integer vectors us and the nonzero entries nz of a
     symmetric integer matrix P: P u_j once per vector, each pair once."""
-    ps = []
-    for u in us:
-        pu = [0] * len(u)
-        for i, j, m in nz:
-            pu[i] += m * u[j]
-        ps.append(pu)
+    ps = [_nz_apply(nz, u) for u in us]
     n = len(us)
     g = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -330,9 +326,7 @@ def wick_orthogonal_basis(frame: LorentzFrame) -> list[Vector]:
                 ws = [x - k * y for x, y in zip(ws, un)]
             w = _int_vector(ws, b._den * big_q)
             un = w._nums
-            nu = [0] * len(un)
-            for i, j, m in nz:
-                nu[i] += m * un[j]
+            nu = _nz_apply(nz, un)
             qs.append((sum(map(operator.mul, un, nu)), un, nu))
             out.append(w)
         # the basis's integers per coordinate over their lcm, and their

@@ -251,11 +251,7 @@ class SymMatrix:
     def apply(self, v: Vector) -> Vector:
         if v.dim != self.dim:
             raise DimensionMismatch(f"{v.dim} != {self.dim}")
-        vc = v._nums
-        out = [0] * self.dim
-        for i, j, m in self._nz:
-            out[i] += m * vc[j]
-        return _int_vector(out, self._den * v._den)
+        return _int_vector(_nz_apply(self._nz, v._nums), self._den * v._den)
 
     def _int_quad(self, u: Vector, v: Vector) -> int:
         """sum m u_i v_j over the nonzero entries m / _den and the vectors'
@@ -279,6 +275,15 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix({[list(r) for r in self.rows]!r})"
+
+
+def _nz_apply(nz, u) -> list:
+    """M u on integers, for the nonzero entries nz = (i, j, m) of a square
+    integer matrix M and an integer vector u of its size."""
+    out = [0] * len(u)
+    for i, j, m in nz:
+        out[i] += m * u[j]
+    return out
 
 
 def _set_ints(m: SymMatrix, ints: list, den: int):
@@ -316,7 +321,7 @@ def _integers(xs) -> tuple[list, int]:
     All-int entries, a vector's ``_nums`` among them, are returned as they
     are with k = 1; a bool takes the general path.
     """
-    if all(type(x) is int for x in xs):
+    if set(map(type, xs)) <= {int}:
         return list(xs), 1
     xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in xs]
     k = math.lcm(*(x.denominator for x in xs))

@@ -325,6 +325,12 @@ class TestTaskKinds:
         assert entry["metrics"]["value"] == pytest.approx(math.sqrt(2), rel=1e-15)
         assert entry["metrics"]["expect"] == float(expect)
 
+    def test_extend_wick_norm_of_a_non_unit_t(self, tmp_path, capsys):
+        task = {"kind": "extend", "cone": {**FUTURE, "t": ["5", "3"]}, "x": [0, 1]}
+        code, (entry,) = self.run_tasks(tmp_path, [task])
+        assert code == 0 and entry["status"] == "pass"
+        assert entry["metrics"]["value"] == pytest.approx(1.7677669529663689, rel=1e-15)
+
     def test_form_norm_family(self):
         cone = FutureCone(minkowski_frame(1).form, Vector([1, 0]))
         h = parse_norm({"family": "form"}, cone)
@@ -558,6 +564,19 @@ class TestExtend:
         out = json.loads(capsys.readouterr().out)
         assert out["value"] == 2.0
         assert out["oracle"] == pytest.approx(2.0, abs=1e-5)
+
+    def test_wick_norm_of_a_non_unit_t(self, capsys):
+        # the frame's t is t / sqrt(<t, t>): t = (2, 0) gives the t = (1, 0) frame
+        outs = []
+        for t in ('["1","0"]', '["2","0"]'):
+            assert run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1,"t":%s}' % t, "--x", "[0, 1]"]) == 0
+            outs.append(json.loads(capsys.readouterr().out)["value"])
+        assert outs == [1.4142135623730951] * 2
+
+    def test_wick_norm_of_a_t_without_rational_unit_exits_1(self, capsys):
+        # <t, t> = 3 is not a rational square
+        assert run_cli(["extend", "--cone", '{"family":"future","spatial_dim":1,"t":["2","1"]}', "--x", "[0, 1]"]) == 1
+        assert "candidate <t,t> is not a perfect rational square" in capsys.readouterr().err
 
     def test_zero_cone_l2(self, capsys):
         cone = '{"family":"polyhedral","generators":[["0","0"]]}'

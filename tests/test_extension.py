@@ -545,6 +545,12 @@ class TestGridOracle:
         with pytest.raises(DimTooLarge):
             grid_oracle(ExtensionProblem(cone, WickBaseNorm(frame), Vector([0.0] * 4)))
 
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_pcone_raises_before_any_scan(self, p):
+        # the grid's float view has no PCone branch: no decomposition sizes a box
+        with pytest.raises(UnsupportedFamily, match="no decomposition strategy for PCone"):
+            grid_oracle(ExtensionProblem(PCone(p, 1), CoordBaseNorm("l2"), vec(2, 1)))
+
     def test_oracle_upper_bounds_infimum(self):
         p = fut_problem(Vector([0.3, 0.9]))
         assert grid_oracle(p) >= extended_norm(p).value - 1e-3
@@ -556,20 +562,6 @@ class TestGridOracle:
         p = ExtensionProblem(Polyhedral(gens), CoordBaseNorm(kind), Vector([-2.0]))
         assert extended_norm(p).value == pytest.approx(2.0, abs=1e-12)
         assert grid_oracle(p) == pytest.approx(2.0, abs=1e-9)
-
-
-class TestMembershipTest:
-    @pytest.mark.parametrize("p", [1, 2, 3, math.inf])
-    @pytest.mark.parametrize("spatial_dim", [1, 2])
-    def test_pcone_matches_contains(self, p, spatial_dim):
-        c = PCone(p, spatial_dim)
-        pts = [(x0,) + r for x0 in range(-1, 5) for r in itertools.product(range(-3, 4), repeat=spatial_dim)]
-        mask = extension._membership_test(c, 1e-12)(np.array(pts, dtype=float))
-        assert mask.tolist() == [contains(c, Vector(list(q))) for q in pts]
-
-    def test_pcone_inf_mask(self):
-        mask = extension._membership_test(PCone(math.inf, 1), 1e-12)(np.array([[0.5, 0.0], [2.0, 5.0], [3.0, 1.0]]))
-        assert mask.tolist() == [True, False, True]
 
 
 def _per_slice_grid_scan(p, member, x, center, halfwidth, resolution):
@@ -615,13 +607,13 @@ class TestGridScanBlocks:
     def test_matches_per_slice_scan(self, cone, norm, x, resolution):
         p = ExtensionProblem(cone, norm, Vector(x))
         xf = np.array(x)
-        member = extension._membership_test(cone, 1e-12)
+        member, line_bounds = extension._grid_tests(cone, 1e-12)
         # a step of 2^-5 at 201 points: the tied values are exact
         center, halfwidth = np.zeros(len(x)), 3.125
         want_best, want_pt = _per_slice_grid_scan(p, member, xf, center, halfwidth, resolution)
         assert want_pt is not None
         # built on whole lines or only within the line bounds, the scan finds the same first minimiser
-        for bounds in (None, extension._line_bounds(cone, 1e-12)):
+        for bounds in (None, line_bounds):
             best, pt = extension._grid_scan(p, member, xf, center, halfwidth, resolution, bounds)
             assert best == want_best
             assert pt.tolist() == want_pt.tolist()
@@ -673,7 +665,7 @@ class TestLineBounds:
     def test_every_passing_point_is_inside(self, cone):
         # each point as its own line, with no margin: a point that passes the
         # membership test lies within its line's float bounds
-        member, bounds = extension._membership_test(cone, 1e-12), extension._line_bounds(cone, 1e-12)
+        member, bounds = extension._grid_tests(cone, 1e-12)
         passing = 0
         for pts in self.boxes(cone.ambient_dim, random.Random(5)):
             ok = member(pts)
@@ -686,7 +678,7 @@ class TestLineBounds:
     def test_few_built_points_fail(self, cone):
         # a scan builds at most 2 LINE_MARGIN + 2 points per line that fail
         # a membership test
-        member, bounds = extension._membership_test(cone, 1e-12), extension._line_bounds(cone, 1e-12)
+        member, bounds = extension._grid_tests(cone, 1e-12)
         n = cone.ambient_dim
         resolution = 201 if n == 2 else 41
         rng = random.Random(7)
@@ -699,16 +691,13 @@ class TestLineBounds:
             passing = int(np.sum(member(pts) & member(pts - x)))
             assert passing <= count.sum() <= passing + (2 * extension.LINE_MARGIN + 2) * len(lead)
 
-    def test_pcone_has_no_bounds(self):
-        assert extension._line_bounds(PCone(2, 1), 1e-12) is None
-
 
 def _einsum_member(c, tol):
     """The grid membership test with the three-operand einsum, for future cones."""
     if isinstance(c, FutureCone):
         s, t = np.array(c.form.std.as_floats()), np.array(c.t.as_floats())
         return lambda pts: (np.einsum("ij,jk,ik->i", pts, s, pts) >= -tol) & (pts @ s @ t >= -tol)
-    return extension._membership_test(c, tol)
+    return extension._grid_tests(c, tol)[0]
 
 
 def _einsum_values(norm, pts):
@@ -956,6 +945,9 @@ class TestNormAxiomsSampled:
             assert wick_norm(FRAME, x) <= extended_norm(fut_problem(xf)).value + 1e-3
 
 
+QUADRANT = Polyhedral([vec(1, 0), vec(0, 1)])
+
+
 class TestEquivalenceConstant:
     def test_k_five(self):
         assert equivalence_constant(CONE, WICK, vec(1, 0), 0.5) == pytest.approx(5.0)
@@ -982,39 +974,172 @@ class TestEquivalenceConstant:
             equivalence_constant(CONE, WICK, vec(1, 0, 0), 0.5)
 
     @pytest.mark.parametrize(
-        "cone, norm, s, delta",
+        "cone, norm, s, delta, k",
         [
-            (CONE, WICK, vec(1, 0), 0.5),
-            (CONE, WICK, vec(1, 0), 1.0),
-            (CONE, WICK, vec(1, 0), 0.70712),  # just above 1/sqrt(2): one sample leaves F
-            (CONE, CoordBaseNorm("l2"), vec(2, F(1, 2)), 0.9),
-            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("l1"), vec(3, 1), 1.0),
-            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("linf"), vec(3, 1), 1.5),
-            (PYRAMID, TILTED_WICK, vec(0, 0, 2), 0.5),
-            (PYRAMID, CoordBaseNorm("l2"), vec(F(1, 2), 0, 1), 0.5),
+            (CONE, WICK, vec(1, 0), 0.5, 5.0),
+            (CONE, WICK, vec(1, 0), 1.0, None),
+            (CONE, WICK, vec(1, 0), 0.70712, None),  # just above 1/sqrt(2)
+            (CONE, CoordBaseNorm("l2"), vec(2, F(1, 2)), 0.9, 5.581228472908512),
+            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("l1"), vec(3, 1), 1.0, 9.0),
+            (Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("linf"), vec(3, 1), 1.5, None),
+            (PYRAMID, TILTED_WICK, vec(0, 0, 2), 0.5, 10.797958971132712),
+            (PYRAMID, CoordBaseNorm("l2"), vec(F(1, 2), 0, 1), 0.5, None),
+            # the l2 distance from (1, 1) to each facet of the quadrant is 1
+            (QUADRANT, CoordBaseNorm("l2"), vec(1, 1), 1.0, 1 + 2 * math.sqrt(2)),
+            # off the axis of the own future cone the ball fits iff
+            # delta sqrt(2) <= alpha - n(w): 1 at (2, 1), 2 at (3, -1); the
+            # float sqrt(2) lies above sqrt(2), the one below it under
+            (CONE, WICK, vec(2, 1), 0.7, 7.388765649999399),
+            (CONE, WICK, vec(2, 1), 0.75, None),
+            (CONE, WICK, vec(3, -1), math.nextafter(math.sqrt(2), 0.0), 5.4721359549995805),
+            (CONE, WICK, vec(3, -1), math.sqrt(2), None),
+            # a spacelike center, and centers outside F whose balls meet
+            # each square condition: only the sign tests reject them
+            (CONE, WICK, vec(1, 3), 0.5, None),
+            (CONE, WICK, vec(-1, 0), 0.5, None),
+            (QUADRANT, CoordBaseNorm("l2"), vec(-2, 1), 0.5, None),
+            (QUADRANT, WICK, vec(-2, 1), 0.5, None),
         ],
     )
-    def test_matches_per_sample_check(self, cone, norm, s, delta):
-        def outcome(check):
+    def test_exact_outcome(self, cone, norm, s, delta, k):
+        if k is None:
+            with pytest.raises(BallNotContained):
+                equivalence_constant(cone, norm, s, delta)
+        else:
+            assert equivalence_constant(cone, norm, s, delta) == k
+
+    @pytest.mark.parametrize("kind", ["l2", "linf"])
+    def test_quadrant_ball_just_too_large(self, kind):
+        with pytest.raises(BallNotContained) as e:
+            equivalence_constant(QUADRANT, CoordBaseNorm(kind), vec(1, 1), 1 + 1e-10)
+        assert e.value.witness[1] < 0
+
+    def test_future_ball_just_too_large(self):
+        delta = (1 + 1e-9) / math.sqrt(2)
+        with pytest.raises(BallNotContained) as e:
+            equivalence_constant(CONE, WICK, vec(1, 0), delta)
+        w = np.array(e.value.witness)
+        assert w[0] < abs(w[1])
+        assert WICK.value(w - np.array([1.0, 0.0])) == pytest.approx(delta, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "cone, norm",
+        [
+            (CONES[3], CoordBaseNorm("l2")),
+            (_std_future_cone([[1, 0, 0], [0, -2, 0], [0, 0, -1]], [1, 0, 0]), WICKS[3]),
+            (PCone(3, 2), CoordBaseNorm("l1")),
+            (PCone(2, 2), WICKS[3]),
+        ],
+        ids=["future-3d-l2", "future-3d-other-wick", "pcone-3", "pcone-2-wick"],
+    )
+    def test_unsupported_pairs(self, cone, norm):
+        with pytest.raises(UnsupportedFamily, match="no exact ball check for"):
+            equivalence_constant(cone, norm, vec(2, 0, 0), 0.5)
+
+    @pytest.mark.parametrize(
+        "p, kind, s, threshold",
+        [(math.inf, "linf", (2, 1, 0), F(1, 2)), (math.inf, "l1", (2, 1, 0), F(1)), (1, "l1", (3, 1, -1), F(1)), (1, "linf", (3, 1, -1), F(1, 3))],
+    )
+    def test_pcone_facets(self, p, kind, s, threshold):
+        # the ball's vertices decide: s +- delta e_i (l1), s + delta sigma (linf)
+        c = PCone(p, 2)
+        for delta in (float(threshold), math.nextafter(float(threshold), math.inf)):
+            dq = F(delta)
+            if kind == "l1":
+                moves = [[sgn * dq * (i == j) for j in range(3)] for i in range(3) for sgn in (1, -1)]
+            else:
+                moves = [[dq * t for t in sigma] for sigma in itertools.product((1, -1), repeat=3)]
+            inside = all(contains(c, Vector([a + b for a, b in zip(s, m)])) for m in moves)
+            assert inside == (dq <= threshold)
             try:
-                return check(cone, norm, s, delta)
+                equivalence_constant(c, CoordBaseNorm(kind), vec(*s), delta)
+                assert inside
+            except BallNotContained as e:
+                assert not inside and not contains(c, Vector(e.witness))
+
+    def test_witness_rounded_outside(self):
+        # the exact witness (1.5 - 1e-16, 1.5 + 1e-16) rounds to (1.5, 1.5), on the facet x0 = x1
+        delta = math.nextafter(0.5, 1.0)
+        with pytest.raises(BallNotContained) as e:
+            equivalence_constant(Polyhedral([vec(1, 0), vec(1, 1)]), CoordBaseNorm("linf"), vec(2, 1), delta)
+        w = e.value.witness
+        assert w[0] < w[1] and max(abs(w[0] - 2), abs(w[1] - 1)) == pytest.approx(delta, rel=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(eighths, min_size=2, max_size=2), st.floats(1e-3, 4.0), st.integers(-2, 2))
+    def test_own_future_cone_matches_its_facets(self, s, delta, steps):
+        # the 2-D Minkowski cone is cone((1, 1), (1, -1)), and its Wick norm is l2
+        s = Vector(s)
+        if s.coords[0] > abs(s.coords[1]):
+            delta = (float(s.coords[0]) - abs(float(s.coords[1]))) / math.sqrt(2)
+            for _ in range(abs(steps)):
+                delta = math.nextafter(delta, math.copysign(math.inf, steps))
+
+        def outcome(cone, norm):
+            try:
+                return equivalence_constant(cone, norm, s, delta)
             except BallNotContained as e:
                 return e.witness
 
-        assert outcome(equivalence_constant) == outcome(_per_sample_equivalence_constant)
+        closed = outcome(CONE, WICK)
+        facets = outcome(Polyhedral([vec(1, 1), vec(1, -1)]), CoordBaseNorm("l2"))
+        assert type(closed) is type(facets)
+        if isinstance(closed, float):
+            assert closed == facets
+        else:
+            w = np.array(closed)
+            assert w[0] - abs(w[1]) <= 1e-12 and math.dist(w, s.as_floats()) == pytest.approx(delta, rel=1e-12)
+
+    def test_lower_dimensional_cone_holds_no_ball(self):
+        with pytest.raises(BallNotContained) as e:
+            equivalence_constant(PLANE, CoordBaseNorm("l1"), vec(1, 1, 2), 1e-6)
+        assert not contains(PLANE, Vector(e.value.witness))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(square_problems(), overcomplete_problems()), st.data())
+    def test_exact_against_vertices_and_witness(self, problem, data):
+        gens, _, _ = problem
+        d = len(gens[0])
+        kind = data.draw(st.sampled_from(("l1", "l2", "linf", "wick")))
+        norm = (WICK if d == 2 else TILTED_WICK) if kind == "wick" else CoordBaseNorm(kind)
+        cone = Polyhedral([Vector(g) for g in gens])
+        # s in the core: a positive combination of the generators
+        ks = data.draw(st.lists(st.integers(1, 4), min_size=len(gens), max_size=len(gens)))
+        s = Vector([sum(F(k, 4) * g[i] for k, g in zip(ks, gens)) for i in range(d)])
+        sf = np.array(s.as_floats())
+        normals = [np.array(h, dtype=float) for h in h_description(cone).normals]
+        if kind == "wick":
+            dual = lambda h: math.sqrt(h @ np.linalg.inv(norm.matrix) @ h)  # noqa: E731
+        else:
+            dual = {"l1": lambda h: np.max(np.abs(h)), "linf": lambda h: np.sum(np.abs(h)), "l2": np.linalg.norm}[kind]
+        # delta within a few ulps of the n-distance from s to its nearest
+        # facet, or 1e-9 or 1e-3 relative away from it
+        threshold = min(h @ sf / dual(h) for h in normals)
+        delta = threshold * (1 + data.draw(st.sampled_from((0.0, 1e-9, -1e-9, 1e-3, -1e-3))))
+        steps = data.draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            delta = math.nextafter(delta, math.copysign(math.inf, steps))
+        try:
+            equivalence_constant(cone, norm, s, delta)
+            witness = None
+        except BallNotContained as e:
+            witness = e.witness
+        # the float threshold decides every delta 1e-3 away from it
+        assert delta <= threshold * (1 + 1e-9) if witness is None else delta >= threshold * (1 - 1e-9)
+        if kind in ("l1", "linf"):
+            # the ball is the hull of its vertices: s +- delta e_i (l1), s + delta sigma (linf)
+            dq = F(delta)
+            if kind == "l1":
+                moves = [[sgn * dq * (i == j) for j in range(d)] for i in range(d) for sgn in (1, -1)]
+            else:
+                moves = [[dq * t for t in sigma] for sigma in itertools.product((1, -1), repeat=d)]
+            assert (witness is None) == all(contains(cone, Vector([a + b for a, b in zip(s.coords, m)])) for m in moves)
+            if witness is not None:
+                assert not contains(cone, Vector(witness))
+        elif witness is not None:
+            w = np.array(witness)
+            assert min(h @ w / np.linalg.norm(h) for h in normals) <= 1e-12 * (1.0 + np.max(np.abs(sf)))
+        if witness is not None:
+            assert norm.value(np.array(witness) - sf) == pytest.approx(delta, rel=1e-12)
 
 
-def _per_sample_equivalence_constant(cone, base_norm, s, delta):
-    """Reference: the ball check one sample and one membership call at a time."""
-    rng = random.Random(extension.BALL_SEED)
-    sf = np.array(s.as_floats())
-    member = extension._membership_test(cone, extension.BALL_TOL)
-    for _ in range(extension.BALL_SAMPLES):
-        direction = np.array([rng.gauss(0.0, 1.0) for _ in range(s.dim)])
-        nv = base_norm.value(direction)
-        if nv <= 1e-15:
-            continue
-        pt = sf + direction * (delta / nv)
-        if not member(pt[None, :])[0]:
-            raise BallNotContained("ball leaves the cone", witness=pt.tolist())
-    return 2.0 * base_norm.value(sf) / delta + 1.0
