@@ -5,10 +5,6 @@ class ConekitError(Exception):
     """Base class for all library errors."""
 
 
-class ExactBackend(ConekitError):
-    """A tolerance-based operation was invoked on exact rationals."""
-
-
 class DimensionMismatch(ConekitError):
     """Vector/matrix dimensions are incompatible."""
 

@@ -5,10 +5,13 @@ Checks work on squared norms: every check expressible in squares
 and boundary cases come out exactly.  On the quadratic families the reverse
 Cauchy-Schwarz and reverse triangle signs and the equality case are read
 off three integers of the bilinear form (``_cs_triple``), with no Fraction
-built for a sign.  Square roots force floats.  Each argument's membership
-is checked once: the cones are convex (p >= 1), so sums of members such as
-v + w and v + 2w are members, evaluated unchecked.  That check is exact, so
-a p-hyperbolic call raises UnsupportedFamily where ``PCone`` membership does.
+built for a sign.  The equality case of the reverse triangle inequality
+(``equality_is_collinear``) is exact on every family and reads no norm
+value that needs a root; such values are floats.  Each argument's
+membership is checked once: the cones are convex (p >= 1), so sums of
+members such as v + w and v + 2w are members, evaluated unchecked.  That
+check is exact, so a p-hyperbolic call raises UnsupportedFamily where
+``PCone`` membership does.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Union
 from .cone import Cone, FutureCone, Orthant, PCone, _pcone_holds, contains
 from .errors import OutsideCone, PreconditionFailed, UnsupportedFamily
 from .lorentz import _minkowski_matrix
-from .numerics import SymMatrix, Vector, approx_eq
+from .numerics import SymMatrix, Vector
 
 # a Fraction, or the float value of a norm that needs a root
 Scalar = Union[Fraction, float]
@@ -115,6 +118,11 @@ def _norm1(x: Vector) -> Fraction:
     return Fraction(x0 - sum(abs(s) for s in spatial), x._den)
 
 
+def _norm_inf(x: Vector) -> Fraction:
+    """The p = inf hyperbolic norm of a member: x0 inside the cone, 0 on its boundary."""
+    return Fraction(x._nums[0], x._den) if _pcone_holds(math.inf, x, strict=True) else Fraction(0)
+
+
 def norm_eval(h: HyperbolicNorm, x: Vector) -> float:
     """Norm value as a float (the codomain is [0, inf]; these families are finite)."""
     _require_member(h, x)
@@ -129,9 +137,9 @@ def _norm_value(h: HyperbolicNorm, x: Vector) -> float:
         if isinstance(h, FormInduced):
             return math.sqrt(max(float(h.cone.form.inner(x, x)), 0.0))
         if isinstance(h, PHyperbolic):
-            x0, *spatial = x.as_floats()
             if h.p == math.inf:
-                return x0 if _pcone_holds(math.inf, x, strict=True) else 0.0
+                return float(_norm_inf(x))
+            x0, *spatial = x.as_floats()
             inner = abs(x0) ** float(h.p) - sum(abs(s) ** float(h.p) for s in spatial)
             return max(inner, 0.0) ** (1.0 / float(h.p))
         acc = sum(float(w) * float(f) ** float(h.q) for w, f in zip(h.weights, x.coords))
@@ -251,27 +259,42 @@ def _collinear_nonneg(v: Vector, w: Vector) -> bool:
 def equality_is_collinear(h: HyperbolicNorm, v: Vector, w: Vector) -> EqualityCollinearity:
     """Detect ||v+w|| = ||v|| + ||w|| and whether v, w are nonneg-collinear.
 
-    On exact families equality reduces to <v,w>^2 = ||v||^2 ||w||^2, decided
-    on the integers of ``_cs_triple`` (the 1-hyperbolic norm is rational and
-    compared directly); collinearity is exact: the cross products of the
-    integers against w's first nonzero coordinate, plus the sign of the
-    ratio.  The other families, whose norm values are irrational
-    floats, compare n(v+w) with n(v) + n(w), and the cross products v_i w_j
-    with v_j w_i of the rounded coordinates, by the float rule ``approx_eq``.
+    Both flags are exact.  Collinearity is ``_collinear_nonneg``: the cross
+    products of the integers against w's first nonzero coordinate, plus the
+    sign of the ratio.  Equality is decided per family:
+
+    - p = 2 and form-induced: <v,w>^2 = ||v||^2 ||w||^2 on the integers of
+      ``_cs_triple``;
+    - p = 1 and p = inf: the norm values are rational and compared exactly;
+    - 1 < p < inf and ``DiscreteLq``: equality is the collinearity flag.
+
+    Proof of the last rule.  Every norm n here is positively homogeneous and
+    superadditive, hence concave on its cone, so collinear pairs give
+    equality.  Conversely the set {n >= 1} has no segment on its boundary
+    {n = 1}: for a p-hyperbolic norm it is x0 >= ||(1, y)||_p, a strictly
+    convex function of y by the equality case of Minkowski's inequality;
+    for ``DiscreteLq`` it is sum mu_i x_i^q >= 1, and sum mu_i x_i^q is
+    strictly concave along every segment that is not constant.  Let
+    n(v+w) = n(v) + n(w) with v, w not nonneg-collinear.  If n(v), n(w) > 0,
+    the point (v+w) / (n(v)+n(w)) of the segment from v / n(v) to w / n(w)
+    has n = 1, so concavity puts the whole segment on {n = 1}.  If
+    n(v) = 0 < n(w), s -> n(w + s v) is concave, equal at s = 0 and 1 and
+    at least n(w) for all s >= 0, so constant: the segment from w to w + v
+    lies on {n = n(w)}.  If n(v) = n(w) = 0 (a p-hyperbolic null pair; the
+    ``DiscreteLq`` norm vanishes only at 0), v0 + w0 = ||y_v + y_w||_p
+    forces y_v, y_w, and so v, w, to be nonneg-collinear.  Each case
+    contradicts the hypothesis (Bellman 1956, the p-version of Aczel's
+    inequality; Hardy, Littlewood & Polya 1952, Inequalities, ch. 2).
     """
     _require_member(h, v)
     _require_member(h, w)
+    collinear = _collinear_nonneg(v, w)
     b = _bilinear_form(h)
     if b is not None:
         # equality iff <v,w> = ||v|| ||w||, decided in squares
         bvw, bvv, bww = _cs_triple(b, v, w)
-        return EqualityCollinearity(bvw * bvw == bvv * bww, _collinear_nonneg(v, w))
-    if isinstance(h, PHyperbolic) and h.p == 1:
-        # the 1-hyperbolic norm itself is rational: compare values directly
-        return EqualityCollinearity(_norm1(v + w) == _norm1(v) + _norm1(w), _collinear_nonneg(v, w))
-    eq = approx_eq(_norm_value(h, v + w), _norm_value(h, v) + _norm_value(h, w))
-    vf, wf = v.as_floats(), w.as_floats()
-    cross = all(
-        approx_eq(vf[i] * wf[j], vf[j] * wf[i]) for i in range(len(vf)) for j in range(i + 1, len(wf))
-    )
-    return EqualityCollinearity(eq, cross)
+        return EqualityCollinearity(bvw * bvw == bvv * bww, collinear)
+    if isinstance(h, PHyperbolic) and h.p in (1, math.inf):
+        n = _norm1 if h.p == 1 else _norm_inf
+        return EqualityCollinearity(n(v + w) == n(v) + n(w), collinear)
+    return EqualityCollinearity(collinear, collinear)

@@ -4,8 +4,8 @@ Every scalar is an exact rational, a ``fractions.Fraction``.  Ints, numeric
 strings and finite floats are promoted to ``Fraction`` on entry, a float at
 its exact binary value; a nan, an infinity and a string whose decimal
 exponent exceeds Python's int-string cap are rejected.  Only norm
-values that need a root (``hypnorm``) are floats, and ``approx_eq`` is
-their one tolerance rule.
+values that need a root (``hypnorm``) are floats, and no decision on
+exact inputs compares them within a tolerance.
 
 All exact linear algebra runs on Python ints, on one fraction-free
 exchange pivot step, ``_pivot``: the tableau holds d times the rational
@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .errors import DimensionMismatch, ExactBackend, PreconditionFailed
+from .errors import DimensionMismatch, PreconditionFailed
 
 def as_scalar(x) -> Fraction:
     """Promote ints, strings like ``"3/4"`` and finite floats (at their exact
@@ -81,17 +81,6 @@ def as_scalar(x) -> Fraction:
             raise PreconditionFailed(f"{x!r} is not a finite scalar")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a scalar")
-
-
-# the one tolerance rule, for norm values that need a root
-ABS_TOL = REL_TOL = 1e-9
-
-
-def approx_eq(a: float, b: float) -> bool:
-    """|a - b| <= ABS_TOL + REL_TOL * max(|a|, |b|), on floats only."""
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        raise ExactBackend("exact rationals compare exactly, without a tolerance")
-    return abs(a - b) <= ABS_TOL + REL_TOL * max(abs(a), abs(b))
 
 
 class Vector:

@@ -174,7 +174,7 @@ def suite_future_decompose(trials: int = 10_000, seed: int = 4) -> PropertyResul
             return _fail("future_decompose", k + 1, {"x": x, "kind": "difference"})
         if future_defect_exact(frame, fd.v1) < 0 or future_defect_exact(frame, fd.v2) < 0:
             return _fail("future_decompose", k + 1, {"x": x, "kind": "causal"})
-        if fd.lambda_star > 0 and not future_decompose_is_minimal(frame, x, fd.lambda_star):
+        if not future_decompose_is_minimal(frame, x, fd.lambda_star):
             return _fail("future_decompose", k + 1, {"x": x, "kind": "minimal"})
     return PropertyResult("future_decompose", True, trials)
 

@@ -148,12 +148,17 @@ def future_decompose(x: Vector, frame: LorentzFrame) -> FutureDecomposition:
     return _future_split(frame.form.std, frame.t, x)
 
 
-# how far below lam future_decompose_is_minimal probes the constraints
-MINIMALITY_SLACK = Fraction(1, 1000)
-
-
 def future_decompose_is_minimal(frame: LorentzFrame, x: Vector, lam: Fraction) -> bool:
-    """True iff lam - MINIMALITY_SLACK violates a constraint (or lam = 0)."""
-    if lam == 0:
-        return True
-    return not _lambda_holds(*_decomposition_ints(frame.form.std, frame.t, x), as_scalar(lam) - MINIMALITY_SLACK)
+    """True iff lam splits x (``_lambda_holds``) and 2 lam <= |alpha_x| + hi,
+    hi the upper bound on n(w_x) of ``_spatial_norm_bounds``, the bound
+    ``future_decompose`` uses.  The feasible lam are those at least
+    (|alpha_x| + n(w_x)) / 2, so ``future_decompose``'s lambda_star is
+    minimal, and it is the only minimal lam when n(w_x) is rational.  On the
+    integers of ``_decomposition_ints`` (mu = lam for the frame's unit t),
+    with hi over den: 2 lam_n k den <= lam_d (|a| den + hi k)."""
+    a, q, k = _decomposition_ints(frame.form.std, frame.t, x)
+    lam = as_scalar(lam)
+    if not _lambda_holds(a, q, k, lam):
+        return False
+    _, hi, den = _spatial_norm_bounds(a, q, k)
+    return 2 * lam.numerator * k * den <= lam.denominator * (abs(a) * den + hi * k)

@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conekit import properties
 from conekit.cone import FutureCone, PCone, in_core
@@ -209,9 +212,10 @@ class TestEqualityCollinear:
         assert r.equality and r.collinear
 
     @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
-    def test_float_family_uses_relative_rule(self, scale):
-        # p = 3 is decided in floats: w = k v must read as equal and
-        # collinear at every scale, a generic pair as neither
+    def test_float_multiples_are_equal_and_collinear(self, scale):
+        # floats enter at their binary value, so w = k v is an exact
+        # nonneg multiple of v at every scale: equal and collinear; a
+        # generic pair is neither
         h3 = PHyperbolic(3, 2)
         rng = random.Random(0)
         for _ in range(200):
@@ -223,6 +227,107 @@ class TestEqualityCollinear:
             assert r.equality and r.collinear, (v, w)
         r = equality_is_collinear(h3, Vector([3 * scale, scale, 0.0]), Vector([3 * scale, -scale, 0.0]))
         assert not r.equality and not r.collinear
+
+    @pytest.mark.parametrize(
+        "h, v, w",
+        [
+            (PHyperbolic(3, 2), vec(3, 1, 0), Vector([3, 1, 1e-12])),
+            (DiscreteLq(F(1, 2), [1, 2]), vec(1, 1), Vector([1, 1 + 1e-12])),
+        ],
+        ids=["p3", "lq"],
+    )
+    def test_near_collinear_pair_is_neither(self, h, v, w):
+        # n(v + w) - n(v) - n(w) is about 1e-38 for p = 3, yet positive
+        assert equality_is_collinear(h, v, w) == EqualityCollinearity(False, False)
+
+    def test_p_inf_is_exact(self):
+        # n = x0 is additive inside the cone: (2, 1) + (2, -1) = (4, 0),
+        # 4 = 2 + 2, though the pair is not collinear; a null member adds
+        # x0 to the sum's norm but 0 to the sum of norms
+        h = PHyperbolic(math.inf, 1)
+        assert equality_is_collinear(h, vec(2, 1), vec(2, -1)) == EqualityCollinearity(True, False)
+        assert equality_is_collinear(h, vec(1, 1), vec(2, 0)) == EqualityCollinearity(False, False)
+        # collinearity is exact too: a 1e-12 turn is not collinear
+        w = Vector([1, F(1, 3) + F(1, 10**12)])
+        assert equality_is_collinear(h, vec(1, F(1, 3)), w) == EqualityCollinearity(True, False)
+        assert equality_is_collinear(h, vec(2, 2), vec(3, 3)) == EqualityCollinearity(True, True)
+
+
+def _dec(x) -> Decimal:
+    x = F(x)
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _ref_norm(h, x) -> Decimal:
+    """n(x) of a member to the context's precision: the radicand exactly
+    for an integer p, decimal powers otherwise."""
+    if isinstance(h, DiscreteLq):
+        q = _dec(h.q)
+        acc = sum(_dec(m) * _dec(f) ** q for m, f in zip(h.weights, x.coords))
+        return acc ** (1 / q)
+    p, (x0, *ys) = F(h.p), x.coords
+    if p.denominator == 1:
+        r = _dec(x0**p - sum(abs(y) ** p for y in ys))
+    else:
+        r = _dec(x0) ** _dec(p) - sum(_dec(abs(y)) ** _dec(p) for y in ys)
+    return max(r, Decimal(0)) ** (1 / _dec(p))
+
+
+@st.composite
+def _member_pairs(draw):
+    """A norm of 1 < p < inf or DiscreteLq and two vectors for it.  A
+    p-hyperbolic vector is null on one axis, inside (x0 >= sum |y_j|) or in
+    the band max |y_j| <= x0 <= sum |y_j|, where it may be outside the cone
+    or undecidable by the p-cone rule; the test skips those draws."""
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([F(1, 3), F(1, 2), F(9, 10)]))
+        h = DiscreteLq(q, draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        n = len(h.weights)
+        return h, *(Vector([abs(c) for c in draw(st.lists(coord, min_size=n, max_size=n))]) for _ in range(2))
+    h = PHyperbolic(draw(st.sampled_from([F(11, 10), F(3, 2), 3, 4, 7])), draw(st.integers(1, 3)))
+    pair = []
+    for _ in range(2):
+        ys = draw(st.lists(coord, min_size=h.spatial_dim, max_size=h.spatial_dim))
+        hi, lo = sum(abs(y) for y in ys), max(abs(y) for y in ys)
+        kind = draw(st.sampled_from(["null", "interior", "band"]))
+        if kind == "null":
+            # x0 = |y_j| on one axis: on the boundary for every p
+            j = draw(st.integers(0, h.spatial_dim - 1))
+            ys = [y if i == j else F(0) for i, y in enumerate(ys)]
+            x0 = abs(ys[j])
+        elif kind == "interior":
+            x0 = hi + draw(st.fractions(min_value=0, max_value=2, max_denominator=5))
+        else:
+            x0 = lo + (hi - lo) * draw(st.fractions(min_value=0, max_value=1, max_denominator=7))
+        pair.append(Vector([x0] + ys))
+    return h, *pair
+
+
+class TestEqualityByStrictConvexity:
+    """For 1 < p < inf and ``DiscreteLq`` the set {n >= 1} has no segment
+    on its boundary, so n(v + w) > n(v) + n(w) on every member pair that
+    is not nonneg-collinear; checked against a 120-digit decimal reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_member_pairs(), st.fractions(min_value=0, max_value=5, max_denominator=4))
+    @example((PHyperbolic(3, 2), vec(3, 1, 0), Vector([3, 1, 1e-12])), F(1))
+    @example((DiscreteLq(F(1, 2), [1, 2]), vec(1, 1), Vector([1, 1 + 1e-12])), F(1))
+    def test_equality_iff_collinear(self, hvw, k):
+        h, v, w = hvw
+        try:
+            ec = equality_is_collinear(h, v, w)
+            # a nonneg multiple of a member is a member, equal and collinear
+            assert equality_is_collinear(h, v, v.scale(k)) == EqualityCollinearity(True, True)
+        except (UnsupportedFamily, OutsideCone):
+            assume(False)
+        with localcontext() as ctx:
+            ctx.prec = 120
+            gap = _ref_norm(h, v + w) - _ref_norm(h, v) - _ref_norm(h, w)
+        if ec.collinear:
+            assert ec.equality and abs(gap) < Decimal(10) ** -100
+        else:
+            assert not ec.equality and gap > 0, (h, v, w, gap)
 
 
 class TestFormInduced:

@@ -68,7 +68,7 @@ from conekit.numerics import (
     fraction_sqrt_bounds,
 )
 from conekit.order import OrderedSequence, completeness_certificate, monotone_wick_check
-from conekit.span import MINIMALITY_SLACK, FutureDecomposition, future_decompose, future_decompose_is_minimal
+from conekit.span import FutureDecomposition, future_decompose, future_decompose_is_minimal
 
 
 def vec(*xs):
@@ -970,9 +970,10 @@ def _ref_future_decompose(x, frame):
 
 
 def _ref_future_decompose_is_minimal(frame, x, lam):
-    if lam == 0:
-        return True
-    return not all(_ref_decomposition_inequalities(frame, x, lam - MINIMALITY_SLACK))
+    """lam splits x, and 2 lam <= |alpha| + hi for the upper bound hi on n(w_x)."""
+    alpha = frame.inner(x, frame.t)
+    _, hi = fraction_sqrt_bounds(alpha * alpha - frame.inner(x, x))
+    return all(_ref_decomposition_inequalities(frame, x, lam)) and 2 * lam <= abs(alpha) + hi
 
 
 class TestFutureDecomposeOnIntegers:
@@ -998,7 +999,7 @@ class TestFutureDecomposeOnIntegers:
                     continue
                 exact.add(got.exact_lambda)
                 lam = got.lambda_star
-                for m in (lam, lam - MINIMALITY_SLACK, lam - F(1, 10**9), lam + F(1, 10**9)):
+                for m in (lam, lam - F(1, 1000), lam - F(1, 10**9), lam + F(1, 10**9)):
                     assert future_decompose_is_minimal(fr, x, m) == _ref_future_decompose_is_minimal(fr, x, m)
                     holds = span._lambda_holds(*span._decomposition_ints(fr.form.std, fr.t, x), m)
                     assert holds == all(_ref_decomposition_inequalities(fr, x, m))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conekit import numerics as numerics_module
 from conekit.cone import PCone, contains
-from conekit.errors import DimensionMismatch, ExactBackend, PreconditionFailed
+from conekit.errors import DimensionMismatch, PreconditionFailed
 from conekit.numerics import (
     SymMatrix,
     Vector,
@@ -19,7 +19,6 @@ from conekit.numerics import (
     _integers,
     _int_vector,
     _pivot,
-    approx_eq,
     as_scalar,
     exact_det,
     exact_inverse,
@@ -32,21 +31,6 @@ from conekit.numerics import (
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-
-
-class TestApproxEq:
-    def test_close(self):
-        assert approx_eq(1.0, 1.0 + 1e-12)
-
-    def test_far(self):
-        assert not approx_eq(1.0, 1.1)
-
-    def test_relative(self):
-        assert approx_eq(1e6, 1e6 * (1 + 1e-10))
-
-    def test_exact_backend_rejected(self):
-        with pytest.raises(ExactBackend):
-            approx_eq(F(1), F(1))
 
 
 class TestAsScalar:

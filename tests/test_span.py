@@ -136,6 +136,26 @@ class TestFutureDecompose:
             if fd.lambda_star > 0:
                 assert future_decompose_is_minimal(self.FRAME, x, fd.lambda_star)
 
+    @pytest.mark.parametrize(
+        "lam, minimal",
+        [
+            (F(1, 2), True),
+            (F(1, 2) + F(1, 2000), False),
+            (F(1, 2) + F(1, 10**16), False),
+            (F(1, 2) - F(1, 10**9), False),
+        ],
+    )
+    def test_minimal_lambda_is_exact(self, lam, minimal):
+        # at x = (0, 1), lam* = 1/2 exactly: a larger lam splits x but is not
+        # minimal, a smaller one does not split x
+        assert future_decompose_is_minimal(self.FRAME, vec(0, 1), lam) is minimal
+
+    def test_zero_lambda(self):
+        # lam = 0 splits only x = 0: at x = (1, 0), lam* = 1/2
+        assert not future_decompose_is_minimal(self.FRAME, vec(1, 0), 0)
+        assert future_decompose_is_minimal(self.FRAME, vec(0, 0), 0)
+        assert future_decompose(vec(0, 0), self.FRAME).lambda_star == 0
+
 
 quarters = st.integers(-16, 16).map(lambda k: F(k, 4))
 fifths = st.integers(-30, 30).map(lambda k: F(k, 5))
@@ -188,3 +208,20 @@ class TestFutureSplit:
             assert split.exact_lambda == fd.exact_lambda
             if fd.exact_lambda:
                 assert (split.v1, split.v2, split.lambda_star * r) == (fd.v1, fd.v2, fd.lambda_star)
+
+
+class TestMinimalLambda:
+    """``future_decompose_is_minimal`` on ``future_decompose``'s own lam*."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lorentz_frames(), st.data())
+    def test_lambda_star_minimal(self, frame, data):
+        # lam* is minimal and no larger lam is; with n(w_x) rational no
+        # smaller lam splits x, so lam* is the only minimal lam
+        for x in _targets(frame, data):
+            fd = future_decompose(x, frame)
+            lam = fd.lambda_star
+            assert future_decompose_is_minimal(frame, x, lam)
+            assert not future_decompose_is_minimal(frame, x, lam + F(1, 10**20))
+            if fd.exact_lambda:
+                assert not future_decompose_is_minimal(frame, x, lam - F(1, 10**20))
